@@ -15,6 +15,16 @@ genfun               same kicked form with V(x) = sum_i a_i cos(2pi i x),
 
 All coordinates live on the lifted plane; reduction mod 1 happens only at
 output time.
+
+Kicks
+-----
+Every kick term is a multiple of sin or cos of 2pi s with s = i x.  Both
+come from one exact range reduction of s, s - floor(s), whose cost does
+not grow with |s| (see _kick, and _kick_arr for arrays).  The sin and cos
+of a harmonic share that reduction: step_scalar/step_array return the image
+and the Jacobian of one step from it, and apply_*/jacobian_* are the same
+step with one half left out.  Scalar and array forms run the same
+arithmetic and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,42 +49,66 @@ _FAMILIES = (SHEAR, DRIFT, STANDARD, GENFUN)
 ITERATE_CAP = 10_000_000
 
 
-def _sinpi(t: float) -> float:
-    """sin(pi * t) with exact range reduction.
+def _kick(x: float, harmonics, sin: bool, cos: bool) -> tuple[float, float]:
+    """(V'(x), V''(x)) of a kick V(x) given as harmonics (i, p, q).
+
+    V'(x) = -sum p sin(2 pi i x) and V''(x) = -sum q cos(2 pi i x); a part
+    not asked for is 0.0.  Each harmonic's sin and cos come from one exact
+    range reduction of s = i x: s mod 1 as s - floor(s), which costs the
+    same for any |s|.  In half-turn units t = 2s that is t - 2 floor(t/2),
+    equal bit for bit to fmod(t, 2) wrapped into [0, 2) (except that a zero
+    remainder is +0 where fmod keeps the sign of t).  Splitting off the
+    half turn leaves u in [0, 1/2]; its sign goes into the angle, as sin is
+    odd: sin(2 pi s) = sin(+-2 pi u), cos(2 pi s) = +-cos(2 pi u).
 
     Plain sin(2*pi*x) returns ~1.2e-16 at x = 0.5, which is enough to push
     an orbit off a symmetric fixed point and onto its unstable manifold.
-    Reducing in t-space keeps half-integer points exact.
+    Folding u into [0, 1/4] for sin, and taking cos(2 pi u) as
+    sin(2 pi (1/4 - u)), makes both exactly 0 or +-1 at every quarter
+    turn, however large |s|.
     """
-    t = math.fmod(t, 2.0)
-    if t < 0.0:
-        t += 2.0
-    sign = 1.0
-    if t >= 1.0:
-        t -= 1.0
-        sign = -1.0
-    if t > 0.5:
-        t = 1.0 - t
-    return sign * math.sin(math.pi * t)
+    vp = w = 0.0
+    for i, p, q in harmonics:
+        s = x if i == 1 else i * x
+        u = s - math.floor(s)
+        turn = TWO_PI
+        if u >= 0.5:
+            u -= 0.5
+            turn = -TWO_PI
+        if sin:
+            vp -= p * math.sin(turn * (0.5 - u if u > 0.25 else u))
+        if cos:
+            w -= q * math.sin(turn * (0.25 - u))
+    return vp, w
 
 
-def _cospi(t: float) -> float:
-    """cos(pi * t) via the quarter-turn shift of _sinpi."""
-    return _sinpi(t + 0.5)
+def _fold_arr(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_kick's range reduction, elementwise: u in [0, 1/2] and the signed
+    full turn (-2 pi where the half turn was split off, else 2 pi)."""
+    u = s - np.floor(s)
+    hi = u >= 0.5
+    u -= 0.5 * hi
+    return u, TWO_PI - (2.0 * TWO_PI) * hi
 
 
-def _sinpi_arr(t: np.ndarray) -> np.ndarray:
-    """Vectorized _sinpi (same reduction, same results elementwise)."""
-    t = np.fmod(t, 2.0)
-    t = np.where(t < 0.0, t + 2.0, t)
-    sign = np.where(t >= 1.0, -1.0, 1.0)
-    t = np.where(t >= 1.0, t - 1.0, t)
-    t = np.where(t > 0.5, 1.0 - t, t)
-    return sign * np.sin(np.pi * t)
-
-
-def _cospi_arr(t: np.ndarray) -> np.ndarray:
-    return _sinpi_arr(t + 0.5)
+def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
+    """Elementwise _kick: the same arithmetic, with no branches."""
+    vp = w = 0.0
+    for i, p, q in harmonics:
+        u, turn = _fold_arr(x if i == 1 else i * x)
+        if sin:
+            v = np.minimum(u, 0.5 - u)
+            v *= turn
+            np.sin(v, out=v)
+            v *= p
+            vp = vp - v
+        if cos:
+            v = 0.25 - u
+            v *= turn
+            np.sin(v, out=v)
+            v *= q
+            w = w - v
+    return vp, w
 
 
 def _as_point(p) -> tuple[float, float]:
@@ -125,6 +159,19 @@ class LiftedMap:
         if self.family == GENFUN and len(params) < 1:
             raise ValueError("genfun needs at least one cosine coefficient")
         object.__setattr__(self, "params", params)
+        # Kick harmonics (i, p_i, q_i): V'(x) = -sum p_i sin(2 pi i x) and
+        # V''(x) = -sum q_i cos(2 pi i x).
+        if self.family == STANDARD:
+            k = params[0]
+            harmonics = ((1, k / TWO_PI, k),)
+        elif self.family == GENFUN:
+            harmonics = tuple(
+                (i, TWO_PI * i * a, (TWO_PI * i) ** 2 * a)
+                for i, a in enumerate(params, start=1)
+            )
+        else:
+            harmonics = ()
+        object.__setattr__(self, "_harmonics", harmonics)
 
     # -- constructors ------------------------------------------------------
 
@@ -148,81 +195,82 @@ class LiftedMap:
         """Swap the map with its inverse (negative-twist test fixture)."""
         return LiftedMap(self.family, self.params, -self.twist_sign)
 
-    # -- kick potential ----------------------------------------------------
+    # -- the kicked step -----------------------------------------------------
 
-    def _vprime(self, x: float) -> float:
-        """V'(x) for the kicked families; identically 0 for shear/drift."""
-        if self.family == STANDARD:
-            k = self.params[0]
-            return -(k / TWO_PI) * _sinpi(2.0 * x)
-        if self.family == GENFUN:
-            s = 0.0
-            for i, a in enumerate(self.params, start=1):
-                s += TWO_PI * i * a * _sinpi(2.0 * i * x)
-            return -s
-        return 0.0
+    def kick_bound(self) -> float:
+        """An upper bound on |V''|; every Jacobian entry is at most 1 + this."""
+        return math.fsum(abs(q) for _, _, q in self._harmonics)
 
     def _vsecond(self, x: float) -> float:
         """V''(x), the kick term appearing in the Jacobian."""
-        if self.family == STANDARD:
-            return -self.params[0] * _cospi(2.0 * x)
-        if self.family == GENFUN:
-            s = 0.0
-            for i, a in enumerate(self.params, start=1):
-                s += (TWO_PI * i) ** 2 * a * _cospi(2.0 * i * x)
-            return -s
-        return 0.0
+        return _kick(x, self._harmonics, False, True)[1]
 
-    def _vprime_arr(self, x: np.ndarray) -> np.ndarray:
-        if self.family == STANDARD:
-            k = self.params[0]
-            return -(k / TWO_PI) * _sinpi_arr(2.0 * x)
-        if self.family == GENFUN:
-            s = np.zeros_like(x)
-            for i, a in enumerate(self.params, start=1):
-                s += TWO_PI * i * a * _sinpi_arr(2.0 * i * x)
-            return -s
-        return np.zeros_like(x)
+    def _step(self, x, y, kick, forward, image, jacobian):
+        """Image and Jacobian entries (x1, y1, a, b, c, d) of one step.
 
-    def _vsecond_arr(self, x: np.ndarray) -> np.ndarray:
-        if self.family == STANDARD:
-            return -self.params[0] * _cospi_arr(2.0 * x)
-        if self.family == GENFUN:
-            s = np.zeros_like(x)
-            for i, a in enumerate(self.params, start=1):
-                s += (TWO_PI * i) ** 2 * a * _cospi_arr(2.0 * i * x)
-            return -s
-        return np.zeros_like(x)
+        The body behind every apply/jacobian/step method: kick is _kick
+        for floats or _kick_arr for arrays, and the same arithmetic runs on
+        either.  forward=False steps the inverse.  Parts not asked for are
+        None; Jacobian entries that do not depend on the point are floats
+        on both paths.
+        """
+        # The kick acts at the base map's x: x itself going forward, the
+        # preimage x - y going backward.
+        kx = x if forward else x - y
+        vp, w = kick(kx, self._harmonics, image, jacobian)
+        x1 = y1 = a = b = c = d = None
+        if image:
+            if self.family == DRIFT:
+                c0 = self.params[0]
+                x1, y1 = (x + y, y + c0) if forward else (x - y + c0, y - c0)
+            elif self.family == SHEAR:
+                # unary plus copies an array and leaves a float as it is
+                x1, y1 = (x + y if forward else kx), +y
+            elif forward:
+                y1 = y + vp
+                x1 = x + y1
+            else:
+                x1, y1 = kx, y - vp
+        if jacobian:
+            if forward:
+                a, b, c, d = 1.0 + w, 1.0, w, 1.0
+            else:
+                # Inverse of the base Jacobian at the preimage (det = 1).
+                a, b, c, d = 1.0, -1.0, -w, 1.0 + w
+        return x1, y1, a, b, c, d
 
-    # -- forward/backward lifts, scalar fast path --------------------------
+    # -- scalar fast path ----------------------------------------------------
 
-    def _fwd(self, x: float, y: float) -> tuple[float, float]:
-        if self.family == DRIFT:
-            return x + y, y + self.params[0]
-        if self.family == SHEAR:
-            return x + y, y
-        y1 = y + self._vprime(x)
-        return x + y1, y1
+    def step_scalar(self, x: float, y: float) -> tuple[float, float, float, float, float, float]:
+        """(x1, y1, a, b, c, d): apply_scalar and jacobian_scalar at (x, y) at once.
 
-    def _bwd(self, x: float, y: float) -> tuple[float, float]:
-        if self.family == DRIFT:
-            c = self.params[0]
-            return x - y + c, y - c
-        if self.family == SHEAR:
-            return x - y, y
-        x0 = x - y
-        return x0, y - self._vprime(x0)
+        Bit-equal to calling both, with one range reduction per harmonic.
+        """
+        return self._step(x, y, _kick, self.twist_sign == 1, True, True)
 
     def apply_scalar(self, x: float, y: float) -> tuple[float, float]:
         """One application of the lift, plain floats (hot-loop path)."""
-        if self.twist_sign == 1:
-            return self._fwd(x, y)
-        return self._bwd(x, y)
+        if self.twist_sign == -1:
+            return self._step(x, y, _kick, False, True, False)[:2]
+        # _step's forward image, spelled out for speed
+        if self.family == DRIFT:
+            return x + y, y + self.params[0]
+        if not self._harmonics:
+            return x + y, y
+        y1 = y + _kick(x, self._harmonics, True, False)[0]
+        return x + y1, y1
 
     def apply_inverse_scalar(self, x: float, y: float) -> tuple[float, float]:
-        if self.twist_sign == 1:
-            return self._bwd(x, y)
-        return self._fwd(x, y)
+        if self.twist_sign == -1:
+            return self._step(x, y, _kick, True, True, False)[:2]
+        # _step's backward image, spelled out for speed
+        if self.family == DRIFT:
+            c = self.params[0]
+            return x - y + c, y - c
+        x0 = x - y
+        if not self._harmonics:
+            return x0, y
+        return x0, y - _kick(x0, self._harmonics, True, False)[0]
 
     def jacobian_scalar(self, x: float, y: float) -> tuple[float, float, float, float]:
         """Row-major entries (a, b, c, d) of the derivative at (x, y).
@@ -230,64 +278,35 @@ class LiftedMap:
         Columns are the images of the horizontal and vertical directions.
         None of the catalogue Jacobians depend on y.
         """
-        if self.twist_sign == 1:
-            if self.family in (SHEAR, DRIFT):
-                return 1.0, 1.0, 0.0, 1.0
-            w = self._vsecond(x)
-            return 1.0 + w, 1.0, w, 1.0
-        # Derivative of the inverse at (x, y): invert the Jacobian of the
-        # base map at its preimage; det = 1 keeps this closed-form.
-        px, py = self._bwd(x, y)
-        if self.family in (SHEAR, DRIFT):
-            a, b, c, d = 1.0, 1.0, 0.0, 1.0
-        else:
-            w = self._vsecond(px)
-            a, b, c, d = 1.0 + w, 1.0, w, 1.0
-        return d, -b, -c, a
+        if self.twist_sign == -1:
+            return self._step(x, y, _kick, False, False, True)[2:]
+        # _step's forward Jacobian, spelled out for speed
+        if not self._harmonics:
+            return 1.0, 1.0, 0.0, 1.0
+        w = _kick(x, self._harmonics, False, True)[1]
+        return 1.0 + w, 1.0, w, 1.0
 
-    # -- forward/backward lifts, array path --------------------------------
+    # -- array path ----------------------------------------------------------
+
+    def step_array(self, x: np.ndarray, y: np.ndarray):
+        """Elementwise step_scalar: (x1, y1, a, b, c, d) in one pass.
+
+        Entries that are the same at every point (b and d going forward,
+        a and b for an inverted map, all four for shear/drift) come back
+        as floats, which numpy broadcasts.
+        """
+        return self._step(x, y, _kick_arr, self.twist_sign == 1, True, True)
 
     def apply_array(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Elementwise application of the lift to coordinate arrays."""
-        if self.twist_sign == -1:
-            return self._bwd_arr(x, y)
-        return self._fwd_arr(x, y)
-
-    def _fwd_arr(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.family == DRIFT:
-            return x + y, y + self.params[0]
-        if self.family == SHEAR:
-            return x + y, y.copy()
-        y1 = y + self._vprime_arr(x)
-        return x + y1, y1
-
-    def _bwd_arr(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.family == DRIFT:
-            c = self.params[0]
-            return x - y + c, y - c
-        if self.family == SHEAR:
-            return x - y, y.copy()
-        x0 = x - y
-        return x0, y - self._vprime_arr(x0)
+        return self._step(x, y, _kick_arr, self.twist_sign == 1, True, False)[:2]
 
     def jacobian_array(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise Jacobian entries (a, b, c, d) over coordinate arrays."""
-        if self.twist_sign == -1:
-            px, py = self._bwd_arr(x, y)
-            if self.family in (SHEAR, DRIFT):
-                one = np.ones_like(x)
-                return one, -one, np.zeros_like(x), one
-            w = self._vsecond_arr(px)
-            one = np.ones_like(x)
-            return one, -one, -w, 1.0 + w
-        if self.family in (SHEAR, DRIFT):
-            one = np.ones_like(x)
-            return one, one, np.zeros_like(x), one
-        w = self._vsecond_arr(x)
-        one = np.ones_like(x)
-        return 1.0 + w, one, w, one
+        entries = self._step(x, y, _kick_arr, self.twist_sign == 1, False, True)[2:]
+        return tuple(np.full(np.shape(x), e) if isinstance(e, float) else e for e in entries)
 
     # -- public point API ---------------------------------------------------
 
@@ -356,6 +375,18 @@ class TwistReport:
         return self.min_twist > 0.0 and not self.violations
 
 
+def _halton(samples: int, base: int) -> np.ndarray:
+    """Radical inverses of 1..samples in the given base (van der Corput)."""
+    n = np.arange(1, samples + 1)
+    out = np.zeros(samples)
+    scale = 1.0
+    while n.any():
+        scale /= base
+        n, digit = np.divmod(n, base)
+        out += digit * scale
+    return out
+
+
 def twist_check(
     map: LiftedMap,
     samples: int = 1000,
@@ -364,18 +395,16 @@ def twist_check(
 ) -> TwistReport:
     """Sample the (1,2) Jacobian entry over [0,1] x [-Y, Y].
 
-    Uses a scrambled Halton set so low-probability sign regions are hit
-    with far fewer samples than uniform draws would need.  Violations are
-    reported, not raised: the fixture maps are supposed to fail this.
+    Uses a Halton set in bases 2 and 3, shifted mod 1 by a seeded uniform
+    offset, so low-probability sign regions are hit with far fewer samples
+    than uniform draws would need.  Violations are reported, not raised:
+    the fixture maps are supposed to fail this.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    from scipy.stats import qmc
-
-    eng = qmc.Halton(d=2, scramble=True, seed=seed)
-    u = eng.random(samples)
-    xs = u[:, 0]
-    ys = (2.0 * u[:, 1] - 1.0) * y_halfwidth
+    shift = np.random.default_rng(seed).random(2)
+    xs = (_halton(samples, 2) + shift[0]) % 1.0
+    ys = (2.0 * ((_halton(samples, 3) + shift[1]) % 1.0) - 1.0) * y_halfwidth
     _, b, _, _ = map.jacobian_array(xs, ys)
     i_min = int(np.argmin(b))
     bad = np.flatnonzero(b <= 0.0)
@@ -389,12 +418,14 @@ def twist_check(
 
 
 def parse_map_spec(spec: str) -> LiftedMap:
-    """Build a LiftedMap from its CLI string.
+    """Build a LiftedMap from its CLI string (the inverse of to_spec).
 
     Grammar: ``shear`` | ``drift:c=<real>`` | ``std:k=<real>`` |
-    ``genfun:a1=<real>,a2=<real>,...``.
+    ``genfun:a1=<real>,a2=<real>,...`` | ``inverted(<spec>)``.
     """
     spec = spec.strip()
+    if spec.startswith("inverted(") and spec.endswith(")"):
+        return parse_map_spec(spec[len("inverted(") : -1]).inverted()
     if spec == "shear":
         return LiftedMap.shear()
     head, sep, tail = spec.partition(":")

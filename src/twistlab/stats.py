@@ -363,22 +363,22 @@ def _mode_metadata(cfg: ScanConfig) -> dict[str, str]:
 def write_scan_csv(result: ScanResult, path) -> None:
     """Serialize a scan: metadata and summary as # lines, then records.
 
-    Columns are x, y, torsion, overconj_time (empty when none), rotation.
-    Floats are written with repr so a parse round-trips bit for bit.
+    Columns are x, y, torsion, overconj_time (empty when not detected, -2
+    on invalid lanes), rotation.  Floats are written with repr so a parse
+    round-trips bit for bit.  A scan with no valid lane has no summary: its
+    estimates are written as nan with count=0.
     """
-    s = result.summary
     lines = [f"# map={result.map_spec}"]
     for key, val in _mode_metadata(result.config).items():
         lines.append(f"# {key}={val}")
-    lines.append(f"# fraction_negative={s.fraction_negative!r}")
-    lines.append(f"# fraction_nonzero={s.fraction_nonzero!r}")
-    lines.append(f"# mean_torsion={s.mean_torsion!r}")
-    lines.append(f"# stderr={s.stderr!r}")
-    lines.append(f"# count={s.count}")
+    s = result.summary if result.valid.any() else None
+    for key in ("fraction_negative", "fraction_nonzero", "mean_torsion", "stderr"):
+        lines.append(f"# {key}={(getattr(s, key) if s else math.nan)!r}")
+    lines.append(f"# count={s.count if s else 0}")
     lines.append("x,y,torsion,overconj_time,rotation")
     oc = result.overconj_time
     for i in range(result.count):
-        oc_field = "" if oc[i] < 0 else str(int(oc[i]))
+        oc_field = "" if oc[i] == -1 else str(int(oc[i]))
         lines.append(
             f"{float(result.x[i])!r},{float(result.y[i])!r},"
             f"{float(result.torsion[i])!r},{oc_field},{float(result.rotation[i])!r}"
@@ -392,7 +392,10 @@ def write_scan_csv(result: ScanResult, path) -> None:
 
 
 def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Parse a scan CSV back into column arrays plus its metadata dict."""
+    """Parse a scan CSV back into column arrays plus its metadata dict.
+
+    An empty overconj_time field reads as -1 (not detected).
+    """
     meta: dict[str, str] = {}
     rows: list[tuple[float, float, float, float, float]] = []
     if hasattr(path, "read"):

@@ -496,9 +496,12 @@ def cocycle_scan(
 
     Elementwise numpy version of torsion_trace's loop (same anchoring
     rule, same renormalization), used by the ensemble statistics and the
-    integrability probe.  Lanes are independent: each output entry
-    depends only on its own start point, so chunked and whole-array
-    executions produce bit-identical results.
+    integrability probe.  Each step is one fused map evaluation
+    (LiftedMap.step_array), and the transported direction's angle is
+    carried to the next step instead of being recomputed, so positions
+    match torsion_trace bit for bit and angles to rounding.  Lanes are
+    independent: each output entry depends only on its own start point,
+    so chunked and whole-array executions produce bit-identical results.
 
     Directions default to vertical; custom unit directions can be passed
     per lane.  Invalid lanes (twist violation, ambiguous anchor) are
@@ -526,25 +529,29 @@ def cocycle_scan(
     oc = np.full(m, -1, dtype=np.int64)
     valid = np.ones(m, dtype=bool)
     history = np.zeros((n + 1, m)) if keep_history else None
+    # sqrt of the sum of squares is hypot without its overflow guard; a unit
+    # direction needs that guard only for Jacobian entries beyond ~1e150.
+    guarded = map.kick_bound() > 1e150
+    # Angles in (-1/2, 1/2] as in angle_from_vertical: 0.0 - wx is never
+    # -0.0, so arctan2 never returns -pi and no wrap is needed.  Each
+    # step's image angle is carried over as the next step's start angle.
+    th0 = np.arctan2(0.0 - wx, wy) * _INV_TWO_PI
     for step in range(1, n + 1):
-        a, b, c, d = map.jacobian_array(x, y)
+        x, y, a, b, c, d = map.step_array(x, y)
         valid &= b > 0.0
         iwx = a * wx + b * wy
         iwy = c * wx + d * wy
         dv = np.arctan2(-b, d) * _INV_TWO_PI
-        th0 = np.arctan2(-wx, wy) * _INV_TWO_PI
-        th0 = np.where(th0 <= -0.5, th0 + 1.0, th0)
-        th1 = np.arctan2(-iwx, iwy) * _INV_TWO_PI
-        th1 = np.where(th1 <= -0.5, th1 + 1.0, th1)
+        th1 = np.arctan2(0.0 - iwx, iwy) * _INV_TWO_PI
         raw = th1 - th0
         delta = raw + np.rint(dv - raw)
         valid &= np.abs(delta - dv) < 0.5 - ANCHOR_TOL
-        cum = cum + delta
+        cum += delta
         np.copyto(oc, step, where=(oc == -1) & (cum < -0.5))
-        x, y = map.apply_array(x, y)
-        norm = np.hypot(iwx, iwy)
+        norm = np.hypot(iwx, iwy) if guarded else np.sqrt(iwx * iwx + iwy * iwy)
         wx = iwx / norm
         wy = iwy / norm
+        th0 = th1
         if keep_history:
             history[step] = cum
     cum = np.where(valid, cum, np.nan)

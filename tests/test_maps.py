@@ -260,11 +260,14 @@ def test_parse_map_spec_rejects(bad):
         parse_map_spec(bad)
 
 
-@pytest.mark.parametrize("m", ALL_MAPS, ids=lambda m: m.to_spec())
+@pytest.mark.parametrize(
+    "m", ALL_MAPS + [m.inverted() for m in ALL_MAPS], ids=lambda m: m.to_spec()
+)
 def test_to_spec_round_trip(m):
     again = parse_map_spec(m.to_spec())
     assert again.family == m.family
     assert again.params == pytest.approx(m.params, abs=0)
+    assert again == m
 
 
 def test_constructor_validation():

@@ -301,6 +301,42 @@ def test_scan_csv_header_and_empty_overconj(tmp_path):
     assert row[3] == ""  # shear never over-conjugates
 
 
+def test_scan_csv_all_invalid_round_trip():
+    # An all-invalid scan has nothing to summarize; writing it used to
+    # raise "cannot summarize an empty sample".
+    cfg = grid_cfg((0.0, 1.0, -0.5, 0.5), 2, 2, 10)
+    result = torsion_field(standard(1.0).inverted(), cfg)
+    assert not result.valid.any()
+    buf = io.StringIO()
+    write_scan_csv(result, buf)
+    cols, meta = read_scan_csv(io.StringIO(buf.getvalue()))
+    assert np.array_equal(cols["x"], result.x)
+    assert np.array_equal(cols["y"], result.y)
+    assert np.array_equal(cols["torsion"], result.torsion, equal_nan=True)
+    assert np.array_equal(cols["rotation"], result.rotation, equal_nan=True)
+    assert np.array_equal(cols["overconj_time"], np.full(4, -2.0))
+    assert meta["map"] == "inverted(std:k=1.0)"
+    assert meta["count"] == "0"
+    assert all(meta[k] == "nan" for k in ("fraction_negative", "mean_torsion", "stderr"))
+
+
+def test_scan_csv_keeps_invalid_flag():
+    # Invalid lanes (-2) used to be written like undetected ones (-1).
+    cfg = grid_cfg((0.0, 1.0, 0.2, 0.4), 3, 1, 10)
+    result = torsion_field(shear(), cfg)
+    result.valid[1] = False
+    result.torsion[1] = math.nan
+    result.rotation[1] = math.nan
+    result.overconj_time[1] = -2
+    buf = io.StringIO()
+    write_scan_csv(result, buf)
+    cols, meta = read_scan_csv(io.StringIO(buf.getvalue()))
+    assert np.array_equal(cols["overconj_time"], [-1.0, -2.0, -1.0])
+    assert np.array_equal(cols["torsion"], result.torsion, equal_nan=True)
+    assert meta["count"] == "2"
+    assert summarize_csv(io.StringIO(buf.getvalue())) == result.summary
+
+
 def test_scan_determinism_bytes():
     cfg = mc_cfg((-0.1, 0.1, -0.1, 0.1), 200, 42, 100)
     b1, b2 = io.StringIO(), io.StringIO()
