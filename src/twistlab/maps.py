@@ -197,7 +197,7 @@ class LiftedMap:
 
     # -- the kicked step -----------------------------------------------------
 
-    def kick_bound(self) -> float:
+    def _kick_bound(self) -> float:
         """An upper bound on |V''|; every Jacobian entry is at most 1 + this."""
         return math.fsum(abs(q) for _, _, q in self._harmonics)
 
@@ -206,40 +206,39 @@ class LiftedMap:
         return _kick(x, self._harmonics, False, True)[1]
 
     def _step(self, x, y, kick, forward, image, jacobian):
-        """Image and Jacobian entries (x1, y1, a, b, c, d) of one step.
+        """The image (x1, y1), the Jacobian (a, b, c, d), or both in that order.
 
         The body behind every apply/jacobian/step method: kick is _kick
         for floats or _kick_arr for arrays, and the same arithmetic runs on
-        either.  forward=False steps the inverse.  Parts not asked for are
-        None; Jacobian entries that do not depend on the point are floats
-        on both paths.
+        either.  forward=False steps the inverse.  Jacobian entries that do
+        not depend on the point are floats on both paths.
         """
+        harmonics = self._harmonics
         # The kick acts at the base map's x: x itself going forward, the
         # preimage x - y going backward.
         kx = x if forward else x - y
-        vp, w = kick(kx, self._harmonics, image, jacobian)
-        x1 = y1 = a = b = c = d = None
+        vp, w = kick(kx, harmonics, image, jacobian) if harmonics else (0.0, 0.0)
+        out = ()
         if image:
-            if self.family == DRIFT:
-                c0 = self.params[0]
-                x1, y1 = (x + y, y + c0) if forward else (x - y + c0, y - c0)
+            if harmonics:
+                if forward:
+                    y1 = y + vp
+                    out = (x + y1, y1)
+                else:
+                    out = (kx, y - vp)
             elif self.family == SHEAR:
                 # unary plus copies an array and leaves a float as it is
-                x1, y1 = (x + y if forward else kx), +y
-            elif forward:
-                y1 = y + vp
-                x1 = x + y1
+                out = (x + y if forward else kx), +y
             else:
-                x1, y1 = kx, y - vp
+                c0 = self.params[0]
+                out = (x + y, y + c0) if forward else (x - y + c0, y - c0)
         if jacobian:
-            if forward:
-                a, b, c, d = 1.0 + w, 1.0, w, 1.0
-            else:
-                # Inverse of the base Jacobian at the preimage (det = 1).
-                a, b, c, d = 1.0, -1.0, -w, 1.0 + w
-        return x1, y1, a, b, c, d
+            # Going backward: the inverse of the base Jacobian at the
+            # preimage (det = 1).
+            out += (1.0 + w, 1.0, w, 1.0) if forward else (1.0, -1.0, -w, 1.0 + w)
+        return out
 
-    # -- scalar fast path ----------------------------------------------------
+    # -- scalar path ---------------------------------------------------------
 
     def step_scalar(self, x: float, y: float) -> tuple[float, float, float, float, float, float]:
         """(x1, y1, a, b, c, d): apply_scalar and jacobian_scalar at (x, y) at once.
@@ -250,27 +249,10 @@ class LiftedMap:
 
     def apply_scalar(self, x: float, y: float) -> tuple[float, float]:
         """One application of the lift, plain floats (hot-loop path)."""
-        if self.twist_sign == -1:
-            return self._step(x, y, _kick, False, True, False)[:2]
-        # _step's forward image, spelled out for speed
-        if self.family == DRIFT:
-            return x + y, y + self.params[0]
-        if not self._harmonics:
-            return x + y, y
-        y1 = y + _kick(x, self._harmonics, True, False)[0]
-        return x + y1, y1
+        return self._step(x, y, _kick, self.twist_sign == 1, True, False)
 
     def apply_inverse_scalar(self, x: float, y: float) -> tuple[float, float]:
-        if self.twist_sign == -1:
-            return self._step(x, y, _kick, True, True, False)[:2]
-        # _step's backward image, spelled out for speed
-        if self.family == DRIFT:
-            c = self.params[0]
-            return x - y + c, y - c
-        x0 = x - y
-        if not self._harmonics:
-            return x0, y
-        return x0, y - _kick(x0, self._harmonics, True, False)[0]
+        return self._step(x, y, _kick, self.twist_sign == -1, True, False)
 
     def jacobian_scalar(self, x: float, y: float) -> tuple[float, float, float, float]:
         """Row-major entries (a, b, c, d) of the derivative at (x, y).
@@ -278,13 +260,7 @@ class LiftedMap:
         Columns are the images of the horizontal and vertical directions.
         None of the catalogue Jacobians depend on y.
         """
-        if self.twist_sign == -1:
-            return self._step(x, y, _kick, False, False, True)[2:]
-        # _step's forward Jacobian, spelled out for speed
-        if not self._harmonics:
-            return 1.0, 1.0, 0.0, 1.0
-        w = _kick(x, self._harmonics, False, True)[1]
-        return 1.0 + w, 1.0, w, 1.0
+        return self._step(x, y, _kick, self.twist_sign == 1, False, True)
 
     # -- array path ----------------------------------------------------------
 
@@ -299,13 +275,13 @@ class LiftedMap:
 
     def apply_array(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Elementwise application of the lift to coordinate arrays."""
-        return self._step(x, y, _kick_arr, self.twist_sign == 1, True, False)[:2]
+        return self._step(x, y, _kick_arr, self.twist_sign == 1, True, False)
 
     def jacobian_array(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise Jacobian entries (a, b, c, d) over coordinate arrays."""
-        entries = self._step(x, y, _kick_arr, self.twist_sign == 1, False, True)[2:]
+        entries = self._step(x, y, _kick_arr, self.twist_sign == 1, False, True)
         return tuple(np.full(np.shape(x), e) if isinstance(e, float) else e for e in entries)
 
     # -- public point API ---------------------------------------------------

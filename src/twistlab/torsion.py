@@ -176,7 +176,7 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
     atan2 = math.atan2
     hypot = math.hypot
     for i in range(n):
-        a, b, c, d = map.jacobian_scalar(x, y)
+        x1, y1, a, b, c, d = map.step_scalar(x, y)
         if b <= 0.0:
             raise TwistViolationError(
                 f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
@@ -199,7 +199,7 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
         cum += delta
         steps[i] = delta
         cumulative[i + 1] = cum
-        x, y = map.apply_scalar(x, y)
+        x, y = x1, y1
         norm = hypot(iwx, iwy)
         wx, wy = iwx / norm, iwy / norm
         points[i + 1] = (x, y)
@@ -252,7 +252,7 @@ class _CocycleWalker:
         self.step = 0
 
     def advance(self) -> None:
-        a, b, c, d = self.map.jacobian_scalar(self.x, self.y)
+        x1, y1, a, b, c, d = self.map.step_scalar(self.x, self.y)
         if b <= 0.0:
             raise TwistViolationError(
                 f"twist entry {b!r} <= 0 at {(self.x, self.y)}"
@@ -274,7 +274,7 @@ class _CocycleWalker:
                 f"ambiguous anchored representative at step {self.step}"
             )
         self.cum += delta
-        self.x, self.y = self.map.apply_scalar(self.x, self.y)
+        self.x, self.y = x1, y1
         norm = math.hypot(iwx, iwy)
         self.wx, self.wy = iwx / norm, iwy / norm
         self.step += 1
@@ -531,10 +531,12 @@ def cocycle_scan(
     history = np.zeros((n + 1, m)) if keep_history else None
     # sqrt of the sum of squares is hypot without its overflow guard; a unit
     # direction needs that guard only for Jacobian entries beyond ~1e150.
-    guarded = map.kick_bound() > 1e150
-    # Angles in (-1/2, 1/2] as in angle_from_vertical: 0.0 - wx is never
-    # -0.0, so arctan2 never returns -pi and no wrap is needed.  Each
-    # step's image angle is carried over as the next step's start angle.
+    guarded = map._kick_bound() > 1e150
+    # Angles in turns, in [-1/2, 1/2]: unlike angle_from_vertical they are
+    # not wrapped off -1/2, which arctan2 can return when its first argument
+    # is a tiny negative number.  No wrap is needed, as the anchored delta
+    # raw + rint(dv - raw) does not change when raw shifts by a whole turn.
+    # Each step's image angle is carried over as the next step's start angle.
     th0 = np.arctan2(0.0 - wx, wy) * _INV_TWO_PI
     for step in range(1, n + 1):
         x, y, a, b, c, d = map.step_array(x, y)

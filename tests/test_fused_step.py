@@ -143,3 +143,11 @@ def test_scan_matches_scalar_trace_at_large_lifted_x():
     xs, ys = np.meshgrid(g, g - 0.5)
     scan = assert_scan_matches_trace(standard(1.5), xs.ravel(), ys.ravel(), 700)
     assert np.abs(scan.final_x).max() > 500.0
+
+
+def test_scan_matches_scalar_trace_with_huge_kick():
+    """std:k=1e200: Jacobian entries near 1e200 need the overflow-safe norm."""
+    xs = np.array([0.1, 0.37, 0.62, 0.9])
+    ys = np.array([0.2, -0.3, 0.0, 0.45])
+    scan = assert_scan_matches_trace(standard(1e200), xs, ys, 4)
+    assert scan.valid.all()
