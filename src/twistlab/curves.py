@@ -233,8 +233,8 @@ def psi_minus1_curve(
     res = np.empty(resolution)
     for j, x in enumerate(xs):
         y = psi1(map, float(x), tol)
-        ys[j] = map.apply_scalar(float(x), y)[1]
-        res[j] = abs(map.apply_scalar(float(x), y)[0] - x)
+        fx, ys[j] = map.apply_scalar(float(x), y)
+        res[j] = abs(fx - x)
     return PeriodicCurve(xs=xs, ys=ys, label="PsiMinus1", residuals=res)
 
 

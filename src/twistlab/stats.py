@@ -17,7 +17,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .maps import LiftedMap, _as_point, parse_map_spec
-from .torsion import VERTICAL, cocycle_scan, torsion_trace
+from .torsion import VERTICAL, _walk, cocycle_scan, torsion_trace
 
 DEFAULT_EPS = 0.05
 
@@ -274,12 +274,12 @@ def first_return_torsion(
 ) -> FirstReturnReport:
     """Walk the orbit of p, splitting the angle sum at returns to window.
 
-    The window is closed, x-membership taken mod 1.  Stops after the
-    requested number of returns or at the cap; a capped walk yields a
-    partial report with complete = False (and no identity data when
-    nothing returned).  For the full report, the sum of per-return angle
-    sums divided by the total return time is checked against a fresh
-    torsion trace of the same length.
+    The window is closed, x-membership taken mod 1.  The walk stops at the
+    last requested return or at the cap, whichever comes first; a capped
+    walk yields a partial report with complete = False (and no identity
+    data when nothing returned).  For the full report, the sum of
+    per-return angle sums divided by the total return time is checked
+    against a fresh torsion trace of the same length.
     """
     x0, x1, y0, y1 = (float(v) for v in window)
     if not (0.0 < x1 - x0 <= 1.0):
@@ -293,16 +293,17 @@ def first_return_torsion(
     px, py = _as_point(p)
     if not _in_window(px, py, (x0, x1, y0, y1)):
         raise ValueError(f"start point {(px, py)} lies outside the window")
-    trace = torsion_trace(map, (px, py), VERTICAL, cap)
     times = []
     sums = []
     last_t = 0
-    for t in range(1, cap + 1):
-        xt, yt = trace.points[t]
-        if _in_window(float(xt), float(yt), (x0, x1, y0, y1)):
+    cum = last_cum = 0.0
+    walk = _walk(map, px, py, 0.0, 1.0)
+    for t, (xt, yt, _, _, delta) in zip(range(1, cap + 1), walk):
+        cum += delta
+        if _in_window(xt, yt, (x0, x1, y0, y1)):
             times.append(t - last_t)
-            sums.append(float(trace.cumulative[t] - trace.cumulative[last_t]))
-            last_t = t
+            sums.append(cum - last_cum)
+            last_t, last_cum = t, cum
             if len(times) >= returns:
                 break
     complete = len(times) >= returns

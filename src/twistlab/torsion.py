@@ -89,15 +89,10 @@ def vertical_step_variation(map: LiftedMap, p) -> float:
     For a positive twist map the image of the vertical tilts strictly
     rightward, so the variation has a unique representative in (-1/2, 0);
     that representative is returned.  A non-positive (1,2) Jacobian entry
-    raises TwistViolationError.
+    raises TwistViolationError.  This is step_variation of the vertical,
+    whose anchor is its own variation.
     """
-    x, y = _as_point(p)
-    _, b, _, d = map.jacobian_scalar(x, y)
-    if b <= 0.0:
-        raise TwistViolationError(
-            f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
-        )
-    return math.atan2(-b, d) * _INV_TWO_PI
+    return step_variation(map, p, VERTICAL)
 
 
 def step_variation(map: LiftedMap, p, w) -> float:
@@ -110,22 +105,46 @@ def step_variation(map: LiftedMap, p, w) -> float:
     """
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
-    a, b, c, d = map.jacobian_scalar(x, y)
-    if b <= 0.0:
-        raise TwistViolationError(
-            f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
-        )
-    dv = math.atan2(-b, d) * _INV_TWO_PI
-    iwx = a * wx + b * wy
-    iwy = c * wx + d * wy
-    raw = angle_from_vertical((iwx, iwy)) - angle_from_vertical((wx, wy))
-    delta = raw + round(dv - raw)
-    if abs(delta - dv) >= 0.5 - ANCHOR_TOL:
-        raise DegenerateAnchorError(
-            f"step variation of {(wx, wy)} at {(x, y)} sits {delta - dv:+.3e} turns "
-            "from the vertical step: anchored representative is ambiguous"
-        )
-    return delta
+    return next(_walk(map, x, y, wx, wy))[4]
+
+
+def _walk(map: LiftedMap, x: float, y: float, wx: float, wy: float):
+    """Transport the unit direction (wx, wy) along the orbit of (x, y).
+
+    Yields (x, y, wx, wy, delta) after each step: the image point, the
+    renormalized image direction, and the step's anchored angle variation
+    (see step_variation).  Endless; callers stop it.  This is the one
+    scalar copy of the anchoring rule; cocycle_scan is its array form.
+    """
+    step = map.step_scalar
+    atan2 = math.atan2
+    hypot = math.hypot
+    while True:
+        x1, y1, a, b, c, d = step(x, y)
+        if b <= 0.0:
+            raise TwistViolationError(
+                f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
+            )
+        iwx = a * wx + b * wy
+        iwy = c * wx + d * wy
+        dv = atan2(-b, d) * _INV_TWO_PI
+        th0 = atan2(-wx, wy) * _INV_TWO_PI
+        if th0 <= -0.5:
+            th0 += 1.0
+        th1 = atan2(-iwx, iwy) * _INV_TWO_PI
+        if th1 <= -0.5:
+            th1 += 1.0
+        raw = th1 - th0
+        delta = raw + round(dv - raw)
+        if abs(delta - dv) >= 0.5 - ANCHOR_TOL:
+            raise DegenerateAnchorError(
+                f"step variation of {(wx, wy)} at {(x, y)} sits {delta - dv:+.3e} turns "
+                "from the vertical step: anchored representative is ambiguous"
+            )
+        x, y = x1, y1
+        norm = hypot(iwx, iwy)
+        wx, wy = iwx / norm, iwy / norm
+        yield x, y, wx, wy, delta
 
 
 @dataclass
@@ -173,35 +192,10 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
     points[0] = (x, y)
     directions[0] = (wx, wy)
     cum = 0.0
-    atan2 = math.atan2
-    hypot = math.hypot
-    for i in range(n):
-        x1, y1, a, b, c, d = map.step_scalar(x, y)
-        if b <= 0.0:
-            raise TwistViolationError(
-                f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
-            )
-        iwx = a * wx + b * wy
-        iwy = c * wx + d * wy
-        dv = atan2(-b, d) * _INV_TWO_PI
-        th0 = atan2(-wx, wy) * _INV_TWO_PI
-        if th0 <= -0.5:
-            th0 += 1.0
-        th1 = atan2(-iwx, iwy) * _INV_TWO_PI
-        if th1 <= -0.5:
-            th1 += 1.0
-        raw = th1 - th0
-        delta = raw + round(dv - raw)
-        if abs(delta - dv) >= 0.5 - ANCHOR_TOL:
-            raise DegenerateAnchorError(
-                f"ambiguous anchored representative at step {i} from {(x, y)}"
-            )
+    for i, (x, y, wx, wy, delta) in zip(range(n), _walk(map, x, y, wx, wy)):
         cum += delta
         steps[i] = delta
         cumulative[i + 1] = cum
-        x, y = x1, y1
-        norm = hypot(iwx, iwy)
-        wx, wy = iwx / norm, iwy / norm
         points[i + 1] = (x, y)
         directions[i + 1] = (wx, wy)
     return TorsionTrace(steps, cumulative, points, directions)
@@ -239,47 +233,6 @@ def asymptotic_torsion(
     return TorsionEstimate(value, drift, horizon, window)
 
 
-class _CocycleWalker:
-    """Streaming scalar cocycle from a vertical start (detector core)."""
-
-    __slots__ = ("map", "x", "y", "wx", "wy", "cum", "step")
-
-    def __init__(self, map: LiftedMap, p) -> None:
-        self.map = map
-        self.x, self.y = _as_point(p)
-        self.wx, self.wy = 0.0, 1.0
-        self.cum = 0.0
-        self.step = 0
-
-    def advance(self) -> None:
-        x1, y1, a, b, c, d = self.map.step_scalar(self.x, self.y)
-        if b <= 0.0:
-            raise TwistViolationError(
-                f"twist entry {b!r} <= 0 at {(self.x, self.y)}"
-            )
-        wx, wy = self.wx, self.wy
-        iwx = a * wx + b * wy
-        iwy = c * wx + d * wy
-        dv = math.atan2(-b, d) * _INV_TWO_PI
-        th0 = math.atan2(-wx, wy) * _INV_TWO_PI
-        if th0 <= -0.5:
-            th0 += 1.0
-        th1 = math.atan2(-iwx, iwy) * _INV_TWO_PI
-        if th1 <= -0.5:
-            th1 += 1.0
-        raw = th1 - th0
-        delta = raw + round(dv - raw)
-        if abs(delta - dv) >= 0.5 - ANCHOR_TOL:
-            raise DegenerateAnchorError(
-                f"ambiguous anchored representative at step {self.step}"
-            )
-        self.cum += delta
-        self.x, self.y = x1, y1
-        norm = math.hypot(iwx, iwy)
-        self.wx, self.wy = iwx / norm, iwy / norm
-        self.step += 1
-
-
 def detect_overconjugate(map: LiftedMap, p, horizon: int) -> int | None:
     """First n <= horizon with vertical-start cumulative angle < -1/2.
 
@@ -287,50 +240,7 @@ def detect_overconjugate(map: LiftedMap, p, horizon: int) -> int | None:
     re-checked for the next 50 steps (within the horizon) and a violation
     raises RuntimeError since it would mean the engine miscounted.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    walker = _CocycleWalker(map, p)
-    found = None
-    while walker.step < horizon:
-        walker.advance()
-        if walker.cum < -0.5:
-            found = walker.step
-            break
-    if found is None:
-        return None
-    until = min(found + 50, horizon)
-    while walker.step < until:
-        walker.advance()
-        if not walker.cum < -0.5:
-            raise RuntimeError(
-                f"over-conjugate persistence violated at step {walker.step} "
-                f"(cumulative {walker.cum!r}); this indicates an engine bug"
-            )
-    return found
-
-
-def _conjugate_scan(
-    map: LiftedMap, p, horizon: int, tol: float
-) -> tuple[int, int, float] | None:
-    """Shared core for detect_conjugate: (n, k, cumulative[n]) or None."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    walker = _CocycleWalker(map, p)
-    prev = None
-    while walker.step < horizon:
-        walker.advance()
-        wx = walker.wx
-        crossed = abs(wx) < tol or (prev is not None and (wx < 0.0) != (prev < 0.0))
-        if crossed:
-            k = round(-2.0 * walker.cum)
-            if k >= 1 and abs(walker.cum + 0.5 * k) < 0.25:
-                return walker.step, k, walker.cum
-        prev = wx
-    return None
+    return conjugate_report(map, p, horizon).first_overconjugate
 
 
 def detect_conjugate(
@@ -344,11 +254,7 @@ def detect_conjugate(
     past it.  k counts half-turns: k = round(-2 cumulative[n]), accepted
     when k >= 1 and cumulative[n] is within 1/4 of -k/2.
     """
-    hit = _conjugate_scan(map, p, horizon, tol)
-    if hit is None:
-        return None
-    n, k, _ = hit
-    return n, k
+    return conjugate_report(map, p, horizon, tol).first_conjugate
 
 
 @dataclass(frozen=True)
@@ -365,20 +271,51 @@ class ConjugateReport:
 def conjugate_report(
     map: LiftedMap, p, horizon: int, tol: float = VERTICAL_TOL
 ) -> ConjugateReport:
-    """Run both detectors; cumulative is reported at the earliest hit."""
-    over = detect_overconjugate(map, p, horizon)
-    hit = _conjugate_scan(map, p, horizon, tol)
-    cum_at = None
+    """Run both detectors; cumulative is reported at the earliest hit.
+
+    Both detectors watch one walk of the vertical-start cocycle, which
+    stops once each answer is settled: the conjugate time is found, and
+    the over-conjugate time has passed its persistence re-check (or the
+    horizon is reached).
+    """
+    horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    x, y = _as_point(p)
+    over = over_cum = hit = None
+    until = horizon
+    cum = 0.0
+    prev = None
+    walk = _walk(map, x, y, 0.0, 1.0)
+    for n, (_, _, wx, _, delta) in zip(range(1, horizon + 1), walk):
+        cum += delta
+        if over is None:
+            if cum < -0.5:
+                over, over_cum = n, cum
+                until = min(n + 50, horizon)
+        elif not cum < -0.5:
+            raise RuntimeError(
+                f"over-conjugate persistence violated at step {n} "
+                f"(cumulative {cum!r}); this indicates an engine bug"
+            )
+        if hit is None:
+            if abs(wx) < tol or (prev is not None and (wx < 0.0) != (prev < 0.0)):
+                k = round(-2.0 * cum)
+                if k >= 1 and abs(cum + 0.5 * k) < 0.25:
+                    hit = (n, k, cum)
+            prev = wx
+        if hit is not None and n >= until:
+            break
+    cum_at = over_cum
     if hit is not None and (over is None or hit[0] <= over):
         cum_at = hit[2]
-    elif over is not None:
-        trace = torsion_trace(map, p, VERTICAL, over)
-        cum_at = float(trace.cumulative[over])
     return ConjugateReport(
         first_overconjugate=over,
-        first_conjugate=None if hit is None else (hit[0], hit[1]),
+        first_conjugate=None if hit is None else hit[:2],
         cumulative_at_detection=cum_at,
-        horizon=int(horizon),
+        horizon=horizon,
         tol=tol,
     )
 
@@ -503,9 +440,10 @@ def cocycle_scan(
     independent: each output entry depends only on its own start point,
     so chunked and whole-array executions produce bit-identical results.
 
-    Directions default to vertical; custom unit directions can be passed
-    per lane.  Invalid lanes (twist violation, ambiguous anchor) are
-    masked out instead of raising.
+    Directions default to vertical; custom directions can be passed per
+    lane as wx and wy, both shaped like x, each a nonzero finite vector
+    (ValueError otherwise).  Invalid lanes (twist violation, ambiguous
+    anchor) are masked out instead of raising.
     """
     n = int(n)
     if n < 1:
@@ -515,13 +453,19 @@ def cocycle_scan(
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     m = x.shape[0]
-    if wx is None:
+    if wx is None and wy is None:
         wx = np.zeros(m)
         wy = np.ones(m)
     else:
+        if wx is None or wy is None:
+            raise ValueError("wx and wy must be given together")
         wx = np.array(wx, dtype=float)
         wy = np.array(wy, dtype=float)
+        if wx.shape != x.shape or wy.shape != x.shape:
+            raise ValueError("wx and wy must have the shape of x")
         norm = np.hypot(wx, wy)
+        if not np.all(np.isfinite(norm) & (norm > 0.0)):
+            raise ValueError("directions must be nonzero finite vectors")
         wx = wx / norm
         wy = wy / norm
     x0 = x.copy()

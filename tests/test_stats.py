@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import twistlab.stats
 from twistlab import (
     GridMode,
     MeasureEstimate,
@@ -23,6 +24,7 @@ from twistlab import (
     vertical_step_variation,
     write_scan_csv,
 )
+from twistlab.maps import LiftedMap
 from twistlab.stats import sample_points
 
 TWO_PI = 2.0 * math.pi
@@ -260,6 +262,37 @@ def test_first_return_capped_reports_partial():
     assert rep.torsion_ratio is None
     assert rep.identity_gap is None
     assert rep.cap == 19
+
+
+def test_first_return_stops_at_last_return(monkeypatch):
+    calls = [0]
+    step = LiftedMap.step_scalar
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return step(self, x, y)
+
+    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
+    rep = first_return_torsion(
+        standard(1.0), (-0.05, 0.05, -0.05, 0.05), (0.02, 0.0), returns=5
+    )
+    assert rep.complete and rep.total_steps < rep.cap
+    # one stream up to the fifth return, one fresh trace for the identity
+    assert calls[0] == 2 * rep.total_steps
+
+
+def test_first_return_identity_check_raises(monkeypatch):
+    walk = twistlab.stats._walk
+
+    def skewed_walk(map, x, y, wx, wy):
+        for x, y, wx, wy, delta in walk(map, x, y, wx, wy):
+            yield x, y, wx, wy, delta + 1e-9
+
+    monkeypatch.setattr(twistlab.stats, "_walk", skewed_walk)
+    with pytest.raises(RuntimeError, match="return-sum identity violated"):
+        first_return_torsion(
+            standard(1.0), (-0.05, 0.05, -0.05, 0.05), (0.02, 0.0), returns=2
+        )
 
 
 def test_first_return_validation():

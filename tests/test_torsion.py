@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twistlab.torsion
 from twistlab import (
     CoincidentPointsError,
     DegenerateAnchorError,
@@ -26,6 +29,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
+from twistlab.maps import LiftedMap
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -289,6 +293,63 @@ def test_conjugate_report_consistency():
     assert rep.first_conjugate is None
 
 
+def test_overconjugate_persistence_check_raises(monkeypatch):
+    """A cumulative that climbs back above -1/2 trips the re-check."""
+
+    def fake_walk(map, x, y, wx, wy):
+        yield x, y, 1.0, 0.0, -0.6
+        yield x, y, 1.0, 0.0, 0.3
+
+    monkeypatch.setattr(twistlab.torsion, "_walk", fake_walk)
+    with pytest.raises(RuntimeError, match="persistence violated at step 2"):
+        detect_overconjugate(shear(), (0.0, 0.0), 10)
+
+
+def count_steps(monkeypatch):
+    """Patch LiftedMap.step_scalar to tally its calls; returns the tally."""
+    calls = [0]
+    step = LiftedMap.step_scalar
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return step(self, x, y)
+
+    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
+    return calls
+
+
+def test_conjugate_report_walks_once(monkeypatch):
+    calls = count_steps(monkeypatch)
+    rep = conjugate_report(standard(0.0), (0.3, 0.2), 500)
+    assert rep.first_overconjugate is None and rep.first_conjugate is None
+    assert calls[0] == 500
+
+
+def test_conjugate_report_stops_when_settled(monkeypatch):
+    # over-conjugate at 4 plus its 50-step re-check settles both answers
+    calls = count_steps(monkeypatch)
+    rep = conjugate_report(standard(1.0), (0.02, 0.0), 1000)
+    assert rep.first_overconjugate == 4 and rep.first_conjugate == (4, 1)
+    assert calls[0] == 54
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(
+    k=st.floats(min_value=0.0, max_value=2.0),
+    x=st.floats(min_value=0.0, max_value=1.0),
+    y=st.floats(min_value=-0.5, max_value=0.5),
+    t=st.floats(min_value=0.0, max_value=TWO_PI),
+)
+def test_half_turn_crossing_lemma(k, x, y, t):
+    """DF sends the angle interval (j/2, (j+1)/2) into ((j-1)/2, (j+1)/2):
+    the lifted angle's half-turn index never rises and drops by at most 1."""
+    w = (math.cos(t), math.sin(t))
+    tr = torsion_trace(standard(k), (x, y), w, 200)
+    half_turns = np.floor(2.0 * (angle_from_vertical(w) + tr.cumulative))
+    jumps = np.diff(half_turns)
+    assert np.all((jumps == 0.0) | (jumps == -1.0))
+
+
 def test_jacobi_oracle_examples():
     assert jacobi_conjugate_oracle(shear(), (0.1, 0.5), 1000) is None
     n_jac = jacobi_conjugate_oracle(standard(1.0), (0.02, 0.0), 100)
@@ -395,6 +456,24 @@ def test_cocycle_scan_invalid_lanes():
     assert np.all(scan.overconj_time == -2)
     assert np.all(np.isnan(scan.cumulative))
     assert np.all(np.isnan(scan.displacement))
+
+
+def test_cocycle_scan_rejects_bad_directions():
+    m = standard(1.0)
+    xs = np.array([0.1, 0.2])
+    ys = np.array([0.0, 0.1])
+    bad = [
+        dict(wx=np.array([0.0, 1.0]), wy=np.array([0.0, 0.0])),
+        dict(wx=np.array([np.nan, 1.0]), wy=np.array([1.0, 0.0])),
+        dict(wx=np.array([np.inf, 1.0]), wy=np.array([1.0, 0.0])),
+        dict(wx=np.array([0.0, 1.0])),
+        dict(wy=np.array([1.0, 1.0])),
+        dict(wx=np.array([0.0, 1.0, 1.0]), wy=np.array([1.0, 0.0, 1.0])),
+        dict(wx=np.array([1.0]), wy=np.array([1.0])),
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            cocycle_scan(m, xs, ys, 5, **kw)
 
 
 def test_trace_validation():
