@@ -250,14 +250,12 @@ def _emit(block: list[str], out: Path | None) -> None:
         out.write_text(text)
 
 
-def _summary_lines(est: _stats.MeasureEstimate) -> list[str]:
-    return [
-        f"fraction_negative = {est.fraction_negative!r}",
-        f"fraction_nonzero = {est.fraction_nonzero!r}",
-        f"mean_torsion = {est.mean_torsion!r}",
-        f"stderr = {est.stderr!r}",
-        f"count = {est.count}",
-    ]
+def _summary_lines(result: ScanResult) -> list[str]:
+    """The scan summary (nan with count 0 when no lane is valid) and the
+    total number of lanes, valid or not."""
+    lines = [f"{key} = {val!r}" for key, val in result.summary_fields()]
+    lines.append(f"lanes = {result.count}")
+    return lines
 
 
 def _write_trace_csv(map: LiftedMap, point, vector, trace, out: Path) -> None:
@@ -333,7 +331,7 @@ def _cmd_field(args) -> Callable[[], None]:
             f"horizon = {cfg.horizon}",
             f"eps = {cfg.eps!r}",
         ]
-        block.extend(_summary_lines(result.summary))
+        block.extend(_summary_lines(result))
         sys.stdout.write("\n".join(block) + "\n")
         if out is not None:
             if out.suffix.lower() == ".svg":
@@ -370,7 +368,7 @@ def _cmd_measure(args) -> Callable[[], None]:
             f"horizon = {cfg.horizon}",
             f"eps = {cfg.eps!r}",
         ]
-        block.extend(_summary_lines(result.summary))
+        block.extend(_summary_lines(result))
         sys.stdout.write("\n".join(block) + "\n")
         if out is not None:
             write_scan_csv(result, out)

@@ -143,107 +143,146 @@ class ProbeReport:
     horizon: int | None = None
 
 
-def _bisect_root(g, tol: float, monotone_samples: int = 0) -> tuple[float, float]:
-    """Root of an increasing function by bracket doubling plus bisection.
+def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0) -> np.ndarray:
+    """Roots y_j of increasing functions y -> g(xs[j], y), all nodes at once.
 
-    Brackets start at [-1, 1] and double outward to +-2^16 before giving
-    up.  With monotone_samples > 0 the bracket is first sampled that many
-    times and must be strictly increasing; a decrease raises
-    NonMonotoneBracketError since bisection could then land on any of
-    several roots.  Returns (root, |g(root)|).
+    g takes equally shaped arrays of nodes and trial values.  Each node
+    runs the same steps it would alone: brackets start at [-1, 1] and
+    double outward to +-2^16 before giving up; with monotone_samples > 1
+    the bracket is then sampled that many times and must be strictly
+    increasing, since bisection could otherwise land on any of several
+    roots (NonMonotoneBracketError); bisection stops once |g| < tol, when
+    the bracket has collapsed to 4 ulp, or after 200 halvings.  Nodes
+    that fail drop out; once all nodes are done the error of the
+    lowest-index failing node is raised.
     """
-    lo, hi = -1.0, 1.0
-    g_lo, g_hi = g(lo), g(hi)
-    while g_lo > 0.0:
-        lo *= 2.0
-        if -lo > BRACKET_LIMIT:
-            raise BracketExpansionError(f"no sign change down to {lo}")
-        g_lo = g(lo)
-    while g_hi < 0.0:
-        hi *= 2.0
-        if hi > BRACKET_LIMIT:
-            raise BracketExpansionError(f"no sign change up to {hi}")
-        g_hi = g(hi)
-    if monotone_samples > 1:
-        prev = None
-        for t in np.linspace(lo, hi, monotone_samples):
-            val = g(float(t))
-            if prev is not None and val <= prev:
-                raise NonMonotoneBracketError(
-                    f"samples of the bracket [{lo}, {hi}] are not increasing "
-                    "(conjugate points present)"
-                )
-            prev = val
+    m = xs.shape[0]
+    errors: dict[int, Exception] = {}
+    failed = np.zeros(m, dtype=bool)
+
+    def fail(j, error: Exception) -> None:
+        failed[j] = True
+        errors[int(j)] = error
+
+    lo = np.full(m, -1.0)
+    hi = np.full(m, 1.0)
+    g_lo, g_hi = g(xs, lo), g(xs, hi)
+    for side, edge, g_edge, word in ((-1, lo, g_lo, "down"), (1, hi, g_hi, "up")):
+        # Double outward while g still has the sign of the bracket's inside.
+        act = np.flatnonzero((side * g_edge < 0.0) & ~failed)
+        while act.size:
+            edge[act] *= 2.0
+            over = side * edge[act] > BRACKET_LIMIT
+            for j in act[over]:
+                fail(j, BracketExpansionError(f"no sign change {word} to {float(edge[j])}"))
+            act = act[~over]
+            act = act[side * g(xs[act], edge[act]) < 0.0]
+    act = np.flatnonzero(~failed)
+    if monotone_samples > 1 and act.size:
+        t = np.linspace(lo[act], hi[act], monotone_samples, axis=1)
+        v = g(np.repeat(xs[act], monotone_samples), t.ravel()).reshape(t.shape)
+        bad = np.any(v[:, 1:] <= v[:, :-1], axis=1)
+        for j in act[bad]:
+            fail(j, NonMonotoneBracketError(
+                f"samples of the bracket [{float(lo[j])}, {float(hi[j])}] are not "
+                "increasing (conjugate points present)"
+            ))
+        act = act[~bad]
+    roots = np.full(m, np.nan)
+    # The nodes still bisecting, with their brackets, compacted as they finish.
+    x, lo, hi = xs[act], lo[act], hi[act]
     for _ in range(200):
+        if not act.size:
+            break
         mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) < tol:
-            return mid, abs(g_mid)
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
-            mid = 0.5 * (lo + hi)
-            g_mid = abs(g(mid))
-            if g_mid >= tol:
-                raise BracketExpansionError(
-                    f"bracket collapsed with residual {g_mid:.3e} >= tol {tol:.3e}"
-                )
-            return mid, g_mid
-    raise BracketExpansionError("bisection failed to meet tolerance")
+        g_mid = g(x, mid)
+        done = np.abs(g_mid) < tol
+        if done.any():
+            roots[act[done]] = mid[done]
+            keep = ~done
+            act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
+            mid, g_mid = mid[keep], g_mid[keep]
+        below = g_mid < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        ulp = np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+        collapsed = hi - lo <= 4.0 * ulp
+        if collapsed.any():
+            last = 0.5 * (lo[collapsed] + hi[collapsed])
+            g_abs = np.abs(g(x[collapsed], last))
+            bad = g_abs >= tol
+            for j, r in zip(act[collapsed][bad], g_abs[bad]):
+                fail(j, BracketExpansionError(
+                    f"bracket collapsed with residual {float(r):.3e} >= tol {tol:.3e}"
+                ))
+            roots[act[collapsed][~bad]] = last[~bad]
+            keep = ~collapsed
+            act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
+    for j in act:
+        fail(j, BracketExpansionError("bisection failed to meet tolerance"))
+    if errors:
+        raise errors[min(errors)]
+    return roots
+
+
+def _sections(
+    map: LiftedMap, xs: np.ndarray, p: int, q: int, tol: float, monotone_samples: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots ys of p1(F^q(x, y)) = x + p at every node x, and F^q(xs, ys)."""
+
+    def forward_q(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        for _ in range(q):
+            x, y = map.apply_array(x, y)
+        return x, y
+
+    def g(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return forward_q(x, y)[0] - x - p
+
+    ys = _solve_roots(g, xs, tol, monotone_samples)
+    xq, yq = forward_q(xs, ys)
+    return ys, xq, yq
 
 
 def psi1(map: LiftedMap, x: float, tol: float = ROOT_TOL) -> float:
     """The unique y with p1(F(x, y)) = x, by bracketed bisection."""
-    x = float(x)
-
-    def g(y: float) -> float:
-        return map.apply_scalar(x, y)[0] - x
-
-    root, _ = _bisect_root(g, tol)
-    return root
+    return float(_sections(map, np.array([float(x)]), 0, 1, tol)[0][0])
 
 
 def psi_minus1(map: LiftedMap, x: float, tol: float = ROOT_TOL) -> float:
     """Second coordinate of F at (x, psi1(x)): the inverse-map curve."""
-    x = float(x)
-    y = psi1(map, x, tol)
-    return map.apply_scalar(x, y)[1]
+    return float(_sections(map, np.array([float(x)]), 0, 1, tol)[2][0])
+
+
+def _characteristic_curves(
+    map: LiftedMap, resolution: int, tol: float
+) -> tuple[PeriodicCurve, PeriodicCurve]:
+    """Psi1 and PsiMinus1 on the uniform grid j/resolution, from one solve."""
+    xs = np.arange(resolution) / resolution
+    ys, x1, y1 = _sections(map, xs, 0, 1, tol)
+    res = np.abs(x1 - xs)
+    return (
+        PeriodicCurve(xs=xs, ys=ys, label="Psi1", residuals=res),
+        PeriodicCurve(xs=xs.copy(), ys=y1, label="PsiMinus1", residuals=res.copy()),
+    )
 
 
 def psi1_curve(map: LiftedMap, resolution: int = 256, tol: float = ROOT_TOL) -> PeriodicCurve:
     """Sample Psi1 on the uniform grid j/resolution."""
-    xs = np.arange(resolution) / resolution
-    ys = np.empty(resolution)
-    res = np.empty(resolution)
-    for j, x in enumerate(xs):
-        y = psi1(map, float(x), tol)
-        ys[j] = y
-        res[j] = abs(map.apply_scalar(float(x), y)[0] - x)
-    return PeriodicCurve(xs=xs, ys=ys, label="Psi1", residuals=res)
+    return _characteristic_curves(map, resolution, tol)[0]
 
 
 def psi_minus1_curve(
     map: LiftedMap, resolution: int = 256, tol: float = ROOT_TOL
 ) -> PeriodicCurve:
     """Sample PsiMinus1 on the uniform grid j/resolution."""
-    xs = np.arange(resolution) / resolution
-    ys = np.empty(resolution)
-    res = np.empty(resolution)
-    for j, x in enumerate(xs):
-        y = psi1(map, float(x), tol)
-        fx, ys[j] = map.apply_scalar(float(x), y)
-        res[j] = abs(fx - x)
-    return PeriodicCurve(xs=xs, ys=ys, label="PsiMinus1", residuals=res)
+    return _characteristic_curves(map, resolution, tol)[1]
 
 
 def region_x(map: LiftedMap, sign: str, resolution: int = 256, tol: float = ROOT_TOL) -> RegionX:
     """Build the region between the characteristic curves for one sign."""
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
-    lower = psi1_curve(map, resolution, tol)
-    upper = psi_minus1_curve(map, resolution, tol)
+    lower, upper = _characteristic_curves(map, resolution, tol)
     if sign == "plus":
         lower, upper = upper, lower
     return RegionX(sign=sign, lower=lower, upper=upper)
@@ -257,11 +296,10 @@ def flux(map: LiftedMap, resolution: int = 256, tol: float = 1e-12) -> float:
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    ys, _, y1 = _sections(map, np.arange(resolution) / resolution, 0, 1, tol)
     total = 0.0
-    for j in range(resolution):
-        x = j / resolution
-        y = psi1(map, x, tol)
-        total += map.apply_scalar(x, y)[1] - y
+    for gap in (y1 - ys).tolist():  # left to right: np.sum's pairwise order moves the last bits
+        total += gap
     # Periodic trapezoid: endpoints coincide, so the rule is the mean.
     return total / resolution
 
@@ -304,27 +342,10 @@ def periodic_curve(
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
     rho = Fraction(p, q)
-
-    def forward_q(x: float, y: float) -> tuple[float, float]:
-        for _ in range(q):
-            x, y = map.apply_scalar(x, y)
-        return x, y
-
     xs = np.arange(resolution) / resolution
-    ys = np.empty(resolution)
-    root_res = np.empty(resolution)
-    fix_res = np.empty(resolution)
-    for j, xg in enumerate(xs):
-        x = float(xg)
-
-        def g(y: float) -> float:
-            return forward_q(x, y)[0] - x - p
-
-        y, gabs = _bisect_root(g, tol, monotone_samples=bracket_samples)
-        xq, yq = forward_q(x, y)
-        ys[j] = y
-        root_res[j] = abs(xq - x - p)
-        fix_res[j] = abs(yq - y)
+    ys, xq, yq = _sections(map, xs, p, q, tol, bracket_samples)
+    root_res = np.abs(xq - xs - p)
+    fix_res = np.abs(yq - ys)
     fixed_ok = bool(np.max(fix_res) <= fix_tol)
     return PeriodicCurve(
         xs=xs,
@@ -449,7 +470,8 @@ def integrability_probe(
 
     Order of business: a non-exact map (|flux| > flux_tol) gets
     NOT_APPLICABLE; an over-conjugate point anywhere on the grid within
-    the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness;
+    the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness
+    (the grid scan stops at the step it appears, lowest index first);
     otherwise the rational family is built and certified and the verdict
     is NO_OBSTRUCTION_FOUND.  Absence of detection is evidence, not proof.
     """
@@ -470,7 +492,7 @@ def integrability_probe(
     gx = (np.arange(nx) + 0.5) / nx
     gy = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
     X, Y = np.meshgrid(gx, gy)
-    scan = cocycle_scan(map, X.ravel(), Y.ravel(), int(horizon))
+    scan = cocycle_scan(map, X.ravel(), Y.ravel(), int(horizon), stop_at_overconjugate=True)
     times = scan.overconj_time
     hit = times > 0
     if np.any(hit):

@@ -157,6 +157,18 @@ class ScanResult:
     def summary(self) -> MeasureEstimate:
         return MeasureEstimate.from_torsion(self.torsion[self.valid], self.config.eps)
 
+    def summary_fields(self) -> list[tuple[str, float | int]]:
+        """The summary as (name, value) pairs, ending with count.
+
+        A scan with no valid lane has no summary: its estimates are nan
+        and its count is 0.
+        """
+        estimates = ("fraction_negative", "fraction_nonzero", "mean_torsion", "stderr")
+        if not self.valid.any():
+            return [(key, math.nan) for key in estimates] + [("count", 0)]
+        s = self.summary
+        return [(key, getattr(s, key)) for key in estimates + ("count",)]
+
 
 def _chunks(total: int, chunk_size: int | None) -> Iterator[slice]:
     if chunk_size is None or chunk_size >= total:
@@ -366,16 +378,14 @@ def write_scan_csv(result: ScanResult, path) -> None:
 
     Columns are x, y, torsion, overconj_time (empty when not detected, -2
     on invalid lanes), rotation.  Floats are written with repr so a parse
-    round-trips bit for bit.  A scan with no valid lane has no summary: its
-    estimates are written as nan with count=0.
+    round-trips bit for bit.  A scan with no valid lane is written with nan
+    estimates and count=0 (see ScanResult.summary_fields).
     """
     lines = [f"# map={result.map_spec}"]
     for key, val in _mode_metadata(result.config).items():
         lines.append(f"# {key}={val}")
-    s = result.summary if result.valid.any() else None
-    for key in ("fraction_negative", "fraction_nonzero", "mean_torsion", "stderr"):
-        lines.append(f"# {key}={(getattr(s, key) if s else math.nan)!r}")
-    lines.append(f"# count={s.count if s else 0}")
+    for key, val in result.summary_fields():
+        lines.append(f"# {key}={val!r}")
     lines.append("x,y,torsion,overconj_time,rotation")
     oc = result.overconj_time
     for i in range(result.count):

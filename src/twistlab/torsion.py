@@ -406,8 +406,10 @@ class CocycleScan:
 
     overconj_time is -1 where the cumulative never dropped below -1/2 and
     -2 on lanes flagged invalid (twist violation or degenerate anchor);
-    cumulative is NaN there.  history, when requested, holds the full
-    cumulative record with history[k] = cumulative after k steps.
+    cumulative is NaN there.  n is the number of steps run: the requested
+    horizon, or fewer when the scan stopped at its first over-conjugate
+    time.  history, when requested, holds the cumulative record of those
+    steps with history[k] = cumulative after k steps.
     """
 
     cumulative: np.ndarray
@@ -428,6 +430,7 @@ def cocycle_scan(
     wx: np.ndarray | None = None,
     wy: np.ndarray | None = None,
     keep_history: bool = False,
+    stop_at_overconjugate: bool = False,
 ) -> CocycleScan:
     """Run the anchored cocycle over many start points at once.
 
@@ -444,6 +447,15 @@ def cocycle_scan(
     lane as wx and wy, both shaped like x, each a nonzero finite vector
     (ValueError otherwise).  Invalid lanes (twist violation, ambiguous
     anchor) are masked out instead of raising.
+
+    With stop_at_overconjugate the scan ends after the first step at which
+    a still-valid lane's cumulative drops below -1/2, and the result
+    covers the steps run.  As all lanes move in lockstep, that step is the
+    earliest over-conjugate time of the full scan, with one exception: a
+    lane that crosses first but would only be flagged invalid at a later
+    step counts here and not in the full scan.  Twist violations cannot
+    cause that on a positive-twist map (b is 1 throughout the catalogue);
+    only a later ambiguous anchor can.
     """
     n = int(n)
     if n < 1:
@@ -493,13 +505,19 @@ def cocycle_scan(
         delta = raw + np.rint(dv - raw)
         valid &= np.abs(delta - dv) < 0.5 - ANCHOR_TOL
         cum += delta
-        np.copyto(oc, step, where=(oc == -1) & (cum < -0.5))
+        crossed = (oc == -1) & (cum < -0.5)
+        np.copyto(oc, step, where=crossed)
         norm = np.hypot(iwx, iwy) if guarded else np.sqrt(iwx * iwx + iwy * iwy)
         wx = iwx / norm
         wy = iwy / norm
         th0 = th1
         if keep_history:
             history[step] = cum
+        if stop_at_overconjugate and np.any(crossed & valid):
+            n = step
+            if keep_history:
+                history = history[: n + 1]
+            break
     cum = np.where(valid, cum, np.nan)
     oc = np.where(valid, oc, -2)
     displacement = np.where(valid, x - x0, np.nan)

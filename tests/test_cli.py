@@ -336,3 +336,33 @@ def test_out_file_mirrors_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert out_txt.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--grid", "2x2"],
+        ["measure", "--samples", "4", "--seed", "1"],
+    ],
+)
+def test_all_invalid_scan_summary(capsys, argv):
+    # Every lane of an inverted map is invalid; the summary used to raise
+    # "cannot summarize an empty sample" and the command exited 1.
+    code, out, err = run_capture(
+        capsys, argv + ["--map", "inverted(std:k=1)", "--box", "0,1,-0.5,0.5", "--n", "10"]
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    for key in ("fraction_negative", "fraction_nonzero", "mean_torsion", "stderr"):
+        assert f"{key} = nan" in lines
+    assert "count = 0" in lines
+    assert lines[-1] == "lanes = 4"
+
+
+def test_summary_prints_total_lanes(capsys):
+    code, out, _ = run_capture(
+        capsys,
+        ["field", "--map", "std:k=1", "--box", "-0.1,0.1,-0.1,0.1", "--grid", "3x2", "--n", "20"],
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == ["count = 6", "lanes = 6"]

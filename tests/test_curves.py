@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from twistlab import (
+    LiftedMap,
     NonMonotoneBracketError,
     VERDICT_CONJUGATE,
     VERDICT_NO_OBSTRUCTION,
     VERDICT_NOT_APPLICABLE,
     classify_monotonicity,
+    cocycle_scan,
     drift_shear,
     flux,
     generating_function,
@@ -307,3 +309,43 @@ def test_write_curves_csv(tmp_path):
     # repr floats parse back bit for bit
     fields = lines[10].split(",")
     assert float(fields[1]) == fam.curves[1].ys[0]
+
+
+def count_array_steps(monkeypatch):
+    """Patch LiftedMap.step_array to tally its calls; returns the tally."""
+    calls = [0]
+    step = LiftedMap.step_array
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return step(self, x, y)
+
+    monkeypatch.setattr(LiftedMap, "step_array", counted)
+    return calls
+
+
+def test_probe_scan_stops_at_witness(monkeypatch):
+    m = standard(1.5)
+    calls = count_array_steps(monkeypatch)
+    report = integrability_probe(m, grid=(32, 32), y_range=(-2.0, 2.0), horizon=1000)
+    assert report.verdict == VERDICT_CONJUGATE
+    assert calls[0] == report.witness_time
+    # the witness a plain full-horizon scan selects: earliest, lowest index
+    gx = (np.arange(32) + 0.5) / 32
+    gy = -2.0 + (np.arange(32) + 0.5) * (4.0 / 32)
+    X, Y = np.meshgrid(gx, gy)
+    times = cocycle_scan(m, X.ravel(), Y.ravel(), 1000).overconj_time
+    t_min = int(times[times > 0].min())
+    idx = int(np.flatnonzero(times == t_min)[0])
+    assert report.witness_time == t_min
+    assert report.witness == (float(X.ravel()[idx]), float(Y.ravel()[idx]))
+
+
+def test_probe_scan_without_witness_runs_horizon(monkeypatch):
+    calls = count_array_steps(monkeypatch)
+    report = integrability_probe(
+        standard(0.0), grid=(32, 32), horizon=1000, rationals=[Fraction(0)],
+        curve_resolution=16,
+    )
+    assert report.verdict == VERDICT_NO_OBSTRUCTION
+    assert calls[0] == 1000

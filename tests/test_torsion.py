@@ -481,3 +481,45 @@ def test_trace_validation():
         torsion_trace(shear(), (0, 0), (0, 1), 0)
     with pytest.raises(TwistViolationError):
         torsion_trace(shear().inverted(), (0, 0), (0, 1), 3)
+
+
+def test_cocycle_scan_stop_at_overconjugate():
+    # The stopped scan is the full scan cut at the first crossing step.
+    m = standard(1.5)
+    X, Y = np.meshgrid(np.linspace(0.05, 0.95, 6), np.linspace(-1.5, 1.5, 5))
+    xs, ys = X.ravel(), Y.ravel()
+    full = cocycle_scan(m, xs, ys, 300, keep_history=True)
+    first = int(full.overconj_time[full.overconj_time > 0].min())
+    stopped = cocycle_scan(m, xs, ys, 300, keep_history=True, stop_at_overconjugate=True)
+    cut = cocycle_scan(m, xs, ys, first, keep_history=True)
+    assert stopped.n == first < 300
+    assert np.any(stopped.overconj_time == first)
+    for field in ("cumulative", "overconj_time", "final_x", "final_y", "displacement",
+                  "valid", "history"):
+        assert np.array_equal(getattr(stopped, field), getattr(cut, field), equal_nan=True)
+    assert np.array_equal(stopped.history, full.history[: first + 1], equal_nan=True)
+    # without a crossing (or with every lane invalid) it runs the horizon
+    assert cocycle_scan(standard(0.0), xs, ys, 50, stop_at_overconjugate=True).n == 50
+    assert cocycle_scan(m.inverted(), xs, ys, 50, stop_at_overconjugate=True).n == 50
+
+
+def test_cocycle_scan_stop_ignores_invalid_lanes(monkeypatch):
+    # Lane 0 breaks the twist at step 1 and then turns a third of a turn
+    # clockwise per step, so it crosses -1/2 at step 2.  It is invalid, and
+    # the shear-like std:k=0 lanes never cross, so the scan runs to n.
+    step = LiftedMap.step_array
+    calls = [0]
+    cos, sin = math.cos(TWO_PI / 3), math.sin(TWO_PI / 3)
+
+    def patched(self, x, y):
+        x1, y1, *entries = step(self, x, y)
+        a, b, c, d = (np.array(np.broadcast_to(e, np.shape(x)), dtype=float) for e in entries)
+        calls[0] += 1
+        a[0], b[0], c[0], d[0] = (1.0, -1.0, 0.0, 1.0) if calls[0] == 1 else (cos, sin, -sin, cos)
+        return x1, y1, a, b, c, d
+
+    monkeypatch.setattr(LiftedMap, "step_array", patched)
+    xs, ys = np.array([0.1, 0.4, 0.7]), np.array([0.0, 0.3, -0.2])
+    scan = cocycle_scan(standard(0.0), xs, ys, 20, keep_history=True, stop_at_overconjugate=True)
+    assert scan.n == 20
+    assert scan.overconj_time.tolist() == [-2, -1, -1]
