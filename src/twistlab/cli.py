@@ -26,7 +26,7 @@ from . import curves as _curves
 from . import stats as _stats
 from .errors import TwistLabError
 from .maps import LiftedMap, parse_map_spec
-from .torsion import detect_overconjugate, linking_number, torsion_trace
+from .torsion import _as_dir, detect_overconjugate, linking_number, torsion_trace
 from .curves import (
     PeriodicCurve,
     classify_monotonicity,
@@ -58,9 +58,12 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"could not parse {what} {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -285,6 +288,7 @@ def _cmd_trace(args) -> Callable[[], None]:
     map = parse_map_spec(args.map)
     point = _parse_point(args.point)
     vector = _parse_floats(args.vector, 2, "--vector")
+    _as_dir(vector)  # ValueError for a zero vector or an overflowing norm
     n = args.n
     if n < 1:
         raise ValueError("--n must be >= 1")

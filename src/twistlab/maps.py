@@ -20,11 +20,19 @@ Kicks
 -----
 Every kick term is a multiple of sin or cos of 2pi s with s = i x.  Both
 come from one exact range reduction of s, s - floor(s), whose cost does
-not grow with |s| (see _kick, and _kick_arr for arrays).  The sin and cos
-of a harmonic share that reduction: step_scalar/step_array return the image
-and the Jacobian of one step from it, and apply_*/jacobian_* are the same
-step with one half left out.  Scalar and array forms run the same
-arithmetic and agree bit for bit.
+not grow with |s| (see _kick).  The sin and cos of a harmonic share that
+reduction, so step_scalar/step_array return the image and the Jacobian of
+one step from it, and apply_*/jacobian_* are the same step with one half
+left out.
+
+Floats and arrays take two routes through the same arithmetic.  Arrays go
+through one body, LiftedMap._step over _kick_arr.  Floats go through four
+kernels per map (step, apply, apply-inverse, Jacobian), closures built
+once at construction by _scalar_kernels with the family, the direction and
+the parts fixed: a single first harmonic (every standard map) shares one
+fold closure and evaluates only the sines a kernel needs, several
+harmonics call _kick, and shear and drift are one line each.  Both routes
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ _FAMILIES = (SHEAR, DRIFT, STANDARD, GENFUN)
 
 # Default orbit-length guard for iterate().
 ITERATE_CAP = 10_000_000
+
+# Rows per block when scalar walks fill an array (iterate, torsion_trace).
+BLOCK = 1024
 
 
 def _kick(x: float, harmonics, sin: bool, cos: bool) -> tuple[float, float]:
@@ -111,6 +122,105 @@ def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
     return vp, w
 
 
+def _scalar_kernels(family: str, params, harmonics, forward: bool):
+    """(step, image, jacobian) float kernels of one map going forward or back.
+
+    Each is _step's arithmetic with the family, the direction and the parts
+    fixed; step returns (x1, y1, a, b, c, d).
+    """
+    if not harmonics:
+        jac = (1.0, 1.0, 0.0, 1.0) if forward else (1.0, -1.0, -0.0, 1.0)
+        c0 = params[0] if family == DRIFT else None
+        if family == SHEAR and forward:
+            step, image = (lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y))
+        elif family == SHEAR:
+            step, image = (lambda x, y: (x - y, y, *jac)), (lambda x, y: (x - y, y))
+        elif forward:
+            step, image = (lambda x, y: (x + y, y + c0, *jac)), (lambda x, y: (x + y, y + c0))
+        else:
+            step = lambda x, y: (x - y + c0, y - c0, *jac)
+            image = lambda x, y: (x - y + c0, y - c0)
+        return step, image, lambda x, y: jac
+
+    if len(harmonics) > 1:
+        if forward:
+            def step(x, y):
+                vp, w = _kick(x, harmonics, True, True)
+                y1 = y + vp
+                return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+
+            def image(x, y):
+                y1 = y + _kick(x, harmonics, True, False)[0]
+                return x + y1, y1
+
+            def jacobian(x, y):
+                w = _kick(x, harmonics, False, True)[1]
+                return 1.0 + w, 1.0, w, 1.0
+        else:
+            def step(x, y):
+                kx = x - y
+                vp, w = _kick(kx, harmonics, True, True)
+                return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
+
+            def image(x, y):
+                kx = x - y
+                return kx, y - _kick(kx, harmonics, True, False)[0]
+
+            def jacobian(x, y):
+                w = _kick(x - y, harmonics, False, True)[1]
+                return 1.0, -1.0, -w, 1.0 + w
+        return step, image, jacobian
+
+    # One first harmonic: _kick's loop body, unrolled.
+    ((_, p, q),) = harmonics
+    floor, sin = math.floor, math.sin
+
+    def fold(x):
+        """_kick's range reduction: u in [0, 1/2] and the signed full turn."""
+        u = x - floor(x)
+        if u >= 0.5:
+            return u - 0.5, -TWO_PI
+        return u, TWO_PI
+
+    if forward:
+        def step(x, y):
+            u, turn = fold(x)
+            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+            w = 0.0 - q * sin(turn * (0.25 - u))
+            return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+
+        def image(x, y):
+            u, turn = fold(x)
+            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+            return x + y1, y1
+
+        def jacobian(x, y):
+            u, turn = fold(x)
+            w = 0.0 - q * sin(turn * (0.25 - u))
+            return 1.0 + w, 1.0, w, 1.0
+    else:
+        def step(x, y):
+            kx = x - y
+            u, turn = fold(kx)
+            y1 = y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+            w = 0.0 - q * sin(turn * (0.25 - u))
+            return kx, y1, 1.0, -1.0, -w, 1.0 + w
+
+        def image(x, y):
+            kx = x - y
+            u, turn = fold(kx)
+            return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+
+        def jacobian(x, y):
+            u, turn = fold(x - y)
+            w = 0.0 - q * sin(turn * (0.25 - u))
+            return 1.0, -1.0, -w, 1.0 + w
+    return step, image, jacobian
+
+
+_KERNEL_ATTRS = frozenset({"_step_k", "_apply_k", "_apply_inverse_k", "_jacobian_k"})
+
+
 def _as_point(p) -> tuple[float, float]:
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -172,6 +282,26 @@ class LiftedMap:
         else:
             harmonics = ()
         object.__setattr__(self, "_harmonics", harmonics)
+        self._bind_kernels()
+
+    def _bind_kernels(self) -> None:
+        """Store the four scalar kernels (see Kicks) on the instance."""
+        forward = self.twist_sign == 1
+        args = (self.family, self.params, self._harmonics)
+        step, apply, jacobian = _scalar_kernels(*args, forward)
+        object.__setattr__(self, "_step_k", step)
+        object.__setattr__(self, "_apply_k", apply)
+        object.__setattr__(self, "_apply_inverse_k", _scalar_kernels(*args, not forward)[1])
+        object.__setattr__(self, "_jacobian_k", jacobian)
+
+    # Closures do not pickle: state leaves the kernels out and loading
+    # rebuilds them.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _KERNEL_ATTRS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_kernels()
 
     # -- constructors ------------------------------------------------------
 
@@ -201,23 +331,18 @@ class LiftedMap:
         """An upper bound on |V''|; every Jacobian entry is at most 1 + this."""
         return math.fsum(abs(q) for _, _, q in self._harmonics)
 
-    def _vsecond(self, x: float) -> float:
-        """V''(x), the kick term appearing in the Jacobian."""
-        return _kick(x, self._harmonics, False, True)[1]
-
-    def _step(self, x, y, kick, forward, image, jacobian):
+    def _step(self, x, y, forward, image, jacobian):
         """The image (x1, y1), the Jacobian (a, b, c, d), or both in that order.
 
-        The body behind every apply/jacobian/step method: kick is _kick
-        for floats or _kick_arr for arrays, and the same arithmetic runs on
-        either.  forward=False steps the inverse.  Jacobian entries that do
-        not depend on the point are floats on both paths.
+        The body behind every array method; _scalar_kernels runs the same
+        arithmetic on floats.  forward=False steps the inverse.  Jacobian
+        entries that do not depend on the point come back as floats.
         """
         harmonics = self._harmonics
         # The kick acts at the base map's x: x itself going forward, the
         # preimage x - y going backward.
         kx = x if forward else x - y
-        vp, w = kick(kx, harmonics, image, jacobian) if harmonics else (0.0, 0.0)
+        vp, w = _kick_arr(kx, harmonics, image, jacobian) if harmonics else (0.0, 0.0)
         out = ()
         if image:
             if harmonics:
@@ -227,8 +352,7 @@ class LiftedMap:
                 else:
                     out = (kx, y - vp)
             elif self.family == SHEAR:
-                # unary plus copies an array and leaves a float as it is
-                out = (x + y if forward else kx), +y
+                out = (x + y if forward else kx), +y  # +y copies the array
             else:
                 c0 = self.params[0]
                 out = (x + y, y + c0) if forward else (x - y + c0, y - c0)
@@ -245,14 +369,14 @@ class LiftedMap:
 
         Bit-equal to calling both, with one range reduction per harmonic.
         """
-        return self._step(x, y, _kick, self.twist_sign == 1, True, True)
+        return self._step_k(x, y)
 
     def apply_scalar(self, x: float, y: float) -> tuple[float, float]:
         """One application of the lift, plain floats (hot-loop path)."""
-        return self._step(x, y, _kick, self.twist_sign == 1, True, False)
+        return self._apply_k(x, y)
 
     def apply_inverse_scalar(self, x: float, y: float) -> tuple[float, float]:
-        return self._step(x, y, _kick, self.twist_sign == -1, True, False)
+        return self._apply_inverse_k(x, y)
 
     def jacobian_scalar(self, x: float, y: float) -> tuple[float, float, float, float]:
         """Row-major entries (a, b, c, d) of the derivative at (x, y).
@@ -260,7 +384,7 @@ class LiftedMap:
         Columns are the images of the horizontal and vertical directions.
         None of the catalogue Jacobians depend on y.
         """
-        return self._step(x, y, _kick, self.twist_sign == 1, False, True)
+        return self._jacobian_k(x, y)
 
     # -- array path ----------------------------------------------------------
 
@@ -271,17 +395,17 @@ class LiftedMap:
         a and b for an inverted map, all four for shear/drift) come back
         as floats, which numpy broadcasts.
         """
-        return self._step(x, y, _kick_arr, self.twist_sign == 1, True, True)
+        return self._step(x, y, self.twist_sign == 1, True, True)
 
     def apply_array(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Elementwise application of the lift to coordinate arrays."""
-        return self._step(x, y, _kick_arr, self.twist_sign == 1, True, False)
+        return self._step(x, y, self.twist_sign == 1, True, False)
 
     def jacobian_array(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise Jacobian entries (a, b, c, d) over coordinate arrays."""
-        entries = self._step(x, y, _kick_arr, self.twist_sign == 1, False, True)
+        entries = self._step(x, y, self.twist_sign == 1, False, True)
         return tuple(np.full(np.shape(x), e) if isinstance(e, float) else e for e in entries)
 
     # -- public point API ---------------------------------------------------
@@ -328,12 +452,16 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
     if abs(n) > cap:
         raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {cap}")
     x, y = _as_point(p)
-    out = np.empty((abs(n) + 1, 2))
+    length = abs(n)
+    out = np.empty((length + 1, 2))
     out[0] = (x, y)
     step = map.apply_scalar if n >= 0 else map.apply_inverse_scalar
-    for i in range(1, abs(n) + 1):
-        x, y = step(x, y)
-        out[i] = (x, y)
+    for i in range(1, length + 1, BLOCK):
+        rows = []
+        for _ in range(min(BLOCK, length + 1 - i)):
+            x, y = step(x, y)
+            rows.append((x, y))
+        out[i : i + len(rows)] = rows
     return out
 
 

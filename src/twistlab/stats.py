@@ -17,7 +17,7 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .maps import LiftedMap, _as_point, parse_map_spec
-from .torsion import VERTICAL, _walk, cocycle_scan, torsion_trace
+from .torsion import _walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
 
@@ -68,6 +68,8 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         x0, x1, y0, y1 = (float(v) for v in self.box)
+        if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
+            raise ValueError("box coordinates must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("box must satisfy x0 < x1 and y0 < y1")
         if self.horizon < 1:
@@ -251,8 +253,8 @@ class FirstReturnReport:
     """Return times and per-return angle sums for a window walk.
 
     The identity gap compares the re-bracketed sum of per-return angle
-    sums with an independently recomputed torsion trace at time N_R; the
-    two are the same numbers added in the same order, so the gap must be
+    sums with an independently recomputed torsion at time N_R; the two
+    are the same numbers added in the same order, so the gap must be
     bounded by 1e-12 * N_R.
     """
 
@@ -291,7 +293,7 @@ def first_return_torsion(
     walk yields a partial report with complete = False (and no identity
     data when nothing returned).  For the full report, the sum of
     per-return angle sums divided by the total return time is checked
-    against a fresh torsion trace of the same length.
+    against the torsion of a fresh walk of the same length.
     """
     x0, x1, y0, y1 = (float(v) for v in window)
     if not (0.0 < x1 - x0 <= 1.0):
@@ -335,7 +337,7 @@ def first_return_torsion(
     total = sum(times)
     phi = math.fsum(sums)
     ratio = phi / total
-    direct = torsion_trace(map, (px, py), VERTICAL, total).torsion
+    direct = asymptotic_torsion(map, (px, py), total, total).value
     gap = abs(phi - direct * total)
     if gap > 1e-12 * total:
         raise RuntimeError(

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import CoincidentPointsError, DegenerateAnchorError, TwistViolationError
-from .maps import DRIFT, TWO_PI, LiftedMap, _as_point
+from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -154,7 +155,8 @@ class TorsionTrace:
     cumulative[k] equals the running sum of steps[0:k] in index order, so
     cumulative[0] = 0 and cumulative has one more entry than steps.
     points and directions hold the transported base orbit and unit
-    directions, points[i] = F^i(p).
+    directions, points[i] = F^i(p).  torsion_trace returns the four as
+    strided views of one table with a row per point.
     """
 
     steps: np.ndarray
@@ -184,21 +186,17 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
         raise ValueError("n must be >= 1")
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
-    steps = np.empty(n)
-    cumulative = np.empty(n + 1)
-    points = np.empty((n + 1, 2))
-    directions = np.empty((n + 1, 2))
-    cumulative[0] = 0.0
-    points[0] = (x, y)
-    directions[0] = (wx, wy)
-    cum = 0.0
-    for i, (x, y, wx, wy, delta) in zip(range(n), _walk(map, x, y, wx, wy)):
-        cum += delta
-        steps[i] = delta
-        cumulative[i + 1] = cum
-        points[i + 1] = (x, y)
-        directions[i + 1] = (wx, wy)
-    return TorsionTrace(steps, cumulative, points, directions)
+    # One row per point: x, y, wx, wy, the step into it, the cumulative.
+    # The walk fills it a block of rows at a time.
+    table = np.empty((n + 1, 6))
+    table[0] = (x, y, wx, wy, np.nan, 0.0)
+    walk = _walk(map, x, y, wx, wy)
+    for i in range(1, n + 1, BLOCK):
+        k = min(BLOCK, n + 1 - i)
+        table[i : i + k, :5] = list(islice(walk, k))
+    # np.cumsum's ufunc: a sequential sum, equal to the running sum bit for bit
+    np.add.accumulate(table[1:, 4], out=table[1:, 5])
+    return TorsionTrace(table[1:, 4], table[:, 5], table[:, 0:2], table[:, 2:4])
 
 
 @dataclass(frozen=True)
@@ -217,15 +215,23 @@ def asymptotic_torsion(
     """Torsion at time `horizon` plus the drift over the last `window`.
 
     The drift |torsion_N - torsion_{N-window}| is a convergence
-    diagnostic only; no limit is asserted.
+    diagnostic only; no limit is asserted.  The orbit is walked once and
+    only the running sum is kept, so memory does not grow with horizon.
     """
     horizon = int(horizon)
     window = int(window)
     if not 1 <= window <= horizon:
         raise ValueError("need horizon >= window >= 1")
-    trace = torsion_trace(map, p, w, horizon)
-    value = trace.torsion
-    earlier = float(trace.cumulative[horizon - window])
+    x, y = _as_point(p)
+    wx, wy = _as_dir(w)
+    walk = _walk(map, x, y, wx, wy)
+    cum = 0.0
+    for _, _, _, _, delta in islice(walk, horizon - window):
+        cum += delta
+    earlier = cum
+    for _, _, _, _, delta in islice(walk, window):
+        cum += delta
+    value = cum / horizon
     if horizon == window:
         drift = abs(value)
     else:
@@ -340,12 +346,14 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
     if map.twist_sign != 1 or map.family == DRIFT:
         raise ValueError(f"map {map.to_spec()!r} has no generating function")
     x, y = _as_point(p)
+    step = map.step_scalar
     xi_prev = 0.0
-    _, xi, _, _ = map.jacobian_scalar(x, y)
-    x, y = map.apply_scalar(x, y)
+    x, y, _, xi, _, _ = step(x, y)
     for n in range(2, horizon + 1):
-        # x currently holds x_{n-1}; the step to xi_n reads V'' there.
-        xi_next = (2.0 + map._vsecond(x)) * xi - xi_prev
+        # (x, y) holds the point n-1; the step to xi_n reads V'' there,
+        # the c entry of the Jacobian.
+        x, y, _, _, vsecond, _ = step(x, y)
+        xi_next = (2.0 + vsecond) * xi - xi_prev
         if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
             return n
         scale = abs(xi_next)
@@ -353,7 +361,6 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
             xi_next /= scale
             xi = xi / scale
         xi_prev, xi = xi, xi_next
-        x, y = map.apply_scalar(x, y)
     return None
 
 

@@ -94,6 +94,24 @@ def test_zero_denominator_rho_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--map", "std:k=1", "--point", "nan,0", "--n", "5"],
+        ["trace", "--map", "std:k=1", "--point", "0,0", "--vector", "0,0", "--n", "5"],
+        ["trace", "--map", "std:k=1", "--point", "0,0", "--vector", "inf,1", "--n", "5"],
+        ["field", "--map", "std:k=1", "--box", "0,inf,0,1", "--grid", "2x2", "--n", "5"],
+        ["linking", "--map", "std:k=1", "--point", "0,0", "--point2", "0,-inf", "--n", "5"],
+    ],
+)
+def test_non_finite_or_zero_vector_is_usage_error(capsys, argv):
+    # these exited 1, or ran on nan estimates and exited 0
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert "usage error" in err
+    assert out == ""
+
+
 # -------------------------------------------------------- negative arguments
 
 

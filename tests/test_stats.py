@@ -38,6 +38,16 @@ def mc_cfg(box, samples, seed, n, eps=0.05):
     return ScanConfig(box=box, mode=MonteCarloMode(samples, seed), horizon=n, eps=eps)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [(0, math.inf, 0, 1), (-math.inf, 1, 0, 1), (0, 1, math.nan, 1), (0, 1, 0, math.nan)],
+)
+def test_config_rejects_non_finite_box(box):
+    # an infinite box used to scan nan lanes and summarize them as nan
+    with pytest.raises(ValueError, match="finite"):
+        ScanConfig(box=box, mode=GridMode(2, 2), horizon=10)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(box=(1, 0, 0, 1), mode=GridMode(2, 2), horizon=10)

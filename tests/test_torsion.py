@@ -29,7 +29,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
-from twistlab.maps import LiftedMap
+from twistlab.maps import LiftedMap, _kick
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -223,6 +223,33 @@ def test_asymptotic_elliptic_matrix_oracle():
     assert est.value == pytest.approx(winding / n, abs=1e-9)
 
 
+def trace_estimate(m, p, horizon, window, w):
+    """asymptotic_torsion's two numbers read off a full torsion_trace."""
+    trace = torsion_trace(m, p, w, horizon)
+    value = trace.torsion
+    if horizon == window:
+        return value, abs(value)
+    earlier = float(trace.cumulative[horizon - window])
+    return value, abs(value - earlier / (horizon - window))
+
+
+@pytest.mark.parametrize("m", [standard(1.0), standard(1.5), shear(), generating_function(0.02, -0.007)],
+                         ids=lambda m: m.to_spec())
+@pytest.mark.parametrize("horizon,window", [(1, 1), (7, 7), (50, 1), (300, 100), (2049, 1024)])
+def test_asymptotic_torsion_matches_trace(monkeypatch, m, horizon, window):
+    p, w = (0.13, -0.22), (0.3, 0.7)
+    want = trace_estimate(m, p, horizon, window, w)
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("asymptotic_torsion should stream the walk")
+
+    monkeypatch.setattr(twistlab.torsion, "torsion_trace", no_trace)
+    est = asymptotic_torsion(m, p, horizon, window, w)
+    assert (est.value, est.last_window_drift) == want
+    assert math.copysign(1.0, est.last_window_drift) == 1.0
+    assert (est.horizon, est.window) == (horizon, window)
+
+
 def test_asymptotic_hyperbolic():
     est = asymptotic_torsion(standard(1.0), (0.5, 0.0), 10_000)
     assert -1e-4 < est.value <= 0.0
@@ -323,6 +350,41 @@ def test_conjugate_report_walks_once(monkeypatch):
     rep = conjugate_report(standard(0.0), (0.3, 0.2), 500)
     assert rep.first_overconjugate is None and rep.first_conjugate is None
     assert calls[0] == 500
+
+
+def ref_jacobi(m, p, horizon):
+    """The oracle as it read V'' before: a separate kick call per step."""
+    x, y = p
+    xi_prev = 0.0
+    _, xi, _, _ = m.jacobian_scalar(x, y)
+    x, y = m.apply_scalar(x, y)
+    for n in range(2, horizon + 1):
+        xi_next = (2.0 + _kick(x, m._harmonics, False, True)[1]) * xi - xi_prev
+        if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
+            return n
+        scale = abs(xi_next)
+        if scale > 1e100:
+            xi_next /= scale
+            xi = xi / scale
+        xi_prev, xi = xi, xi_next
+        x, y = m.apply_scalar(x, y)
+    return None
+
+
+@pytest.mark.parametrize("m", [standard(0.0), standard(1.0), standard(1.5), shear(),
+                               generating_function(0.02, -0.007)], ids=lambda m: m.to_spec())
+@pytest.mark.parametrize("p", [(0.02, 0.0), (0.3, 0.2), (0.5, 0.0), (-7.25, 1.5)])
+def test_jacobi_oracle_makes_one_step_per_step(monkeypatch, m, p):
+    want = ref_jacobi(m, p, 400)
+    calls = count_steps(monkeypatch)
+    for name in ("apply_scalar", "jacobian_scalar"):
+        def refuse(self, x, y, name=name):
+            raise AssertionError(f"the oracle called {name}")
+
+        monkeypatch.setattr(LiftedMap, name, refuse)
+    got = jacobi_conjugate_oracle(m, p, 400)
+    assert got == want
+    assert calls[0] == (400 if got is None else got)
 
 
 def test_conjugate_report_stops_when_settled(monkeypatch):
