@@ -1,13 +1,21 @@
 """Command-line front end.
 
-Thin shell over the engine modules: every printed number is produced by
-an engine call, the shell only parses flags, dispatches, and formats.
+Thin shell over the engine modules: every printed number comes from an
+engine call; the shell parses flags, dispatches and formats.  Two tables
+drive it.  ``_FLAGS`` defines each value flag once: its parser, which
+rejects bad text (numbers must be finite, counts >= 1, ...), and its
+help.  ``_COMMANDS`` gives each subcommand its help, its flags with their
+default text, the flags it echoes, whether ``--out`` may be SVG, an
+optional check across flags, and one engine call that returns the ordered
+``key = value`` fields and, when ``--out`` has a format of its own, a
+writer (otherwise ``--out`` mirrors stdout).  The argparse tree, the
+validation, the printing and the ``--out`` dispatch derive from them.
+
 Exit status is 0 on success, 2 on a usage error (bad flags, unknown map
 family, unwritable output path; all checked before any computation), and
-1 when the engine raises.
-
-Floats are emitted with repr everywhere so that output files and printed
-summaries are byte-deterministic and round-trip exactly.
+1 when the engine raises.  Floats are emitted with repr everywhere so
+that output files and printed summaries are byte-deterministic and
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +24,9 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,82 +37,70 @@ from . import stats as _stats
 from .errors import TwistLabError
 from .maps import LiftedMap, parse_map_spec
 from .torsion import _as_dir, detect_overconjugate, linking_number, torsion_trace
-from .curves import (
-    PeriodicCurve,
-    classify_monotonicity,
-    integrability_probe,
-    psi_family,
-    rotation_number,
-    write_curves_csv,
-)
-from .stats import (
-    GridMode,
-    MonteCarloMode,
-    ScanConfig,
-    ScanResult,
-    island_measure,
-    first_return_torsion,
-    torsion_field,
-    write_scan_csv,
-)
 
 HEATMAP_CELL_PX = 8
 HEATMAP_PAD_PX = 12
 
 
 # -- flag value parsers -------------------------------------------------------
+# Each takes the flag's text and returns its value or raises ValueError;
+# run() prefixes the message with the flag's name.
 
 
-def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
+def _parse_floats(text: str, count: int) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != count:
-        raise ValueError(f"{what} needs {count} comma-separated numbers, got {text!r}")
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"could not parse {what} {text!r}") from None
+        raise ValueError(f"needs {count} comma-separated numbers, got {text!r}")
+    values = tuple(float(p) for p in parts)
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{what} needs finite numbers, got {text!r}")
+        raise ValueError(f"needs finite numbers, got {text!r}")
     return values
 
 
-def _parse_point(text: str) -> tuple[float, float]:
-    return _parse_floats(text, 2, "--point")
+def _positive(text: str) -> float:
+    (value,) = _parse_floats(text, 1)
+    if not value > 0.0:
+        raise ValueError("must be positive")
+    return value
 
 
-def _parse_box(text: str, what: str = "--box") -> tuple[float, float, float, float]:
-    return _parse_floats(text, 4, what)
+def _direction(text: str) -> tuple[float, float]:
+    vector = _parse_floats(text, 2)
+    _as_dir(vector)  # ValueError for a zero vector or an overflowing norm
+    return vector
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _yrange(text: str) -> tuple[float, float]:
+    lo, hi = _parse_floats(text, 2)
+    if not lo < hi:
+        raise ValueError("must satisfy lo < hi")
+    return lo, hi
+
+
+def _integer(text: str, least: int = 1) -> int:
+    value = int(text)
+    if value < least:
+        raise ValueError(f"must be >= {least}")
+    return value
+
+
+def _grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
-        raise ValueError(f"--grid must look like 64x64, got {text!r}")
+        raise ValueError(f"must look like 64x64, got {text!r}")
+    return _integer(parts[0]), _integer(parts[1])
+
+
+def _rhos(text: str) -> list[Fraction]:
     try:
-        nx, ny = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"could not parse --grid {text!r}") from None
-    if nx < 1 or ny < 1:
-        raise ValueError("--grid dimensions must be >= 1")
-    return nx, ny
+        return sorted({Fraction(part.strip()) for part in text.split(",")})
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"could not parse rotation numbers {text!r}") from None
 
 
-def _parse_rhos(text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            out.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"could not parse rotation number {part!r}") from None
-    return sorted(set(out))
-
-
-def _check_out(path_str: str | None) -> Path | None:
-    if path_str is None:
-        return None
+def _check_out(path_str: str) -> Path:
     path = Path(path_str)
-    parent = path.parent if str(path.parent) else Path(".")
+    parent = path.parent
     if not parent.is_dir():
         raise ValueError(f"output directory {parent} does not exist")
     if path.exists():
@@ -115,9 +113,31 @@ def _check_out(path_str: str | None) -> Path | None:
     return path
 
 
-def _reject_svg(out: Path | None, cmd: str) -> None:
-    if out is not None and out.suffix.lower() == ".svg":
-        raise ValueError(f"{cmd} does not render SVG; use a .csv or text path")
+# flag -> (parser, help)
+_FLAGS: dict[str, tuple[Callable[[str], object], str | None]] = {
+    "--map": (parse_map_spec, "map spec, e.g. std:k=1"),
+    "--out": (_check_out, "output file path"),
+    "--point": (partial(_parse_floats, count=2), "x,y"),
+    "--point2": (partial(_parse_floats, count=2), "x,y"),
+    "--vector": (_direction, "dx,dy (default vertical)"),
+    "--box": (partial(_parse_floats, count=4), "x0,x1,y0,y1"),
+    "--window": (partial(_parse_floats, count=4), "x0,x1,y0,y1"),
+    "--grid": (_grid, "RxxRy, e.g. 64x64"),
+    "--yrange": (_yrange, None),
+    "--rho": (_rhos, "comma list of p/q"),
+    "--n": (_integer, None),
+    "--samples": (_integer, None),
+    "--res": (_integer, None),
+    "--horizon": (_integer, None),
+    "--returns": (_integer, None),
+    "--seed": (partial(_integer, least=0), None),
+    "--eps": (_positive, None),
+    "--tol": (_positive, None),
+}
+
+
+def _is_svg(path: Path) -> bool:
+    return path.suffix.lower() == ".svg"
 
 
 # -- SVG rendering ------------------------------------------------------------
@@ -135,14 +155,14 @@ def _color_hex(u: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap(field: ScanResult, path, vmax: float | None = None) -> None:
+def render_heatmap(field: _stats.ScanResult, path, vmax: float | None = None) -> None:
     """Write a self-contained SVG heatmap of a grid-mode torsion field.
 
     One rect per grid cell, diverging color scale symmetric about zero
     (scale bound = vmax if given, else the data's max |torsion|), legend
     with the data min/max.  Byte output is a pure function of the input.
     """
-    if not isinstance(field.config.mode, GridMode):
+    if not isinstance(field.config.mode, _stats.GridMode):
         raise ValueError("heatmap rendering needs a grid-mode scan")
     nx, ny = field.config.mode.nx, field.config.mode.ny
     t = field.torsion.reshape(ny, nx)
@@ -195,7 +215,7 @@ def render_heatmap(field: ScanResult, path, vmax: float | None = None) -> None:
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def render_curves(curves: Sequence[PeriodicCurve], path) -> None:
+def render_curves(curves: Sequence[_curves.PeriodicCurve], path) -> None:
     """Write a self-contained SVG line plot of curves over one period."""
     if not curves:
         raise ValueError("no curves to render")
@@ -243,368 +263,209 @@ def render_curves(curves: Sequence[PeriodicCurve], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# -- output helpers -----------------------------------------------------------
+# -- file writers -------------------------------------------------------------
+
+Fields = list[tuple[str, object]]
+Writer = Callable[[Path], None] | None
 
 
-def _emit(block: list[str], out: Path | None) -> None:
-    text = "\n".join(block) + "\n"
-    sys.stdout.write(text)
-    if out is not None:
-        out.write_text(text)
+def _svg_or_csv(svg: Callable[[Path], None], csv: Callable[[Path], None]) -> Writer:
+    """A writer that renders .svg paths with svg and writes others with csv."""
+    return lambda path: (svg if _is_svg(path) else csv)(path)
 
 
-def _summary_lines(result: ScanResult) -> list[str]:
-    """The scan summary (nan with count 0 when no lane is valid) and the
-    total number of lanes, valid or not."""
-    lines = [f"{key} = {val!r}" for key, val in result.summary_fields()]
-    lines.append(f"lanes = {result.count}")
-    return lines
-
-
-def _write_trace_csv(map: LiftedMap, point, vector, trace, out: Path) -> None:
-    lines = [
-        f"# map={map.to_spec()}",
-        f"# point={point[0]!r},{point[1]!r}",
-        f"# vector={vector[0]!r},{vector[1]!r}",
-        f"# n={trace.n}",
-        "step,x,y,delta,cumulative",
-        f"0,{float(trace.points[0][0])!r},{float(trace.points[0][1])!r},,"
-        f"{float(trace.cumulative[0])!r}",
-    ]
-    for k in range(1, trace.n + 1):
-        lines.append(
-            f"{k},{float(trace.points[k][0])!r},{float(trace.points[k][1])!r},"
-            f"{float(trace.steps[k - 1])!r},{float(trace.cumulative[k])!r}"
-        )
-    out.write_text("\n".join(lines) + "\n")
-
-
-# -- subcommand handlers ------------------------------------------------------
-# Each handler validates its flags and returns a zero-argument job; run()
-# maps validation failures to exit 2 and job failures to exit 1.
-
-
-def _cmd_trace(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    point = _parse_point(args.point)
-    vector = _parse_floats(args.vector, 2, "--vector")
-    _as_dir(vector)  # ValueError for a zero vector or an overflowing norm
-    n = args.n
-    if n < 1:
-        raise ValueError("--n must be >= 1")
-    out = _check_out(args.out)
-    _reject_svg(out, "trace")
-
-    def job() -> None:
-        trace = torsion_trace(map, point, vector, n)
-        oc = detect_overconjugate(map, point, n)
-        block = [
-            f"map = {map.to_spec()}",
-            f"point = {point[0]!r},{point[1]!r}",
-            f"vector = {vector[0]!r},{vector[1]!r}",
-            f"n = {n}",
-            f"torsion = {trace.torsion!r}",
-            f"first_overconjugate = {'none' if oc is None else oc}",
-        ]
-        sys.stdout.write("\n".join(block) + "\n")
-        if out is not None:
-            _write_trace_csv(map, point, vector, trace, out)
-
-    return job
-
-
-def _field_config(args) -> tuple[LiftedMap, ScanConfig]:
-    map = parse_map_spec(args.map)
-    box = _parse_box(args.box)
-    nx, ny = _parse_grid(args.grid)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    cfg = ScanConfig(box=box, mode=GridMode(nx, ny), horizon=args.n, eps=args.eps)
-    return map, cfg
-
-
-def _cmd_field(args) -> Callable[[], None]:
-    map, cfg = _field_config(args)
-    out = _check_out(args.out)
-
-    def job() -> None:
-        result = torsion_field(map, cfg)
-        block = [
-            f"map = {map.to_spec()}",
-            f"mode = grid:{cfg.mode.nx}x{cfg.mode.ny}",
-            f"horizon = {cfg.horizon}",
-            f"eps = {cfg.eps!r}",
-        ]
-        block.extend(_summary_lines(result))
-        sys.stdout.write("\n".join(block) + "\n")
-        if out is not None:
-            if out.suffix.lower() == ".svg":
-                render_heatmap(result, out)
-            else:
-                write_scan_csv(result, out)
-
-    return job
-
-
-def _cmd_measure(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    box = _parse_box(args.box)
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    if args.seed < 0:
-        raise ValueError("--seed must be a non-negative integer")
-    cfg = ScanConfig(
-        box=box,
-        mode=MonteCarloMode(samples=args.samples, seed=args.seed),
-        horizon=args.n,
-        eps=args.eps,
+def _curves_writer(curves: Sequence[_curves.PeriodicCurve], meta: Fields) -> Writer:
+    text = {key: _format(value) for key, value in meta}
+    return _svg_or_csv(
+        partial(render_curves, curves), partial(_curves.write_curves_csv, curves, metadata=text)
     )
-    out = _check_out(args.out)
-    _reject_svg(out, "measure")
 
-    def job() -> None:
-        result = torsion_field(map, cfg)
-        block = [
-            f"map = {map.to_spec()}",
-            f"mode = montecarlo:samples={args.samples},seed={args.seed}",
-            f"horizon = {cfg.horizon}",
-            f"eps = {cfg.eps!r}",
+
+def _write_csv(path: Path, meta: Fields, header: str, rows: list[str]) -> None:
+    """# key=value metadata lines, then the header and the rows."""
+    lines = [f"# {key}={_format(value)}" for key, value in meta] + [header, *rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_trace_csv(head: Fields, trace, path: Path) -> None:
+    deltas = [""] + [repr(d) for d in trace.steps.tolist()]
+    records = zip(trace.points.tolist(), deltas, trace.cumulative.tolist())
+    rows = [f"{k},{x!r},{y!r},{d},{c!r}" for k, ((x, y), d, c) in enumerate(records)]
+    _write_csv(path, head, "step,x,y,delta,cumulative", rows)
+
+
+# -- engine calls -------------------------------------------------------------
+# Each takes the validated flag values and returns the fields to print
+# after the echoed flags, and a writer for --out or None.
+
+
+def _attrs(obj, *names: str) -> Fields:
+    return [(name, getattr(obj, name)) for name in names]
+
+
+def _trace(a) -> tuple[Fields, Writer]:
+    trace = torsion_trace(a.map, a.point, a.vector, a.n)
+    oc = detect_overconjugate(a.map, a.point, a.n)
+    fields = [("torsion", trace.torsion), ("first_overconjugate", "none" if oc is None else oc)]
+    return fields, partial(_write_trace_csv, _attrs(a, "map", "point", "vector", "n"), trace)
+
+
+def _scan_config(a, mode) -> None:
+    a.cfg = _stats.ScanConfig(box=a.box, mode=mode, horizon=a.n, eps=a.eps)
+
+
+def _scan(a) -> tuple[Fields, Writer]:
+    result = _stats.torsion_field(a.map, a.cfg)
+    fields = [
+        ("mode", _stats._mode_metadata(a.cfg)["mode"]),
+        *_attrs(a.cfg, "horizon", "eps"),
+        *result.summary_fields(),
+        ("lanes", result.count),
+    ]
+    return fields, _svg_or_csv(
+        partial(render_heatmap, result), partial(_stats.write_scan_csv, result)
+    )
+
+
+def _psi(a) -> tuple[Fields, Writer]:
+    family = _curves.psi_family(a.map, a.rho, resolution=a.res, tol=a.tol)
+    fields = [
+        ("rhos", family.rotation_numbers),
+        *_attrs(family, "max_root_residual", "all_fixed_ok", "monotone_ok"),
+    ]
+    return fields, _curves_writer(family.curves, _attrs(a, "map", "res", "tol"))
+
+
+def _probe(a) -> tuple[Fields, Writer]:
+    report = _curves.integrability_probe(
+        a.map, grid=a.grid, y_range=a.yrange, horizon=a.horizon, rationals=a.rho
+    )
+    fields = _attrs(report, "verdict", "flux")
+    meta = [("map", a.map), *fields]
+    if report.witness is not None:
+        fields += _attrs(report, "witness", "witness_time")
+    family = report.family
+    if family is not None:
+        fields += [
+            ("family_rhos", family.rotation_numbers),
+            *_attrs(family, "max_root_residual", "monotone_ok"),
         ]
-        block.extend(_summary_lines(result))
-        sys.stdout.write("\n".join(block) + "\n")
-        if out is not None:
-            write_scan_csv(result, out)
+        return fields, _curves_writer(family.curves, meta)
+    rows = [] if report.witness is None else [f"{_format(report.witness)},{report.witness_time}"]
 
-    return job
+    def write(path: Path) -> None:
+        if _is_svg(path):
+            raise ValueError("no curve family to render for this verdict")
+        _write_csv(path, meta, "x,y,overconj_time", rows)
 
-
-def _cmd_flux(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    if args.res < 1:
-        raise ValueError("--res must be >= 1")
-    out = _check_out(args.out)
-    _reject_svg(out, "flux")
-
-    def job() -> None:
-        value = _curves.flux(map, resolution=args.res)
-        _emit([f"flux = {value!r}"], out)
-
-    return job
+    return fields, write
 
 
-def _cmd_psi(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    rhos = _parse_rhos(args.rho)
-    if not rhos:
-        raise ValueError("--rho must list at least one rotation number")
-    if args.res < 1:
-        raise ValueError("--res must be >= 1")
-    if not args.tol > 0.0:
-        raise ValueError("--tol must be positive")
-    out = _check_out(args.out)
-
-    def job() -> None:
-        family = psi_family(map, rhos, resolution=args.res, tol=args.tol)
-        block = [
-            f"map = {map.to_spec()}",
-            f"rhos = {','.join(str(r) for r in family.rotation_numbers)}",
-            f"max_root_residual = {family.max_root_residual!r}",
-            f"all_fixed_ok = {family.all_fixed_ok}",
-            f"monotone_ok = {family.monotone_ok}",
-        ]
-        sys.stdout.write("\n".join(block) + "\n")
-        if out is not None:
-            if out.suffix.lower() == ".svg":
-                render_curves(family.curves, out)
-            else:
-                write_curves_csv(
-                    family.curves,
-                    out,
-                    {"map": map.to_spec(), "res": str(args.res), "tol": repr(args.tol)},
-                )
-
-    return job
+def _linking(a) -> tuple[Fields, Writer]:
+    est = linking_number(a.map, a.point, a.point2, a.n)
+    return [("linking", est.value), ("near_half_turn", est.near_half_turn)], None
 
 
-def _cmd_probe(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    grid = _parse_grid(args.grid)
-    ylo, yhi = _parse_floats(args.yrange, 2, "--yrange")
-    if not ylo < yhi:
-        raise ValueError("--yrange must satisfy lo < hi")
-    if args.horizon < 1:
-        raise ValueError("--horizon must be >= 1")
-    rhos = _parse_rhos(args.rho)
-    out = _check_out(args.out)
-
-    def job() -> None:
-        report = integrability_probe(
-            map,
-            grid=grid,
-            y_range=(ylo, yhi),
-            horizon=args.horizon,
-            rationals=rhos,
-        )
-        block = [
-            f"map = {map.to_spec()}",
-            f"verdict = {report.verdict}",
-            f"flux = {report.flux!r}",
-        ]
-        if report.witness is not None:
-            block.append(f"witness = {report.witness[0]!r},{report.witness[1]!r}")
-            block.append(f"witness_time = {report.witness_time}")
-        if report.family is not None:
-            block.append(f"family_rhos = {','.join(str(r) for r in report.family.rotation_numbers)}")
-            block.append(f"max_root_residual = {report.family.max_root_residual!r}")
-            block.append(f"monotone_ok = {report.family.monotone_ok}")
-        sys.stdout.write("\n".join(block) + "\n")
-        if out is not None:
-            if report.family is not None:
-                if out.suffix.lower() == ".svg":
-                    render_curves(report.family.curves, out)
-                else:
-                    write_curves_csv(
-                        report.family.curves,
-                        out,
-                        {"map": map.to_spec(), "verdict": report.verdict,
-                         "flux": repr(report.flux)},
-                    )
-            else:
-                lines = [
-                    f"# map={map.to_spec()}",
-                    f"# verdict={report.verdict}",
-                    f"# flux={report.flux!r}",
-                    "x,y,overconj_time",
-                ]
-                if report.witness is not None:
-                    lines.append(
-                        f"{report.witness[0]!r},{report.witness[1]!r},"
-                        f"{report.witness_time}"
-                    )
-                if out.suffix.lower() == ".svg":
-                    raise ValueError("no curve family to render for this verdict")
-                out.write_text("\n".join(lines) + "\n")
-
-    return job
+def _return_check(a) -> tuple[Fields, Writer]:
+    report = _stats.first_return_torsion(a.map, a.window, a.point, returns=a.returns)
+    names = ["returns_found", "return_times", "total_steps", "complete"]
+    if report.torsion_ratio is not None:
+        names += ["torsion_ratio", "torsion_direct", "identity_gap"]
+    return _attrs(report, *names), None
 
 
-def _cmd_rotation(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    point = _parse_point(args.point)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    out = _check_out(args.out)
-    _reject_svg(out, "rotation")
-
-    def job() -> None:
-        est = rotation_number(map, point, args.n)
-        _emit(
-            [
-                f"map = {map.to_spec()}",
-                f"point = {point[0]!r},{point[1]!r}",
-                f"n = {est.horizon}",
-                f"rotation = {est.value!r}",
-            ],
-            out,
-        )
-
-    return job
+# -- the command table --------------------------------------------------------
 
 
-def _cmd_classify(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    point = _parse_point(args.point)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    out = _check_out(args.out)
-    _reject_svg(out, "classify")
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand.
 
-    def job() -> None:
-        label = classify_monotonicity(map, point, args.n)
-        _emit(
-            [
-                f"map = {map.to_spec()}",
-                f"point = {point[0]!r},{point[1]!r}",
-                f"n = {args.n}",
-                f"classification = {label}",
-            ],
-            out,
-        )
+    flags maps each flag beyond --map and --out to its default text, None
+    meaning required.  echo lists the flags whose values are printed, in
+    order, ahead of the call's fields.  check, if given, runs on the
+    parsed values during validation and may add derived ones.
+    """
 
-    return job
+    help: str
+    flags: dict[str, str | None]
+    call: Callable[[argparse.Namespace], tuple[Fields, Writer]]
+    echo: tuple[str, ...] = ("--map",)
+    svg: bool = False
+    check: Callable[[argparse.Namespace], None] | None = None
 
 
-def _cmd_linking(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    point = _parse_point(args.point)
-    point2 = _parse_floats(args.point2, 2, "--point2")
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    out = _check_out(args.out)
-    _reject_svg(out, "linking")
+_EPS = repr(_stats.DEFAULT_EPS)
 
-    def job() -> None:
-        est = linking_number(map, point, point2, args.n)
-        _emit(
-            [
-                f"map = {map.to_spec()}",
-                f"point = {point[0]!r},{point[1]!r}",
-                f"point2 = {point2[0]!r},{point2[1]!r}",
-                f"n = {est.n}",
-                f"linking = {est.value!r}",
-                f"near_half_turn = {est.near_half_turn}",
-            ],
-            out,
-        )
-
-    return job
-
-
-def _cmd_return_check(args) -> Callable[[], None]:
-    map = parse_map_spec(args.map)
-    window = _parse_box(args.window, "--window")
-    point = _parse_point(args.point)
-    if args.returns < 1:
-        raise ValueError("--returns must be >= 1")
-    out = _check_out(args.out)
-    _reject_svg(out, "return-check")
-
-    def job() -> None:
-        report = first_return_torsion(map, window, point, returns=args.returns)
-        block = [
-            f"map = {map.to_spec()}",
-            f"window = {','.join(repr(v) for v in report.window)}",
-            f"point = {report.point[0]!r},{report.point[1]!r}",
-            f"returns_found = {report.returns_found}",
-            f"return_times = {','.join(str(t) for t in report.return_times)}",
-            f"total_steps = {report.total_steps}",
-            f"complete = {report.complete}",
-        ]
-        if report.torsion_ratio is not None:
-            block.append(f"torsion_ratio = {report.torsion_ratio!r}")
-            block.append(f"torsion_direct = {report.torsion_direct!r}")
-            block.append(f"identity_gap = {report.identity_gap!r}")
-        _emit(block, out)
-
-    return job
-
-
-_HANDLERS = {
-    "trace": _cmd_trace,
-    "field": _cmd_field,
-    "measure": _cmd_measure,
-    "flux": _cmd_flux,
-    "psi": _cmd_psi,
-    "probe": _cmd_probe,
-    "rotation": _cmd_rotation,
-    "classify": _cmd_classify,
-    "linking": _cmd_linking,
-    "return-check": _cmd_return_check,
+_COMMANDS = {
+    "trace": _Command(
+        "torsion trace along one orbit",
+        {"--point": None, "--vector": "0,1", "--n": None},
+        _trace,
+        echo=("--map", "--point", "--vector", "--n"),
+    ),
+    "field": _Command(
+        "torsion field on a grid",
+        {"--box": None, "--grid": None, "--n": None, "--eps": _EPS},
+        _scan,
+        svg=True,
+        check=lambda a: _scan_config(a, _stats.GridMode(*a.grid)),
+    ),
+    "measure": _Command(
+        "Monte-Carlo torsion measure of a box",
+        {"--box": None, "--samples": None, "--n": None, "--eps": _EPS, "--seed": "0"},
+        _scan,
+        check=lambda a: _scan_config(a, _stats.MonteCarloMode(a.samples, a.seed)),
+    ),
+    "flux": _Command(
+        "mean vertical displacement across a circle",
+        {"--res": "256"},
+        lambda a: ([("flux", _curves.flux(a.map, resolution=a.res))], None),
+        echo=(),
+    ),
+    "psi": _Command(
+        "periodic-orbit curve family",
+        {"--rho": None, "--res": "256", "--tol": repr(_curves.ROOT_TOL)},
+        _psi,
+        svg=True,
+    ),
+    "probe": _Command(
+        "integrability probe: obstruction or curve family",
+        {"--grid": "64x64", "--yrange": "-2,2", "--horizon": "10000",
+         "--rho": "-1,-1/2,-1/3,0,1/3,1/2,1"},
+        _probe,
+        svg=True,
+    ),
+    "rotation": _Command(
+        "finite-horizon rotation number",
+        {"--point": None, "--n": None},
+        lambda a: ([("rotation", _curves.rotation_number(a.map, a.point, a.n).value)], None),
+        echo=("--map", "--point", "--n"),
+    ),
+    "classify": _Command(
+        "orbit-segment monotonicity class",
+        {"--point": None, "--n": None},
+        lambda a: ([("classification", _curves.classify_monotonicity(a.map, a.point, a.n))],
+                   None),
+        echo=("--map", "--point", "--n"),
+    ),
+    "linking": _Command(
+        "finite-time linking of two orbits",
+        {"--point": None, "--point2": None, "--n": None},
+        _linking,
+        echo=("--map", "--point", "--point2", "--n"),
+    ),
+    "return-check": _Command(
+        "first-return torsion identity",
+        {"--window": None, "--point": None, "--returns": "1"},
+        _return_check,
+        echo=("--map", "--window", "--point"),
+        check=lambda a: _stats.check_window(a.window, a.point),
+    ),
 }
 
-DEFAULT_PROBE_RHOS = "-1,-1/2,-1/3,0,1/3,1/2,1"
+
+# -- parsing, validation, output ----------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -615,73 +476,16 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name: str, **kw) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, allow_abbrev=False, **kw)
-        p.add_argument("--map", required=True, help="map spec, e.g. std:k=1")
-        p.add_argument("--out", default=None, help="output file path")
-        return p
-
-    p = add("trace", help="torsion trace along one orbit")
-    p.add_argument("--point", required=True, help="x,y")
-    p.add_argument("--vector", default="0,1", help="dx,dy (default vertical)")
-    p.add_argument("--n", required=True, type=int)
-
-    p = add("field", help="torsion field on a grid")
-    p.add_argument("--box", required=True, help="x0,x1,y0,y1")
-    p.add_argument("--grid", required=True, help="RxxRy, e.g. 64x64")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--eps", type=float, default=_stats.DEFAULT_EPS)
-
-    p = add("measure", help="Monte-Carlo torsion measure of a box")
-    p.add_argument("--box", required=True, help="x0,x1,y0,y1")
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--eps", type=float, default=_stats.DEFAULT_EPS)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("flux", help="mean vertical displacement across a circle")
-    p.add_argument("--res", type=int, default=256)
-
-    p = add("psi", help="periodic-orbit curve family")
-    p.add_argument("--rho", required=True, help="comma list of p/q")
-    p.add_argument("--res", type=int, default=256)
-    p.add_argument("--tol", type=float, default=_curves.ROOT_TOL)
-
-    p = add("probe", help="integrability probe: obstruction or curve family")
-    p.add_argument("--grid", default="64x64")
-    p.add_argument("--yrange", default="-2,2")
-    p.add_argument("--horizon", type=int, default=10000)
-    p.add_argument("--rho", default=DEFAULT_PROBE_RHOS)
-
-    p = add("rotation", help="finite-horizon rotation number")
-    p.add_argument("--point", required=True, help="x,y")
-    p.add_argument("--n", required=True, type=int)
-
-    p = add("classify", help="orbit-segment monotonicity class")
-    p.add_argument("--point", required=True, help="x,y")
-    p.add_argument("--n", required=True, type=int)
-
-    p = add("linking", help="finite-time linking of two orbits")
-    p.add_argument("--point", required=True, help="x,y")
-    p.add_argument("--point2", required=True, help="x,y")
-    p.add_argument("--n", required=True, type=int)
-
-    p = add("return-check", help="first-return torsion identity")
-    p.add_argument("--window", required=True, help="x0,x1,y0,y1")
-    p.add_argument("--point", required=True, help="x,y")
-    p.add_argument("--returns", type=int, default=1)
-
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False, help=cmd.help)
+        p.add_argument("--map", required=True, help=_FLAGS["--map"][1])
+        p.add_argument("--out", help=_FLAGS["--out"][1])
+        for flag, default in cmd.flags.items():
+            p.add_argument(flag, required=default is None, default=default, help=_FLAGS[flag][1])
     return parser
 
 
-_VALUE_FLAGS = frozenset(
-    {
-        "--map", "--out", "--point", "--point2", "--vector", "--n", "--box",
-        "--grid", "--eps", "--samples", "--seed", "--res", "--rho", "--tol",
-        "--yrange", "--horizon", "--window", "--returns",
-    }
-)
+_VALUE_FLAGS = frozenset(_FLAGS)
 
 
 def _merge_negative_values(argv: Sequence[str]) -> list[str]:
@@ -709,26 +513,59 @@ def _merge_negative_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _validate(args: argparse.Namespace, cmd: _Command) -> None:
+    """Replace each flag's text by its parsed value, then run the checks."""
+    for flag in ("--map", "--out", *cmd.flags):
+        text = getattr(args, flag[2:])
+        if text is not None:
+            try:
+                setattr(args, flag[2:], _FLAGS[flag][0](text))
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
+    if args.out is not None and not cmd.svg and _is_svg(args.out):
+        raise ValueError(f"{args.cmd} does not render SVG; use a .csv or text path")
+    if cmd.check is not None:
+        cmd.check(args)
+
+
+def _format(value) -> str:
+    """A printed value: maps by spec, floats by repr, sequences comma-joined."""
+    if isinstance(value, LiftedMap):
+        return value.to_spec()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format(v) for v in value)
+    return f"{value}"
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and return the process exit status."""
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_negative_values(argv))
+        args = _build_parser().parse_args(_merge_negative_values(argv))
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    handler = _HANDLERS[args.cmd]
+    cmd = _COMMANDS[args.cmd]
     try:
-        job = handler(args)
+        _validate(args, cmd)
     except (ValueError, OSError) as exc:
         print(f"twistlab: usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        job()
+        fields, write = cmd.call(args)
+        fields = [(flag[2:], getattr(args, flag[2:])) for flag in cmd.echo] + fields
+        text = "".join(f"{key} = {_format(value)}\n" for key, value in fields)
+        sys.stdout.write(text)
+        if args.out is not None:
+            if write is None:
+                args.out.write_text(text)
+            else:
+                write(args.out)
     except (TwistLabError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"twistlab: error: {exc}", file=sys.stderr)
         return 1

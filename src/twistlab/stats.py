@@ -74,8 +74,8 @@ class ScanConfig:
             raise ValueError("box must satisfy x0 < x1 and y0 < y1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be positive and finite")
         if self.period < 1:
             raise ValueError("period must be >= 1")
         object.__setattr__(self, "box", (x0, x1, y0, y1))
@@ -279,6 +279,23 @@ def _in_window(x: float, y: float, window: tuple[float, float, float, float]) ->
     return (x - x0) % 1.0 <= (x1 - x0) and y0 <= y <= y1
 
 
+def check_window(window, p) -> tuple[tuple[float, float, float, float], tuple[float, float]]:
+    """A first-return window and start point as floats, or ValueError.
+
+    The window's x-width must lie in (0, 1], its y-range must be
+    increasing, and the start point must lie in it.
+    """
+    x0, x1, y0, y1 = (float(v) for v in window)
+    if not (0.0 < x1 - x0 <= 1.0):
+        raise ValueError("window width in x must be in (0, 1]")
+    if not y0 < y1:
+        raise ValueError("window must satisfy y0 < y1")
+    px, py = _as_point(p)
+    if not _in_window(px, py, (x0, x1, y0, y1)):
+        raise ValueError(f"start point {(px, py)} lies outside the window")
+    return (x0, x1, y0, y1), (px, py)
+
+
 def first_return_torsion(
     map: LiftedMap,
     window: tuple[float, float, float, float],
@@ -295,18 +312,11 @@ def first_return_torsion(
     per-return angle sums divided by the total return time is checked
     against the torsion of a fresh walk of the same length.
     """
-    x0, x1, y0, y1 = (float(v) for v in window)
-    if not (0.0 < x1 - x0 <= 1.0):
-        raise ValueError("window width in x must be in (0, 1]")
-    if not y0 < y1:
-        raise ValueError("window must satisfy y0 < y1")
+    (x0, x1, y0, y1), (px, py) = check_window(window, p)
     returns = int(returns)
     cap = int(cap)
     if returns < 1 or cap < 1:
         raise ValueError("returns and cap must be >= 1")
-    px, py = _as_point(p)
-    if not _in_window(px, py, (x0, x1, y0, y1)):
-        raise ValueError(f"start point {(px, py)} lies outside the window")
     times = []
     sums = []
     last_t = 0

@@ -78,6 +78,11 @@ def angle_from_vertical(w) -> float:
         raise ValueError("angle of the zero vector is undefined")
     if not (math.isfinite(wx) and math.isfinite(wy)):
         raise ValueError("direction coordinates must be finite")
+    return _angle(wx, wy)
+
+
+def _angle(wx: float, wy: float) -> float:
+    """angle_from_vertical of a finite nonzero float pair, unchecked."""
     a = math.atan2(-wx, wy) * _INV_TWO_PI
     if a <= -0.5:
         a += 1.0
@@ -397,7 +402,9 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
         dx, dy = qx - px, qy - py
         if dx == 0.0 and dy == 0.0:
             raise CoincidentPointsError("orbits collided to machine precision")
-        th = angle_from_vertical((dx, dy))
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise ValueError("direction coordinates must be finite")
+        th = _angle(dx, dy)
         raw = th - th_prev
         rep = raw - round(raw)
         if abs(abs(rep) - 0.5) <= HALF_TURN_WARN_TOL:

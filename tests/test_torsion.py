@@ -477,6 +477,42 @@ def test_linking_validation():
     assert est.n == 10
 
 
+def linking_reference(map, p, q, n):
+    # the per-step loop through the checked public angle_from_vertical
+    px, py = p
+    qx, qy = q
+    total, flagged = 0.0, False
+    th_prev = angle_from_vertical((qx - px, qy - py))
+    for _ in range(n):
+        px, py = map.apply_scalar(px, py)
+        qx, qy = map.apply_scalar(qx, qy)
+        th = angle_from_vertical((qx - px, qy - py))
+        rep = (th - th_prev) - round(th - th_prev)
+        flagged |= abs(abs(rep) - 0.5) <= twistlab.torsion.HALF_TURN_WARN_TOL
+        total += rep
+        th_prev = th
+    return total / n, flagged
+
+
+@pytest.mark.parametrize("m", POSITIVE_TWIST_MAPS + [standard(1.5)], ids=repr)
+def test_linking_matches_checked_angle_reference(m):
+    for p, q in [((0.1, 0.0), (0.2, 0.1)), ((0.0, 0.0), (0.0, 0.5)), ((0.3, -0.2), (-0.4, 0.7))]:
+        est = linking_number(m, p, q, 300)
+        assert (est.value, est.near_half_turn) == linking_reference(m, p, q, 300)
+
+
+class _Blowup:
+    # scales x by 1e200 per step, so the second step's difference is inf - inf
+    def apply_scalar(self, x, y):
+        return x * 1e200, y
+
+
+def test_linking_non_finite_difference_raises():
+    linking_number(_Blowup(), (1.0, 0.0), (2.0, 0.0), 1)
+    with pytest.raises(ValueError, match="finite"):
+        linking_number(_Blowup(), (1.0, 0.0), (2.0, 0.0), 2)
+
+
 def test_cocycle_scan_matches_scalar_trace():
     m = standard(1.0)
     rng = np.random.default_rng(59)
