@@ -36,7 +36,14 @@ from . import curves as _curves
 from . import stats as _stats
 from .errors import TwistLabError
 from .maps import LiftedMap, parse_map_spec
-from .torsion import _as_dir, detect_overconjugate, linking_number, torsion_trace
+from .torsion import (
+    VERTICAL,
+    _as_dir,
+    _first_overconjugate,
+    detect_overconjugate,
+    linking_number,
+    torsion_trace,
+)
 
 HEATMAP_CELL_PX = 8
 HEATMAP_PAD_PX = 12
@@ -305,7 +312,11 @@ def _attrs(obj, *names: str) -> Fields:
 
 def _trace(a) -> tuple[Fields, Writer]:
     trace = torsion_trace(a.map, a.point, a.vector, a.n)
-    oc = detect_overconjugate(a.map, a.point, a.n)
+    # A vertical-start trace already holds the over-conjugate time.
+    if a.vector == VERTICAL:
+        oc = _first_overconjugate(trace.cumulative)
+    else:
+        oc = detect_overconjugate(a.map, a.point, a.n)
     fields = [("torsion", trace.torsion), ("first_overconjugate", "none" if oc is None else oc)]
     return fields, partial(_write_trace_csv, _attrs(a, "map", "point", "vector", "n"), trace)
 
@@ -364,6 +375,11 @@ def _probe(a) -> tuple[Fields, Writer]:
 def _linking(a) -> tuple[Fields, Writer]:
     est = linking_number(a.map, a.point, a.point2, a.n)
     return [("linking", est.value), ("near_half_turn", est.near_half_turn)], None
+
+
+def _distinct_points(a) -> None:
+    if a.point == a.point2:
+        raise ValueError("--point and --point2 must be distinct points")
 
 
 def _return_check(a) -> tuple[Fields, Writer]:
@@ -454,6 +470,7 @@ _COMMANDS = {
         {"--point": None, "--point2": None, "--n": None},
         _linking,
         echo=("--map", "--point", "--point2", "--n"),
+        check=_distinct_points,
     ),
     "return-check": _Command(
         "first-return torsion identity",

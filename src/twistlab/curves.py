@@ -156,6 +156,10 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0) -> np
     that fail drop out; once all nodes are done the error of the
     lowest-index failing node is raised.
     """
+    # tol = 0 is allowed: no residual beats it, so every bracket collapses
+    # and the solver's own error says so.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     m = xs.shape[0]
     errors: dict[int, Exception] = {}
     failed = np.zeros(m, dtype=bool)

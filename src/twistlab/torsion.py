@@ -11,8 +11,14 @@ lift along a tangent orbit is reconstructed one step at a time:
   rest (two directions at the same point can never drift half a turn
   apart in one step).
 
-The per-step sums (torsion), their sign structure (conjugate points), and
-a vectorized ensemble kernel all build on that single anchoring rule.
+The scalar walk, and with it the per-step sums (torsion) and their sign
+structure (conjugate points), builds on that anchoring rule.  The
+vectorized ensemble kernel, cocycle_scan, uses its consequence instead,
+the half-turn lemma: a transported direction crosses the vertical axis
+only clockwise and at most once per step, so counting the sign changes of
+its first component lifts its angle with no per-step angle at all.  An
+ensemble lane is flagged invalid where the twist fails or its orbit or
+direction leaves the float range.
 """
 
 from __future__ import annotations
@@ -120,7 +126,7 @@ def _walk(map: LiftedMap, x: float, y: float, wx: float, wy: float):
     Yields (x, y, wx, wy, delta) after each step: the image point, the
     renormalized image direction, and the step's anchored angle variation
     (see step_variation).  Endless; callers stop it.  This is the one
-    scalar copy of the anchoring rule; cocycle_scan is its array form.
+    copy of the anchoring rule; cocycle_scan lifts by crossing counts.
     """
     step = map.step_scalar
     atan2 = math.atan2
@@ -252,6 +258,26 @@ def detect_overconjugate(map: LiftedMap, p, horizon: int) -> int | None:
     raises RuntimeError since it would mean the engine miscounted.
     """
     return conjugate_report(map, p, horizon).first_overconjugate
+
+
+def _first_overconjugate(cumulative: np.ndarray) -> int | None:
+    """detect_overconjugate read off a vertical-start trace's cumulative.
+
+    The walk and its sums are the ones conjugate_report makes, so the
+    answer and the 50-step persistence re-check are the same.
+    """
+    below = cumulative < -0.5  # never at cumulative[0] = 0
+    if not below.any():
+        return None
+    first = int(np.argmax(below))
+    held = below[first : first + 51]
+    if not held.all():
+        n = first + int(np.argmin(held))
+        raise RuntimeError(
+            f"over-conjugate persistence violated at step {n} "
+            f"(cumulative {float(cumulative[n])!r}); this indicates an engine bug"
+        )
+    return first
 
 
 def detect_conjugate(
@@ -419,11 +445,12 @@ class CocycleScan:
     """Vectorized vertical-start cocycle results over an ensemble.
 
     overconj_time is -1 where the cumulative never dropped below -1/2 and
-    -2 on lanes flagged invalid (twist violation or degenerate anchor);
-    cumulative is NaN there.  n is the number of steps run: the requested
-    horizon, or fewer when the scan stopped at its first over-conjugate
-    time.  history, when requested, holds the cumulative record of those
-    steps with history[k] = cumulative after k steps.
+    -2 on lanes flagged invalid (a twist violation, or an orbit or
+    direction that left the float range); cumulative is NaN there.  n is
+    the number of steps run: the requested horizon, or fewer when the scan
+    stopped at its first over-conjugate time.  history, when requested,
+    holds the cumulative record of those steps with history[k] =
+    cumulative after k steps.
     """
 
     cumulative: np.ndarray
@@ -436,6 +463,54 @@ class CocycleScan:
     history: np.ndarray | None = None
 
 
+def _odd(wx: np.ndarray, wy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lanes whose angle_from_vertical lies in [-1/2, 0) mod 1, into out.
+
+    That is wx > 0, with the tie wx == 0 going to the downward direction,
+    whose angle is 1/2; the other half turn [0, 1/2) holds wx < 0 and the
+    upward vertical.
+    """
+    np.greater(wx, 0.0, out=out)
+    if not wx.all():
+        out |= (wx == 0.0) & (wy < 0.0)
+    return out
+
+
+def _finite(*arrays: np.ndarray) -> np.ndarray:
+    """Lanes where every array is finite."""
+    return np.logical_and.reduce([np.isfinite(a) for a in arrays])
+
+
+def _combine(p, u: np.ndarray, q, v: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = p u + q v elementwise; a factor that is the float 1.0 is not
+    multiplied, as the product would equal the other array bit for bit."""
+    np.multiply(p, u, out=out)
+    out += v if type(q) is float and q == 1.0 else np.multiply(q, v, out=tmp)
+
+
+def _lifted_angle(wx: np.ndarray, wy: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The angle of (wx, wy) in turns, lifted into [half/2, (half+1)/2].
+
+    arctan2's principal angle lies in that interval up to rounding, or a
+    whole turn away when it picks the other end of [-1/2, 1/2]; the whole
+    turn nearest the interval's middle places it.
+    """
+    a = np.arctan2(-wx, wy)
+    a *= _INV_TWO_PI
+    return a + np.rint(0.5 * half + 0.25 - a)
+
+
+def _renormalization_period(map: LiftedMap) -> int:
+    """Steps between two renormalizations of cocycle_scan's directions.
+
+    A step stretches a vector by at most g = 2 (1 + _kick_bound()), the
+    Frobenius bound of the Jacobian, and, its determinant being 1, shrinks
+    it by at most 1/g.  Within the largest r with g^r <= 1e150 the squares
+    of a unit direction's transports neither overflow nor underflow.
+    """
+    return max(1, int(150.0 / math.log10(2.0 * (1.0 + map._kick_bound()))))
+
+
 def cocycle_scan(
     map: LiftedMap,
     x: np.ndarray,
@@ -446,30 +521,36 @@ def cocycle_scan(
     keep_history: bool = False,
     stop_at_overconjugate: bool = False,
 ) -> CocycleScan:
-    """Run the anchored cocycle over many start points at once.
+    """Run the cocycle over many start points at once.
 
-    Elementwise numpy version of torsion_trace's loop (same anchoring
-    rule, same renormalization), used by the ensemble statistics and the
-    integrability probe.  Each step is one fused map evaluation
-    (LiftedMap.step_array), and the transported direction's angle is
-    carried to the next step instead of being recomputed, so positions
-    match torsion_trace bit for bit and angles to rounding.  Lanes are
-    independent: each output entry depends only on its own start point,
-    so chunked and whole-array executions produce bit-identical results.
+    Elementwise counterpart of torsion_trace, used by the ensemble
+    statistics and the integrability probe.  Each step is one fused map
+    evaluation (LiftedMap.step_array), so positions match torsion_trace
+    bit for bit.  Angles follow the half-turn lemma (see the module
+    docstring): a step only transports the directions and counts the sign
+    changes of their first component, each of which lowers the lifted
+    angle's half-turn index by one.  The cumulative angle is the final
+    direction's angle placed in its counted half turn; it matches
+    torsion_trace's sum to rounding.  The vertical start is over-conjugate
+    at its second crossing.  Directions are renormalized every
+    _renormalization_period(map) steps, as the angle ignores their length.
+    Each output entry depends only on its own lane's start point, so
+    chunked and whole-array executions produce bit-identical results.
 
     Directions default to vertical; custom directions can be passed per
     lane as wx and wy, both shaped like x, each a nonzero finite vector
-    (ValueError otherwise).  Invalid lanes (twist violation, ambiguous
-    anchor) are masked out instead of raising.
+    (ValueError otherwise).  With custom directions or keep_history the
+    angle is also lifted after every step.  Invalid lanes (a twist
+    violation at some step, or a non-finite final point or direction)
+    are masked out instead of raising.
 
     With stop_at_overconjugate the scan ends after the first step at which
-    a still-valid lane's cumulative drops below -1/2, and the result
-    covers the steps run.  As all lanes move in lockstep, that step is the
-    earliest over-conjugate time of the full scan, with one exception: a
-    lane that crosses first but would only be flagged invalid at a later
-    step counts here and not in the full scan.  Twist violations cannot
-    cause that on a positive-twist map (b is 1 throughout the catalogue);
-    only a later ambiguous anchor can.
+    a valid lane with a finite orbit becomes over-conjugate, and the
+    result covers the steps run.  As all lanes move in lockstep, that step
+    is the earliest over-conjugate time of the full scan, except when that
+    lane is only flagged invalid at a later step.  On a positive-twist map
+    (b is 1 throughout the catalogue) only an orbit that later leaves the
+    float range can do that.
     """
     n = int(n)
     if n < 1:
@@ -494,45 +575,63 @@ def cocycle_scan(
             raise ValueError("directions must be nonzero finite vectors")
         wx = wx / norm
         wy = wy / norm
+    vertical = not wx.any() and bool(np.all(wy > 0.0))
+    lift = keep_history or not vertical
     x0 = x.copy()
-    cum = np.zeros(m)
+    odd = _odd(wx, wy, np.empty(m, dtype=bool))
+    # Each lane's half-turn index: its lifted angle lies in [half/2, (half+1)/2).
+    half = -odd.astype(np.int64)
+    th0 = _lifted_angle(wx, wy, half)
     oc = np.full(m, -1, dtype=np.int64)
     valid = np.ones(m, dtype=bool)
     history = np.zeros((n + 1, m)) if keep_history else None
-    # sqrt of the sum of squares is hypot without its overflow guard; a unit
-    # direction needs that guard only for Jacobian entries beyond ~1e150.
+    # hypot guards the norm against Jacobian entries beyond ~1e150 (the
+    # period is 1 then); below that the square root of the sum of squares
+    # is safe.
     guarded = map._kick_bound() > 1e150
-    # Angles in turns, in [-1/2, 1/2]: unlike angle_from_vertical they are
-    # not wrapped off -1/2, which arctan2 can return when its first argument
-    # is a tiny negative number.  No wrap is needed, as the anchored delta
-    # raw + rint(dv - raw) does not change when raw shifts by a whole turn.
-    # Each step's image angle is carried over as the next step's start angle.
-    th0 = np.arctan2(0.0 - wx, wy) * _INV_TWO_PI
-    for step in range(1, n + 1):
-        x, y, a, b, c, d = map.step_array(x, y)
-        valid &= b > 0.0
-        iwx = a * wx + b * wy
-        iwy = c * wx + d * wy
-        dv = np.arctan2(-b, d) * _INV_TWO_PI
-        th1 = np.arctan2(0.0 - iwx, iwy) * _INV_TWO_PI
-        raw = th1 - th0
-        delta = raw + np.rint(dv - raw)
-        valid &= np.abs(delta - dv) < 0.5 - ANCHOR_TOL
-        cum += delta
-        crossed = (oc == -1) & (cum < -0.5)
-        np.copyto(oc, step, where=crossed)
-        norm = np.hypot(iwx, iwy) if guarded else np.sqrt(iwx * iwx + iwy * iwy)
-        wx = iwx / norm
-        wy = iwy / norm
-        th0 = th1
-        if keep_history:
-            history[step] = cum
-        if stop_at_overconjugate and np.any(crossed & valid):
-            n = step
-            if keep_history:
-                history = history[: n + 1]
-            break
-    cum = np.where(valid, cum, np.nan)
+    period = _renormalization_period(map)
+    iwx, iwy, tmp = np.empty(m), np.empty(m), np.empty(m)
+    odd1, flip, crossed = (np.empty(m, dtype=bool) for _ in range(3))
+    # Orbits that leave the float range turn to inf and NaN quietly; the
+    # finite tests below flag them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n + 1):
+            x, y, a, b, c, d = map.step_array(x, y)
+            # b comes back as a float where the twist entry is constant
+            if np.ndim(b) or not b > 0.0:
+                valid &= b > 0.0
+            _combine(a, wx, b, wy, iwx, tmp)
+            _combine(c, wx, d, wy, iwy, tmp)
+            wx, iwx, wy, iwy = iwx, wx, iwy, wy
+            if step % period == 0:
+                norm = np.hypot(wx, wy) if guarded else np.sqrt(wx * wx + wy * wy)
+                wx /= norm
+                wy /= norm
+            _odd(wx, wy, odd1)
+            np.not_equal(odd1, odd, out=flip)
+            half -= flip
+            odd, odd1 = odd1, odd
+            if lift:
+                cum = _lifted_angle(wx, wy, half) - th0
+                if keep_history:
+                    history[step] = cum
+            if vertical:
+                # the second crossing, when the half-turn index reaches -2
+                np.equal(half, -2, out=crossed)
+                crossed &= flip
+            else:
+                np.less(cum, -0.5, out=crossed)
+                crossed &= oc == -1
+            np.copyto(oc, step, where=crossed)
+            if stop_at_overconjugate and crossed.any():
+                hit = np.flatnonzero(crossed & valid)
+                if _finite(x[hit], y[hit], wx[hit], wy[hit]).any():
+                    n = step
+                    if keep_history:
+                        history = history[: n + 1]
+                    break
+        valid &= _finite(x, y, wx, wy)
+        cum = np.where(valid, _lifted_angle(wx, wy, half) - th0, np.nan)
     oc = np.where(valid, oc, -2)
     displacement = np.where(valid, x - x0, np.nan)
     if keep_history:
@@ -547,3 +646,4 @@ def cocycle_scan(
         n=n,
         history=history,
     )
+

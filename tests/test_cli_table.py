@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import twistlab.stats
-from twistlab import GridMode, ScanConfig
+from twistlab import GridMode, LiftedMap, ScanConfig, detect_overconjugate, parse_map_spec
 from twistlab.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -257,6 +257,48 @@ def test_bad_return_window_is_usage_error(capsys, monkeypatch, window, point):
     assert code == 2
     assert out == "" and "usage error" in err
     assert calls == []
+
+
+def test_coincident_linking_points_are_usage_error(capsys):
+    # exited 1 from inside linking_number
+    for point2 in ("0,0", "-0,0", "0.0,-0.0"):
+        argv = ["linking", "--map", "shear", "--point", "0,0", "--point2", point2, "--n", "10"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == "" and "usage error: --point and --point2" in err
+
+
+# ------------------------------------------------------ trace walks once
+
+
+def test_vertical_trace_walks_the_orbit_once(capsys, monkeypatch):
+    # the over-conjugate time comes from the trace itself: 500 steps, not 1000
+    calls = [0]
+    step = LiftedMap.step_scalar
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return step(self, x, y)
+
+    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
+    argv = ["trace", "--map", "std:k=0", "--point", "0.1,0.2", "--n", "500"]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0 and "first_overconjugate = none\n" in out
+    assert calls[0] == 500
+
+
+@pytest.mark.parametrize("vector", ["0,1", "0,3", "1,2"])
+@pytest.mark.parametrize(
+    "spec, point",
+    [("std:k=1", "0.02,0"), ("std:k=1.5", "0.3,0.1"), ("std:k=0.5", "0.5,0"),
+     ("shear", "0.3,0.5"), ("genfun:a1=0.02,a2=-0.007", "0.1,0.2")],
+)
+def test_trace_overconjugate_matches_detector(capsys, spec, point, vector):
+    argv = ["trace", "--map", spec, "--point", point, "--vector", vector, "--n", "200"]
+    code, out, _ = run_capture(capsys, argv)
+    oc = detect_overconjugate(parse_map_spec(spec), tuple(map(float, point.split(","))), 200)
+    assert code == 0
+    assert f"first_overconjugate = {'none' if oc is None else oc}\n" in out
 
 
 # ---------------------------------------------------------------- README

@@ -2,6 +2,7 @@
 closed-form characteristic curves of the catalogue."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from twistlab import (
     periodic_curve,
     psi1,
     psi1_curve,
+    psi_family,
     psi_minus1,
     psi_minus1_curve,
     region_x,
@@ -266,3 +268,28 @@ def test_characteristic_curves_closed_form(m):
     assert np.max(np.abs(lower.ys - kick_force(m, lower.xs))) < 2 * ROOT_TOL
     drift = m.params[0] if m.family == "drift" else 0.0
     assert np.max(np.abs(upper.ys - drift)) < 2 * ROOT_TOL
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -1e-300])
+def test_solver_rejects_a_bad_tol(tol):
+    # tol=inf returned unsolved roots (residual 1.23), nan returned too, and
+    # -1 failed later with a bracket error naming the tolerance
+    calls = [
+        lambda: psi_family(standard(0.5), [Fraction(0), Fraction(1, 2)], resolution=16, tol=tol),
+        lambda: psi1(standard(0.5), 0.25, tol),
+        lambda: flux(drift_shear(0.25), 16, tol),
+        lambda: periodic_curve(standard(0.5), 1, 2, 8, tol),
+        lambda: region_x(standard(0.5), "plus", 8, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite"):
+            call()
+
+
+def test_solver_tol_zero_collapses_every_bracket():
+    # no residual is below 0, so bisection ends on the collapsed bracket,
+    # as the per-node reference does (test_solver_errors_match_reference)
+    with pytest.raises(BracketExpansionError, match="bracket collapsed"):
+        psi1(standard(0.5), 0.25, 0.0)
+    with pytest.raises(BracketExpansionError, match="bracket collapsed"):
+        _solve_roots(lambda x, y: y - x, np.array([0.1, 0.3]), 0.0)

@@ -621,3 +621,27 @@ def test_cocycle_scan_stop_ignores_invalid_lanes(monkeypatch):
     scan = cocycle_scan(standard(0.0), xs, ys, 20, keep_history=True, stop_at_overconjugate=True)
     assert scan.n == 20
     assert scan.overconj_time.tolist() == [-2, -1, -1]
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 1.5])
+def test_first_overconjugate_read_off_the_trace(k):
+    # the trace's vertical-start cumulative gives the detector's answer
+    m = standard(k)
+    rng = np.random.default_rng(int(k * 10) + 7)
+    for _ in range(40):
+        p = tuple(rng.uniform([0.0, -0.5], [1.0, 0.5]))
+        tr = torsion_trace(m, p, n=120)
+        got = twistlab.torsion._first_overconjugate(tr.cumulative)
+        assert got == detect_overconjugate(m, p, 120)
+
+
+def test_first_overconjugate_rechecks_persistence():
+    first = twistlab.torsion._first_overconjugate
+    assert first(np.array([0.0, -0.3, -0.5, -0.6, -0.9])) == 3
+    assert first(np.array([0.0, -0.3, -0.4])) is None
+    # a climb back above -1/2 within 50 steps is an engine bug; later it is not checked
+    with pytest.raises(RuntimeError, match="persistence violated at step 3"):
+        first(np.array([0.0, -0.6, -0.7, -0.4]))
+    late = np.full(60, -0.6)
+    late[0], late[-1] = 0.0, 0.0
+    assert first(late) == 1
