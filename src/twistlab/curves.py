@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketExpansionError, NonMonotoneBracketError
+from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
 from .maps import LiftedMap, _as_point, iterate
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -309,14 +309,20 @@ def flux(map: LiftedMap, resolution: int = 256, tol: float = 1e-12) -> float:
 
 
 def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
-    """Average p1 displacement per step over `horizon` steps."""
+    """Average p1 displacement per step over `horizon` steps.
+
+    An orbit that leaves the float range raises NonFiniteOrbitError.
+    """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     x0, y0 = _as_point(p)
     x, y = x0, y0
-    for _ in range(horizon):
-        x, y = map.apply_scalar(x, y)
+    try:
+        for n in range(1, horizon + 1):
+            x, y = map.apply_scalar(x, y)
+    except (ArithmeticError, ValueError) as exc:
+        raise NonFiniteOrbitError.at((x0, y0), n) from exc
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 

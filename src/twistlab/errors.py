@@ -14,12 +14,26 @@ class TwistViolationError(TwistLabError):
 
 
 class DegenerateAnchorError(TwistLabError):
-    """The anchored angle representative is ambiguous.
+    """An angle lift was ambiguous.
 
-    The one-step variation of a direction is pinned to within half a turn
-    of the vertical direction's variation.  If the two classes differ by
-    almost exactly half a turn the input is ill-conditioned.
+    Kept for callers that catch it; nothing raises it any more.  Walks
+    lift angles by counting the transported direction's crossings of the
+    vertical axis, which the half-turn lemma leaves unambiguous.
     """
+
+
+class NonFiniteOrbitError(TwistLabError, ValueError):
+    """An orbit, or a direction or Jacobi field carried along it, left the
+    float range.
+
+    The message names the step by which the values stopped being finite.
+    It is also a ValueError, the class of math's own non-finite failures.
+    """
+
+    @classmethod
+    def at(cls, start, step: int) -> "NonFiniteOrbitError":
+        """The error for the orbit of start, found non-finite at step."""
+        return cls(f"orbit of {start} left the float range by step {step}: not finite")
 
 
 class BracketExpansionError(TwistLabError):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationCapError
+from .errors import IterationCapError, NonFiniteOrbitError
 
 TWO_PI = 2.0 * math.pi
 
@@ -446,21 +446,25 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
     """Orbit segment [p, F(p), ..., F^n(p)] as an (|n|+1, 2) array.
 
     Negative n walks the inverse map.  Raises IterationCapError when |n|
-    exceeds cap.
+    exceeds cap, and NonFiniteOrbitError when the orbit leaves the float
+    range.
     """
     n = int(n)
     if abs(n) > cap:
         raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {cap}")
-    x, y = _as_point(p)
+    start = x, y = _as_point(p)
     length = abs(n)
     out = np.empty((length + 1, 2))
-    out[0] = (x, y)
+    out[0] = start
     step = map.apply_scalar if n >= 0 else map.apply_inverse_scalar
     for i in range(1, length + 1, BLOCK):
         rows = []
-        for _ in range(min(BLOCK, length + 1 - i)):
-            x, y = step(x, y)
-            rows.append((x, y))
+        try:
+            for _ in range(min(BLOCK, length + 1 - i)):
+                x, y = step(x, y)
+                rows.append((x, y))
+        except (ArithmeticError, ValueError) as exc:
+            raise NonFiniteOrbitError.at(start, i + len(rows)) from exc
         out[i : i + len(rows)] = rows
     return out
 

@@ -2,39 +2,34 @@
 
 Everything here measures how the derivative of a positive twist map turns
 half-line directions, in turns (full revolutions).  The continuous angle
-lift along a tangent orbit is reconstructed one step at a time:
+lift along a tangent orbit rests on one fact, the half-turn lemma: the
+image of the vertical tilts strictly rightward, so a transported direction
+crosses the vertical axis only clockwise and at most once per step.  Each
+crossing flips the sign of the direction's first component and lowers its
+half-turn index by one; the lifted angle is the direction's principal
+angle placed in that half turn.  No angle is anchored or compared.
 
-* the vertical direction's one-step variation lies in (-1/2, 0) for a
-  positive twist map, which pins its lift outright;
-* any other direction's one-step variation is the representative of its
-  angle class lying within half a turn of the vertical's, which pins the
-  rest (two directions at the same point can never drift half a turn
-  apart in one step).
-
-The scalar walk, and with it the per-step sums (torsion) and their sign
-structure (conjugate points), builds on that anchoring rule.  The
-vectorized ensemble kernel, cocycle_scan, uses its consequence instead,
-the half-turn lemma: a transported direction crosses the vertical axis
-only clockwise and at most once per step, so counting the sign changes of
-its first component lifts its angle with no per-step angle at all.  An
-ensemble lane is flagged invalid where the twist fails or its orbit or
-direction leaves the float range.
+The scalar walk lifts this way one step at a time, and with it the
+per-step sums (torsion) and their sign structure (conjugate points); the
+vectorized ensemble kernel, cocycle_scan, lifts the same way per lane,
+taking an angle only where one is read.  A scalar walk whose orbit leaves
+the float range raises NonFiniteOrbitError naming the step; an ensemble
+lane is flagged invalid there, or where the twist fails.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
-from .errors import CoincidentPointsError, DegenerateAnchorError, TwistViolationError
+from .errors import CoincidentPointsError, NonFiniteOrbitError, TwistViolationError
 from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
-ANCHOR_TOL = 1e-9
 HALF_TURN_WARN_TOL = 1e-6
 
 _INV_TWO_PI = 1.0 / TWO_PI
@@ -99,10 +94,9 @@ def vertical_step_variation(map: LiftedMap, p) -> float:
     """One-step angle variation of the vertical direction at p, in turns.
 
     For a positive twist map the image of the vertical tilts strictly
-    rightward, so the variation has a unique representative in (-1/2, 0);
-    that representative is returned.  A non-positive (1,2) Jacobian entry
-    raises TwistViolationError.  This is step_variation of the vertical,
-    whose anchor is its own variation.
+    rightward, so the variation lies in (-1/2, 0).  A non-positive (1,2)
+    Jacobian entry raises TwistViolationError.  This is step_variation of
+    the vertical.
     """
     return step_variation(map, p, VERTICAL)
 
@@ -110,10 +104,10 @@ def vertical_step_variation(map: LiftedMap, p) -> float:
 def step_variation(map: LiftedMap, p, w) -> float:
     """One-step angle variation of direction w at p, in turns.
 
-    The representative of the class angle(DF w) - angle(w) is anchored
-    within half a turn of vertical_step_variation(map, p), which places it
-    in (-1, 1/2).  An anchor gap within ANCHOR_TOL of half a turn raises
-    DegenerateAnchorError (orientation preservation forbids exactly 1/2).
+    The lift of the class angle(DF w) - angle(w): the image crosses the
+    vertical axis at most once, clockwise, so the variation is the
+    difference of the two principal angles once each is placed in its half
+    turn (see _walk).  It lies in (-1, 1/2).
     """
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
@@ -124,39 +118,47 @@ def _walk(map: LiftedMap, x: float, y: float, wx: float, wy: float):
     """Transport the unit direction (wx, wy) along the orbit of (x, y).
 
     Yields (x, y, wx, wy, delta) after each step: the image point, the
-    renormalized image direction, and the step's anchored angle variation
-    (see step_variation).  Endless; callers stop it.  This is the one
-    copy of the anchoring rule; cocycle_scan lifts by crossing counts.
+    renormalized image direction, and the step's angle variation.  Endless;
+    callers stop it.  The lift is cocycle_scan's: the half-turn index drops
+    by one at each sign change of the direction's first component (the tie
+    wx == 0 going to the downward side, as in _odd), and the principal
+    angle of each image is placed in that half turn by the whole turn j
+    nearest the half turn's middle; delta is the step of the placed angle.
+    An orbit that leaves the float range raises NonFiniteOrbitError.
     """
     step = map.step_scalar
     atan2 = math.atan2
     hypot = math.hypot
-    while True:
-        x1, y1, a, b, c, d = step(x, y)
-        if b <= 0.0:
-            raise TwistViolationError(
-                f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
-            )
-        iwx = a * wx + b * wy
-        iwy = c * wx + d * wy
-        dv = atan2(-b, d) * _INV_TWO_PI
-        th0 = atan2(-wx, wy) * _INV_TWO_PI
-        if th0 <= -0.5:
-            th0 += 1.0
-        th1 = atan2(-iwx, iwy) * _INV_TWO_PI
-        if th1 <= -0.5:
-            th1 += 1.0
-        raw = th1 - th0
-        delta = raw + round(dv - raw)
-        if abs(delta - dv) >= 0.5 - ANCHOR_TOL:
-            raise DegenerateAnchorError(
-                f"step variation of {(wx, wy)} at {(x, y)} sits {delta - dv:+.3e} turns "
-                "from the vertical step: anchored representative is ambiguous"
-            )
-        x, y = x1, y1
-        norm = hypot(iwx, iwy)
-        wx, wy = iwx / norm, iwy / norm
-        yield x, y, wx, wy, delta
+    start = (x, y)
+    th0 = _angle(wx, wy)
+    odd = wx > 0.0 if wx else wy < 0.0
+    # the middle of the half turn the lifted angle lies in
+    mid = -0.25 if odd else 0.25
+    j0 = round(mid - th0)
+    try:
+        for n in count(1):
+            x1, y1, a, b, c, d = step(x, y)
+            if b <= 0.0:
+                raise TwistViolationError(
+                    f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
+                )
+            iwx = a * wx + b * wy
+            iwy = c * wx + d * wy
+            th1 = atan2(-iwx, iwy) * _INV_TWO_PI
+            if th1 <= -0.5:
+                th1 += 1.0
+            if (iwx > 0.0 if iwx else iwy < 0.0) is not odd:
+                odd = not odd
+                mid -= 0.5
+            j1 = round(mid - th1)
+            delta = (th1 - th0) + (j1 - j0)
+            th0, j0 = th1, j1
+            x, y = x1, y1
+            norm = hypot(iwx, iwy)
+            wx, wy = iwx / norm, iwy / norm
+            yield x, y, wx, wy, delta
+    except (ArithmeticError, ValueError) as exc:
+        raise NonFiniteOrbitError.at(start, n) from exc
 
 
 @dataclass
@@ -318,8 +320,8 @@ def conjugate_report(
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     x, y = _as_point(p)
     over = over_cum = hit = None
     until = horizon
@@ -369,29 +371,36 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
     one-index bracketing slack.
 
     Only families with a generating function qualify (shear, standard,
-    genfun, not inverted); the drift map is not exact and has none.
+    genfun, not inverted); the drift map is not exact and has none.  An
+    orbit or Jacobi field that leaves the float range raises
+    NonFiniteOrbitError.
     """
     horizon = int(horizon)
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     if map.twist_sign != 1 or map.family == DRIFT:
         raise ValueError(f"map {map.to_spec()!r} has no generating function")
-    x, y = _as_point(p)
+    start = x, y = _as_point(p)
     step = map.step_scalar
     xi_prev = 0.0
     x, y, _, xi, _, _ = step(x, y)
-    for n in range(2, horizon + 1):
-        # (x, y) holds the point n-1; the step to xi_n reads V'' there,
-        # the c entry of the Jacobian.
-        x, y, _, _, vsecond, _ = step(x, y)
-        xi_next = (2.0 + vsecond) * xi - xi_prev
-        if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
-            return n
-        scale = abs(xi_next)
-        if scale > 1e100:
-            xi_next /= scale
-            xi = xi / scale
-        xi_prev, xi = xi, xi_next
+    try:
+        for n in range(2, horizon + 1):
+            # (x, y) holds the point n-1; the step to xi_n reads V'' there,
+            # the c entry of the Jacobian.
+            x, y, _, _, vsecond, _ = step(x, y)
+            xi_next = (2.0 + vsecond) * xi - xi_prev
+            if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
+                return n
+            scale = abs(xi_next)
+            if scale > 1e100:
+                if scale == math.inf:
+                    raise OverflowError("the Jacobi field overflowed")
+                xi_next /= scale
+                xi = xi / scale
+            xi_prev, xi = xi, xi_next
+    except (ArithmeticError, ValueError) as exc:
+        raise NonFiniteOrbitError.at(start, n) from exc
     return None
 
 
@@ -410,7 +419,8 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     Each per-step angle class takes its representative in (-1/2, 1/2);
     that is only faithful while the difference vector turns less than
     half a turn per step, so any step landing within HALF_TURN_WARN_TOL
-    of the boundary sets near_half_turn.  Coincident points are rejected.
+    of the boundary sets near_half_turn.  Coincident points are rejected,
+    and orbits that leave the float range raise NonFiniteOrbitError.
     """
     n = int(n)
     if n < 1:
@@ -422,14 +432,17 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     total = 0.0
     flagged = False
     th_prev = angle_from_vertical((qx - px, qy - py))
-    for _ in range(n):
+    start = (px, py), (qx, qy)
+    for i in range(1, n + 1):
         px, py = map.apply_scalar(px, py)
         qx, qy = map.apply_scalar(qx, qy)
         dx, dy = qx - px, qy - py
         if dx == 0.0 and dy == 0.0:
             raise CoincidentPointsError("orbits collided to machine precision")
+        # a point that leaves the float range makes the difference
+        # non-finite at once, so no step is taken from it
         if not (math.isfinite(dx) and math.isfinite(dy)):
-            raise ValueError("direction coordinates must be finite")
+            raise NonFiniteOrbitError.at(start, i)
         th = _angle(dx, dy)
         raw = th - th_prev
         rep = raw - round(raw)

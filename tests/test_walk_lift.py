@@ -1,0 +1,222 @@
+"""The scalar walk's crossing-count lift against the anchored walk it
+replaced, its exact ties, and orbits that leave the float range."""
+
+import math
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistlab import (
+    DegenerateAnchorError,
+    NonFiniteOrbitError,
+    TwistViolationError,
+    asymptotic_torsion,
+    classify_monotonicity,
+    conjugate_report,
+    detect_conjugate,
+    detect_overconjugate,
+    drift_shear,
+    first_return_torsion,
+    generating_function,
+    iterate,
+    jacobi_conjugate_oracle,
+    linking_number,
+    rotation_number,
+    shear,
+    standard,
+    step_variation,
+    torsion_trace,
+)
+from twistlab.cli import run
+from twistlab.maps import TWO_PI
+from twistlab.torsion import _INV_TWO_PI, _walk
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
+
+# The anchored walk's tolerance.
+ANCHOR_TOL = 1e-9
+
+
+def anchored_walk(map, x, y, wx, wy):
+    """The walk this lift replaced: three atan2 per step, the step anchored
+    within half a turn of the vertical's own step."""
+    step = map.step_scalar
+    while True:
+        x1, y1, a, b, c, d = step(x, y)
+        if b <= 0.0:
+            raise TwistViolationError(f"twist entry {b!r} <= 0")
+        iwx = a * wx + b * wy
+        iwy = c * wx + d * wy
+        dv = math.atan2(-b, d) * _INV_TWO_PI
+        th0 = math.atan2(-wx, wy) * _INV_TWO_PI
+        if th0 <= -0.5:
+            th0 += 1.0
+        th1 = math.atan2(-iwx, iwy) * _INV_TWO_PI
+        if th1 <= -0.5:
+            th1 += 1.0
+        raw = th1 - th0
+        delta = raw + round(dv - raw)
+        if abs(delta - dv) >= 0.5 - ANCHOR_TOL:
+            raise DegenerateAnchorError(f"step variation sits {delta - dv:+.3e} from the vertical's")
+        x, y = x1, y1
+        norm = math.hypot(iwx, iwy)
+        wx, wy = iwx / norm, iwy / norm
+        yield x, y, wx, wy, delta
+
+
+def bits(v):
+    return float(v).hex()
+
+
+POSITIVE = [
+    shear(),
+    drift_shear(0.25),
+    standard(0.5),
+    standard(1.0),
+    standard(1.5),
+    generating_function(0.02, -0.007),
+    generating_function(0.03, 0.0, 0.001),
+]
+maps = st.one_of(
+    st.sampled_from(POSITIVE + [standard(1e6), standard(1e200)]),
+    st.floats(min_value=0.0, max_value=6.0).map(standard),
+    st.floats(min_value=-0.5, max_value=0.5).map(drift_shear),
+)
+directions = st.one_of(
+    st.just((0.0, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda t: (math.cos(TWO_PI * t), math.sin(TWO_PI * t))),
+)
+
+
+@PROPERTY
+@given(
+    m=maps,
+    x=st.floats(min_value=-(2.0**40), max_value=2.0**40),
+    y=st.floats(min_value=-1.0, max_value=1.0),
+    w=directions,
+    n=st.integers(min_value=1, max_value=3000),
+)
+def test_walk_matches_anchored_reference(m, x, y, w, n):
+    assert_walk_matches_reference(m, x, y, w, n)
+
+
+@pytest.mark.parametrize("m", POSITIVE + [standard(6.0), standard(1e6), standard(1e200)],
+                         ids=lambda m: m.to_spec())
+def test_long_walk_matches_anchored_reference(m):
+    for x, y, w in [(0.37, -0.21, (0.0, 1.0)), (2.0**40 + 0.3, 0.45, (0.6, -0.8)),
+                    (-(2.0**40) + 0.7, -0.9, (-0.28, 0.96))]:
+        assert_walk_matches_reference(m, x, y, w, 3000)
+
+
+def assert_walk_matches_reference(m, x, y, w, n):
+    norm = math.hypot(*w)
+    wx, wy = w[0] / norm, w[1] / norm
+    got = list(islice(_walk(m, x, y, wx, wy), n))
+    want = list(islice(anchored_walk(m, x, y, wx, wy), n))
+    cum = ref_cum = 0.0
+    for k, (g, r) in enumerate(zip(got, want)):
+        # the orbit and its directions do not depend on the lift
+        assert [bits(v) for v in g[:4]] == [bits(v) for v in r[:4]]
+        if k == 0:
+            assert bits(g[4]) == bits(r[4])
+        assert abs(g[4] - r[4]) <= 1e-15
+        cum += g[4]
+        ref_cum += r[4]
+        assert abs(cum - ref_cum) <= 1e-12
+    assert bits(step_variation(m, (x, y), (wx, wy))) == bits(want[0][4])
+
+
+@pytest.mark.parametrize("w", [(-1.0, 1.0), (1.0, -1.0)])
+def test_exact_tie_after_one_step(w):
+    # the shear sends (-1, 1) to (0, 1) exactly and (1, -1) to (0, -1): the
+    # tie wx == 0 takes the side of angle_from_vertical's 0 and 1/2
+    m = shear()
+    tr = torsion_trace(m, (0.0, 0.0), w, 6)
+    assert tr.directions[1][0] == 0.0
+    assert tr.steps[0] == -0.125
+    norm = math.hypot(*w)
+    ref = [r[4] for r in islice(anchored_walk(m, 0.0, 0.0, w[0] / norm, w[1] / norm), 6)]
+    assert tr.steps.tolist() == pytest.approx(ref, abs=1e-15)
+    # the shear turns (n, 1) w by atan(n) - atan(n - 1) with n counted from the tie
+    start = 0.125 if w[1] > 0 else -0.375
+    for k in range(1, 7):
+        want = -math.atan(k - 1) / TWO_PI - (0.0 if w[1] > 0 else 0.5)
+        assert tr.cumulative[k] == pytest.approx(want - start, abs=1e-15)
+
+
+def test_exact_half_turn_is_not_overconjugate():
+    # At the std:k=2 fixed point (0, 0) the vertical points straight down
+    # after step 2, with cumulative exactly -1/2, which is not below -1/2.
+    m = standard(2.0)
+    tr = torsion_trace(m, (0.0, 0.0), n=6)
+    assert tr.cumulative[2] == -0.5 and tuple(tr.directions[2]) == (0.0, -1.0)
+    assert detect_overconjugate(m, (0.0, 0.0), 6) == 3
+
+
+# ------------------------------------------------ orbits leaving the float range
+
+HUGE = standard(1e308)
+START = (0.3, 0.0)
+
+ENTRY_POINTS = {
+    "iterate": lambda: iterate(HUGE, START, 50),
+    "iterate_inverse": lambda: iterate(HUGE, START, -50),
+    "rotation_number": lambda: rotation_number(HUGE, START, 50),
+    "torsion_trace": lambda: torsion_trace(HUGE, START, n=50),
+    "asymptotic_torsion": lambda: asymptotic_torsion(HUGE, START, 50, 10),
+    "conjugate_report": lambda: conjugate_report(HUGE, START, 50),
+    "first_return_torsion": lambda: first_return_torsion(HUGE, (0.0, 1.0, -1.0, 1.0), START, 5, 50),
+    "classify_monotonicity": lambda: classify_monotonicity(HUGE, START, 50),
+    "linking_number": lambda: linking_number(HUGE, START, (0.4, 0.0), 50),
+}
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_leaving_the_float_range_is_named(call):
+    with pytest.raises(NonFiniteOrbitError, match=r"left the float range by step \d+"):
+        call()
+
+
+def test_walk_names_the_step_it_fails_at():
+    walk = _walk(HUGE, *START, 0.0, 1.0)
+    points = [p[0] for p in islice(walk, 12)]
+    assert all(map(math.isfinite, points[:-1])) and math.isinf(points[-1])
+    with pytest.raises(NonFiniteOrbitError, match="by step 13") as info:
+        next(walk)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_jacobi_oracle_names_leaving_the_float_range():
+    # a kick so strong that the orbit overflows with no sign change of xi
+    with pytest.raises(NonFiniteOrbitError, match="by step 31") as info:
+        jacobi_conjugate_oracle(generating_function(-1e306), (0.0, 0.25), 1000)
+    assert isinstance(info.value.__cause__, OverflowError)
+    # V'' is 1.6e62 at F(p) and 3.9e301 at F^2(p): xi goes 1, 1.6e62, inf
+    # (unchecked, xi turns NaN there and the oracle answers None)
+    with pytest.raises(NonFiniteOrbitError, match="by step 3"):
+        jacobi_conjugate_oracle(generating_function(-1e300, 1e60), (0.0, 0.25), 50)
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--map", "std:k=1e308", "--point", "0.3,0", "--n", "50"],
+    ["rotation", "--map", "std:k=1e308", "--point", "0.3,0", "--n", "50"],
+    ["linking", "--map", "std:k=1e308", "--point", "0.3,0", "--point2", "0.4,0", "--n", "50"],
+])
+def test_cli_names_leaving_the_float_range(capsys, argv):
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("twistlab: error: orbit of (")
+    assert "left the float range by step" in err
+
+
+def test_detectors_reject_a_non_finite_tol():
+    # with tol = inf every step reads as vertical
+    assert detect_conjugate(standard(1.0), (0.02, 0.0), 100) == (4, 1)
+    for tol in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            conjugate_report(standard(1.0), (0.02, 0.0), 100, tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            detect_conjugate(standard(1.0), (0.02, 0.0), 100, tol)
