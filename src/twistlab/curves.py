@@ -323,6 +323,8 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
             x, y = map.apply_scalar(x, y)
     except (ArithmeticError, ValueError) as exc:
         raise NonFiniteOrbitError.at((x0, y0), n) from exc
+    if not (math.isfinite(x) and math.isfinite(y)):  # shear and drift carry inf on
+        raise NonFiniteOrbitError.at((x0, y0), horizon)
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 

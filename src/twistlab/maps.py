@@ -22,17 +22,16 @@ Every kick term is a multiple of sin or cos of 2pi s with s = i x.  Both
 come from one exact range reduction of s, s - floor(s), whose cost does
 not grow with |s| (see _kick).  The sin and cos of a harmonic share that
 reduction, so step_scalar/step_array return the image and the Jacobian of
-one step from it, and apply_*/jacobian_* are the same step with one half
-left out.
+one step from it; apply_* leave the cos out, and jacobian_* read the
+Jacobian off the step.
 
-Floats and arrays take two routes through the same arithmetic.  Arrays go
-through one body, LiftedMap._step over _kick_arr.  Floats go through four
-kernels per map (step, apply, apply-inverse, Jacobian), closures built
-once at construction by _scalar_kernels with the family, the direction and
-the parts fixed: a single first harmonic (every standard map) shares one
-fold closure and evaluates only the sines a kernel needs, several
-harmonics call _kick, and shear and drift are one line each.  Both routes
-agree bit for bit.
+One builder, _kernels, makes each map's kernels once at construction, for
+floats and for arrays.  It picks a kick (V', V'') and a slope (V' alone)
+for the input: _kick_arr on arrays, _kick on floats with several
+harmonics, _kick's loop body unrolled for a single first harmonic (every
+standard map).  Over them each direction's step and image are written
+once.  Shear and drift are one line each.  Floats and arrays agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -122,103 +121,82 @@ def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
     return vp, w
 
 
-def _scalar_kernels(family: str, params, harmonics, forward: bool):
-    """(step, image, jacobian) float kernels of one map going forward or back.
+def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
+    """(step, image) kernels of one map going forward or back.
 
-    Each is _step's arithmetic with the family, the direction and the parts
-    fixed; step returns (x1, y1, a, b, c, d).
+    step returns (x1, y1, a, b, c, d), image (x1, y1); both take floats, or
+    arrays when arrays is set.  Jacobian entries that do not depend on the
+    point are floats.
     """
     if not harmonics:
         jac = (1.0, 1.0, 0.0, 1.0) if forward else (1.0, -1.0, -0.0, 1.0)
-        c0 = params[0] if family == DRIFT else None
-        if family == SHEAR and forward:
-            step, image = (lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y))
-        elif family == SHEAR:
-            step, image = (lambda x, y: (x - y, y, *jac)), (lambda x, y: (x - y, y))
-        elif forward:
-            step, image = (lambda x, y: (x + y, y + c0, *jac)), (lambda x, y: (x + y, y + c0))
-        else:
-            step = lambda x, y: (x - y + c0, y - c0, *jac)
-            image = lambda x, y: (x - y + c0, y - c0)
-        return step, image, lambda x, y: jac
-
-    if len(harmonics) > 1:
+        if family == DRIFT:
+            c = params[0]
+            if forward:
+                return (lambda x, y: (x + y, y + c, *jac)), (lambda x, y: (x + y, y + c))
+            return (lambda x, y: (x - y + c, y - c, *jac)), (lambda x, y: (x - y + c, y - c))
+        if arrays:  # +y copies y, so no output array is an input array
+            image = (lambda x, y: (x + y, +y)) if forward else (lambda x, y: (x - y, +y))
+            return (lambda x, y: (*image(x, y), *jac)), image
         if forward:
-            def step(x, y):
-                vp, w = _kick(x, harmonics, True, True)
-                y1 = y + vp
-                return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+            return (lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y))
+        return (lambda x, y: (x - y, y, *jac)), (lambda x, y: (x - y, y))
 
-            def image(x, y):
-                y1 = y + _kick(x, harmonics, True, False)[0]
-                return x + y1, y1
+    # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.
+    if arrays:
+        kick = lambda x: _kick_arr(x, harmonics, True, True)
+        slope = lambda x: _kick_arr(x, harmonics, True, False)[0]
+    elif len(harmonics) > 1:
+        kick = lambda x: _kick(x, harmonics, True, True)
+        slope = lambda x: _kick(x, harmonics, True, False)[0]
+    else:
+        # One first harmonic: _kick's loop body, unrolled.  Each closure
+        # folds on its own; a shared fold would cost a call per step.
+        ((_, p, q),) = harmonics
+        floor, sin = math.floor, math.sin
 
-            def jacobian(x, y):
-                w = _kick(x, harmonics, False, True)[1]
-                return 1.0 + w, 1.0, w, 1.0
-        else:
-            def step(x, y):
-                kx = x - y
-                vp, w = _kick(kx, harmonics, True, True)
-                return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
+        def kick(x):
+            u = x - floor(x)
+            turn = TWO_PI
+            if u >= 0.5:
+                u -= 0.5
+                turn = -TWO_PI
+            vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
+            return vp, 0.0 - q * sin(turn * (0.25 - u))
 
-            def image(x, y):
-                kx = x - y
-                return kx, y - _kick(kx, harmonics, True, False)[0]
+        def slope(x):
+            u = x - floor(x)
+            turn = TWO_PI
+            if u >= 0.5:
+                u -= 0.5
+                turn = -TWO_PI
+            return 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
 
-            def jacobian(x, y):
-                w = _kick(x - y, harmonics, False, True)[1]
-                return 1.0, -1.0, -w, 1.0 + w
-        return step, image, jacobian
-
-    # One first harmonic: _kick's loop body, unrolled.
-    ((_, p, q),) = harmonics
-    floor, sin = math.floor, math.sin
-
-    def fold(x):
-        """_kick's range reduction: u in [0, 1/2] and the signed full turn."""
-        u = x - floor(x)
-        if u >= 0.5:
-            return u - 0.5, -TWO_PI
-        return u, TWO_PI
-
+    # The kick acts at the base map's x: x itself going forward, the
+    # preimage x - y going back, where the Jacobian is the inverse of the
+    # base Jacobian at the preimage (det = 1).
     if forward:
         def step(x, y):
-            u, turn = fold(x)
-            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-            w = 0.0 - q * sin(turn * (0.25 - u))
+            vp, w = kick(x)
+            y1 = y + vp
             return x + y1, y1, 1.0 + w, 1.0, w, 1.0
 
         def image(x, y):
-            u, turn = fold(x)
-            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+            y1 = y + slope(x)
             return x + y1, y1
-
-        def jacobian(x, y):
-            u, turn = fold(x)
-            w = 0.0 - q * sin(turn * (0.25 - u))
-            return 1.0 + w, 1.0, w, 1.0
     else:
         def step(x, y):
             kx = x - y
-            u, turn = fold(kx)
-            y1 = y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-            w = 0.0 - q * sin(turn * (0.25 - u))
-            return kx, y1, 1.0, -1.0, -w, 1.0 + w
+            vp, w = kick(kx)
+            return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
 
         def image(x, y):
             kx = x - y
-            u, turn = fold(kx)
-            return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-
-        def jacobian(x, y):
-            u, turn = fold(x - y)
-            w = 0.0 - q * sin(turn * (0.25 - u))
-            return 1.0, -1.0, -w, 1.0 + w
-    return step, image, jacobian
+            return kx, y - slope(kx)
+    return step, image
 
 
-_KERNEL_ATTRS = frozenset({"_step_k", "_apply_k", "_apply_inverse_k", "_jacobian_k"})
+_KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_step_array_k", "_apply_array_k")
 
 
 def _as_point(p) -> tuple[float, float]:
@@ -285,14 +263,16 @@ class LiftedMap:
         self._bind_kernels()
 
     def _bind_kernels(self) -> None:
-        """Store the four scalar kernels (see Kicks) on the instance."""
-        forward = self.twist_sign == 1
+        """Bind step, apply, apply-inverse on floats, step, apply on arrays."""
         args = (self.family, self.params, self._harmonics)
-        step, apply, jacobian = _scalar_kernels(*args, forward)
-        object.__setattr__(self, "_step_k", step)
-        object.__setattr__(self, "_apply_k", apply)
-        object.__setattr__(self, "_apply_inverse_k", _scalar_kernels(*args, not forward)[1])
-        object.__setattr__(self, "_jacobian_k", jacobian)
+        forward = self.twist_sign == 1
+        kernels = (
+            *_kernels(*args, forward, False),
+            _kernels(*args, not forward, False)[1],
+            *_kernels(*args, forward, True),
+        )
+        for name, kernel in zip(_KERNEL_ATTRS, kernels):
+            object.__setattr__(self, name, kernel)
 
     # Closures do not pickle: state leaves the kernels out and loading
     # rebuilds them.
@@ -325,42 +305,9 @@ class LiftedMap:
         """Swap the map with its inverse (negative-twist test fixture)."""
         return LiftedMap(self.family, self.params, -self.twist_sign)
 
-    # -- the kicked step -----------------------------------------------------
-
     def _kick_bound(self) -> float:
         """An upper bound on |V''|; every Jacobian entry is at most 1 + this."""
         return math.fsum(abs(q) for _, _, q in self._harmonics)
-
-    def _step(self, x, y, forward, image, jacobian):
-        """The image (x1, y1), the Jacobian (a, b, c, d), or both in that order.
-
-        The body behind every array method; _scalar_kernels runs the same
-        arithmetic on floats.  forward=False steps the inverse.  Jacobian
-        entries that do not depend on the point come back as floats.
-        """
-        harmonics = self._harmonics
-        # The kick acts at the base map's x: x itself going forward, the
-        # preimage x - y going backward.
-        kx = x if forward else x - y
-        vp, w = _kick_arr(kx, harmonics, image, jacobian) if harmonics else (0.0, 0.0)
-        out = ()
-        if image:
-            if harmonics:
-                if forward:
-                    y1 = y + vp
-                    out = (x + y1, y1)
-                else:
-                    out = (kx, y - vp)
-            elif self.family == SHEAR:
-                out = (x + y if forward else kx), +y  # +y copies the array
-            else:
-                c0 = self.params[0]
-                out = (x + y, y + c0) if forward else (x - y + c0, y - c0)
-        if jacobian:
-            # Going backward: the inverse of the base Jacobian at the
-            # preimage (det = 1).
-            out += (1.0 + w, 1.0, w, 1.0) if forward else (1.0, -1.0, -w, 1.0 + w)
-        return out
 
     # -- scalar path ---------------------------------------------------------
 
@@ -384,7 +331,7 @@ class LiftedMap:
         Columns are the images of the horizontal and vertical directions.
         None of the catalogue Jacobians depend on y.
         """
-        return self._jacobian_k(x, y)
+        return self._step_k(x, y)[2:]
 
     # -- array path ----------------------------------------------------------
 
@@ -395,17 +342,15 @@ class LiftedMap:
         a and b for an inverted map, all four for shear/drift) come back
         as floats, which numpy broadcasts.
         """
-        return self._step(x, y, self.twist_sign == 1, True, True)
+        return self._step_array_k(x, y)
 
     def apply_array(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Elementwise application of the lift to coordinate arrays."""
-        return self._step(x, y, self.twist_sign == 1, True, False)
+        return self._apply_array_k(x, y)
 
-    def jacobian_array(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def jacobian_array(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
         """Elementwise Jacobian entries (a, b, c, d) over coordinate arrays."""
-        entries = self._step(x, y, self.twist_sign == 1, False, True)
+        entries = self.step_array(x, y)[2:]
         return tuple(np.full(np.shape(x), e) if isinstance(e, float) else e for e in entries)
 
     # -- public point API ---------------------------------------------------
@@ -466,7 +411,16 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
         except (ArithmeticError, ValueError) as exc:
             raise NonFiniteOrbitError.at(start, i + len(rows)) from exc
         out[i : i + len(rows)] = rows
+        _check_finite(out[i : i + len(rows)], start, i)
     return out
+
+
+def _check_finite(rows: np.ndarray, start, step: int) -> None:
+    """Raise NonFiniteOrbitError at the first row of rows (steps step,
+    step + 1, ... of the orbit of start) that is not finite.  Shear and drift
+    carry inf on without raising, so walks check each block of rows once."""
+    if not np.isfinite(rows).all():
+        raise NonFiniteOrbitError.at(start, step + int(np.argmin(np.isfinite(rows).all(axis=1))))
 
 
 @dataclass(frozen=True)
@@ -539,29 +493,32 @@ def parse_map_spec(spec: str) -> LiftedMap:
     head, sep, tail = spec.partition(":")
     if not sep or not tail:
         raise ValueError(f"malformed map spec {spec!r}")
-    fields = {}
+    fields = []
     for item in tail.split(","):
         key, eq, val = item.partition("=")
         if not eq:
             raise ValueError(f"malformed parameter {item!r} in map spec {spec!r}")
         try:
-            fields[key.strip()] = float(val)
+            fields.append((key.strip(), float(val)))
         except ValueError:
             raise ValueError(f"non-numeric value {val!r} in map spec {spec!r}") from None
+    keys = [key for key, _ in fields]
     if head == "drift":
-        if set(fields) != {"c"}:
-            raise ValueError("drift spec takes exactly the parameter c")
-        return LiftedMap.drift_shear(fields["c"])
+        if keys != ["c"]:
+            raise ValueError("drift spec takes the parameter c exactly once")
+        return LiftedMap.drift_shear(fields[0][1])
     if head == "std":
-        if set(fields) != {"k"}:
-            raise ValueError("std spec takes exactly the parameter k")
-        return LiftedMap.standard(fields["k"])
+        if keys != ["k"]:
+            raise ValueError("std spec takes the parameter k exactly once")
+        return LiftedMap.standard(fields[0][1])
     if head == "genfun":
         coeffs: dict[int, float] = {}
-        for key, val in fields.items():
+        for key, val in fields:
             if not (len(key) > 1 and key[0] == "a" and key[1:].isdigit() and int(key[1:]) >= 1):
                 raise ValueError(f"genfun parameters look like a1=..., got {key!r}")
             coeffs[int(key[1:])] = val
+        if len(coeffs) < len(fields):
+            raise ValueError(f"a genfun coefficient is repeated in map spec {spec!r}")
         top = max(coeffs)
         return LiftedMap.generating_function(*(coeffs.get(i, 0.0) for i in range(1, top + 1)))
     raise ValueError(f"unknown map family {head!r}")

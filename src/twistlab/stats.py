@@ -330,29 +330,17 @@ def first_return_torsion(
             last_t, last_cum = t, cum
             if len(times) >= returns:
                 break
-    complete = len(times) >= returns
-    if not times:
-        return FirstReturnReport(
-            window=(x0, x1, y0, y1),
-            point=(px, py),
-            return_times=(),
-            angle_sums=(),
-            total_steps=0,
-            torsion_ratio=None,
-            torsion_direct=None,
-            identity_gap=None,
-            complete=False,
-            cap=cap,
-        )
     total = sum(times)
-    phi = math.fsum(sums)
-    ratio = phi / total
-    direct = asymptotic_torsion(map, (px, py), total, total).value
-    gap = abs(phi - direct * total)
-    if gap > 1e-12 * total:
-        raise RuntimeError(
-            f"return-sum identity violated: gap {gap!r} over {total} steps"
-        )
+    ratio = direct = gap = None
+    if times:
+        phi = math.fsum(sums)
+        ratio = phi / total
+        direct = asymptotic_torsion(map, (px, py), total, total).value
+        gap = abs(phi - direct * total)
+        if gap > 1e-12 * total:
+            raise RuntimeError(
+                f"return-sum identity violated: gap {gap!r} over {total} steps"
+            )
     return FirstReturnReport(
         window=(x0, x1, y0, y1),
         point=(px, py),
@@ -362,7 +350,7 @@ def first_return_torsion(
         torsion_ratio=ratio,
         torsion_direct=direct,
         identity_gap=gap,
-        complete=complete,
+        complete=len(times) >= returns,
         cap=cap,
     )
 

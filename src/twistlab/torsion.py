@@ -26,7 +26,7 @@ from itertools import count, islice
 import numpy as np
 
 from .errors import CoincidentPointsError, NonFiniteOrbitError, TwistViolationError
-from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point
+from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_finite
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -207,6 +207,7 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
     for i in range(1, n + 1, BLOCK):
         k = min(BLOCK, n + 1 - i)
         table[i : i + k, :5] = list(islice(walk, k))
+        _check_finite(table[i : i + k, :5], (x, y), i)
     # np.cumsum's ufunc: a sequential sum, equal to the running sum bit for bit
     np.add.accumulate(table[1:, 4], out=table[1:, 5])
     return TorsionTrace(table[1:, 4], table[:, 5], table[:, 0:2], table[:, 2:4])

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import (
-    DegenerateAnchorError,
+    NonFiniteOrbitError,
+    TwistViolationError,
     cocycle_scan,
     drift_shear,
     generating_function,
@@ -113,7 +114,8 @@ def assert_scan_matches_trace(m, xs, ys, n):
     scan = cocycle_scan(m, xs, ys, n)
     for i, p in enumerate(zip(xs, ys)):
         if not scan.valid[i]:
-            with pytest.raises(DegenerateAnchorError):
+            # what flags a lane invalid makes the walk raise
+            with pytest.raises((TwistViolationError, NonFiniteOrbitError)):
                 torsion_trace(m, p, n=n)
             continue
         tr = torsion_trace(m, p, n=n)
@@ -151,3 +153,12 @@ def test_scan_matches_scalar_trace_with_huge_kick():
     ys = np.array([0.2, -0.3, 0.0, 0.45])
     scan = assert_scan_matches_trace(standard(1e200), xs, ys, 4)
     assert scan.valid.all()
+
+
+def test_scan_invalid_lanes_match_a_raising_trace():
+    """std:k=1e308, 50 steps: lanes that leave the float range are invalid
+    in the scan, and the walk from them raises; the fixed point stays valid."""
+    xs = np.array([0.1, 0.3, 0.37, 0.62, 0.9, 0.0])
+    ys = np.array([0.2, 0.0, -0.3, 0.0, 0.45, 0.0])
+    scan = assert_scan_matches_trace(standard(1e308), xs, ys, 50)
+    assert scan.valid.tolist() == [False] * 5 + [True]

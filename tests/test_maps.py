@@ -232,6 +232,16 @@ def test_array_paths_match_scalar():
             assert (ja[i], jb[i], jc[i], jd[i]) == (sa, sb, sc, sd)
 
 
+@pytest.mark.parametrize(
+    "m", ALL_MAPS + [m.inverted() for m in ALL_MAPS], ids=lambda m: m.to_spec()
+)
+def test_array_images_are_new_arrays(m):
+    # shear leaves y as it is: its array image must still be a copy
+    xs, ys = np.array([0.3, -1.25]), np.array([0.1, 2.0])
+    for out in (*m.apply_array(xs, ys), *m.step_array(xs, ys)[:2]):
+        assert not np.shares_memory(out, xs) and not np.shares_memory(out, ys)
+
+
 def test_parse_map_spec_grammar():
     assert parse_map_spec("shear").family == "shear"
     m = parse_map_spec("drift:c=0.25")
@@ -253,6 +263,9 @@ def test_parse_map_spec_grammar():
         "genfun:b1=2",
         "genfun:a0=1",
         "std",
+        "std:k=1,k=2",
+        "genfun:a1=1,a01=2",
+        "drift:c=1,c=1",
     ],
 )
 def test_parse_map_spec_rejects(bad):

@@ -170,6 +170,15 @@ ENTRY_POINTS = {
     "first_return_torsion": lambda: first_return_torsion(HUGE, (0.0, 1.0, -1.0, 1.0), START, 5, 50),
     "classify_monotonicity": lambda: classify_monotonicity(HUGE, START, 50),
     "linking_number": lambda: linking_number(HUGE, START, (0.4, 0.0), 50),
+    # shear and drift steps carry inf on without raising: rotation_number
+    # checks after its loop, iterate and torsion_trace once per block
+    "rotation_number_drift": lambda: rotation_number(drift_shear(0.25), (1e308, 1.7e308), 5),
+    "rotation_number_shear": lambda: rotation_number(shear(), (1e308, 1e308), 5),
+    "iterate_shear": lambda: iterate(shear(), (1e308, 1e308), 5),
+    "iterate_inverse_shear": lambda: iterate(shear(), (1e308, -1e308), -5),
+    "iterate_drift": lambda: iterate(drift_shear(0.25), (1e308, 1.7e308), 5),
+    "torsion_trace_shear": lambda: torsion_trace(shear(), (1e308, 1e308), n=5),
+    "torsion_trace_drift": lambda: torsion_trace(drift_shear(0.25), (1e308, 1.7e308), n=5),
 }
 
 
@@ -177,6 +186,25 @@ ENTRY_POINTS = {
 def test_leaving_the_float_range_is_named(call):
     with pytest.raises(NonFiniteOrbitError, match=r"left the float range by step \d+"):
         call()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_block_check_names_the_first_non_finite_step(sign):
+    # x grows like c n^2 / 2: it overflows in the second block of rows
+    m = drift_shear(3.4e302)
+    step = m.apply_scalar if sign > 0 else m.apply_inverse_scalar
+    x, y, first = 0.0, 0.0, None
+    for n in range(1, 3000):
+        x, y = step(x, y)
+        if not math.isfinite(x):
+            first = n
+            break
+    assert 1024 < first < 2048
+    with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
+        iterate(m, (0.0, 0.0), sign * 3000)
+    if sign > 0:
+        with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
+            torsion_trace(m, (0.0, 0.0), n=3000)
 
 
 def test_walk_names_the_step_it_fails_at():
@@ -203,6 +231,8 @@ def test_jacobi_oracle_names_leaving_the_float_range():
     ["trace", "--map", "std:k=1e308", "--point", "0.3,0", "--n", "50"],
     ["rotation", "--map", "std:k=1e308", "--point", "0.3,0", "--n", "50"],
     ["linking", "--map", "std:k=1e308", "--point", "0.3,0", "--point2", "0.4,0", "--n", "50"],
+    ["rotation", "--map", "drift:c=0.25", "--point", "1e308,1.7e308", "--n", "5"],
+    ["trace", "--map", "shear", "--point", "1e308,1e308", "--n", "5"],
 ])
 def test_cli_names_leaving_the_float_range(capsys, argv):
     assert run(argv) == 1
