@@ -13,9 +13,10 @@ validation, the printing and the ``--out`` dispatch derive from them.
 
 Exit status is 0 on success, 2 on a usage error (bad flags, unknown map
 family, unwritable output path; all checked before any computation), and
-1 when the engine raises.  Floats are emitted with repr everywhere so
-that output files and printed summaries are byte-deterministic and
-round-trip exactly.
+1 when the engine raises.  Printed values and CSV files go through the
+one record format of ``stats``: ``format_value`` prints every value
+(floats by repr) and ``write_table`` writes every CSV, so output files
+and printed summaries are byte-deterministic and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 from . import curves as _curves
 from . import stats as _stats
 from .errors import TwistLabError
-from .maps import LiftedMap, parse_map_spec
+from .maps import parse_map_spec
+from .stats import format_value, write_table
 from .torsion import (
     VERTICAL,
     _as_dir,
@@ -282,23 +284,15 @@ def _svg_or_csv(svg: Callable[[Path], None], csv: Callable[[Path], None]) -> Wri
 
 
 def _curves_writer(curves: Sequence[_curves.PeriodicCurve], meta: Fields) -> Writer:
-    text = {key: _format(value) for key, value in meta}
-    return _svg_or_csv(
-        partial(render_curves, curves), partial(_curves.write_curves_csv, curves, metadata=text)
-    )
-
-
-def _write_csv(path: Path, meta: Fields, header: str, rows: list[str]) -> None:
-    """# key=value metadata lines, then the header and the rows."""
-    lines = [f"# {key}={_format(value)}" for key, value in meta] + [header, *rows]
-    path.write_text("\n".join(lines) + "\n")
+    csv = partial(_curves.write_curves_csv, curves, metadata=dict(meta))
+    return _svg_or_csv(partial(render_curves, curves), csv)
 
 
 def _write_trace_csv(head: Fields, trace, path: Path) -> None:
     deltas = [""] + [repr(d) for d in trace.steps.tolist()]
     records = zip(trace.points.tolist(), deltas, trace.cumulative.tolist())
     rows = [f"{k},{x!r},{y!r},{d},{c!r}" for k, ((x, y), d, c) in enumerate(records)]
-    _write_csv(path, head, "step,x,y,delta,cumulative", rows)
+    write_table(path, head, "step,x,y,delta,cumulative", rows)
 
 
 # -- engine calls -------------------------------------------------------------
@@ -327,9 +321,9 @@ def _scan_config(a, mode) -> None:
 
 def _scan(a) -> tuple[Fields, Writer]:
     result = _stats.torsion_field(a.map, a.cfg)
+    config = dict(a.cfg.fields())
     fields = [
-        ("mode", _stats._mode_metadata(a.cfg)["mode"]),
-        *_attrs(a.cfg, "horizon", "eps"),
+        *((key, config[key]) for key in ("mode", "horizon", "eps")),
         *result.summary_fields(),
         ("lanes", result.count),
     ]
@@ -362,12 +356,13 @@ def _probe(a) -> tuple[Fields, Writer]:
             *_attrs(family, "max_root_residual", "monotone_ok"),
         ]
         return fields, _curves_writer(family.curves, meta)
-    rows = [] if report.witness is None else [f"{_format(report.witness)},{report.witness_time}"]
+    witness = report.witness
+    rows = [] if witness is None else [f"{format_value(witness)},{report.witness_time}"]
 
     def write(path: Path) -> None:
         if _is_svg(path):
             raise ValueError("no curve family to render for this verdict")
-        _write_csv(path, meta, "x,y,overconj_time", rows)
+        write_table(path, meta, "x,y,overconj_time", rows)
 
     return fields, write
 
@@ -545,17 +540,6 @@ def _validate(args: argparse.Namespace, cmd: _Command) -> None:
         cmd.check(args)
 
 
-def _format(value) -> str:
-    """A printed value: maps by spec, floats by repr, sequences comma-joined."""
-    if isinstance(value, LiftedMap):
-        return value.to_spec()
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(_format(v) for v in value)
-    return f"{value}"
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, dispatch, and return the process exit status."""
     if argv is None:
@@ -576,7 +560,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         fields, write = cmd.call(args)
         fields = [(flag[2:], getattr(args, flag[2:])) for flag in cmd.echo] + fields
-        text = "".join(f"{key} = {_format(value)}\n" for key, value in fields)
+        text = "".join(f"{key} = {format_value(value)}\n" for key, value in fields)
         sys.stdout.write(text)
         if args.out is not None:
             if write is None:

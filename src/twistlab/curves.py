@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
 from .maps import LiftedMap, _as_point, iterate
+from .stats import write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
 ROOT_TOL = 1e-10
@@ -334,7 +335,6 @@ def periodic_curve(
     q: int,
     resolution: int = 256,
     tol: float = ROOT_TOL,
-    fix_tol: float = FIX_RESIDUAL_TOL,
     bracket_samples: int = 9,
 ) -> PeriodicCurve:
     """Graph of the rotation-p/q section: roots of p1(F^q(x, y)) = x + p.
@@ -343,9 +343,10 @@ def periodic_curve(
     increasing (F^q keeps tilting verticals rightward only in the absence
     of conjugate points); a decrease raises NonMonotoneBracketError.  The
     second-coordinate residual |p2(F^q(x, y)) - y| certifies that the
-    section is actually fixed by F^q - (p, 0); when it exceeds fix_tol the
-    curve is returned with fixed_ok = False rather than raised, since a
-    non-exact map legitimately produces a non-fixed section.
+    section is actually fixed by F^q - (p, 0); when it exceeds
+    FIX_RESIDUAL_TOL the curve is returned with fixed_ok = False rather
+    than raised, since a non-exact map legitimately produces a non-fixed
+    section.
     """
     p = int(p)
     q = int(q)
@@ -358,7 +359,7 @@ def periodic_curve(
     ys, xq, yq = _sections(map, xs, p, q, tol, bracket_samples)
     root_res = np.abs(xq - xs - p)
     fix_res = np.abs(yq - ys)
-    fixed_ok = bool(np.max(fix_res) <= fix_tol)
+    fixed_ok = bool(np.max(fix_res) <= FIX_RESIDUAL_TOL)
     return PeriodicCurve(
         xs=xs,
         ys=ys,
@@ -387,7 +388,6 @@ def psi_family(
     rationals: Sequence,
     resolution: int = 256,
     tol: float = ROOT_TOL,
-    fix_tol: float = FIX_RESIDUAL_TOL,
 ) -> PsiFamily:
     """Build periodic curves for a sorted list of rationals and check order.
 
@@ -400,12 +400,7 @@ def psi_family(
         raise ValueError("need at least one rotation number")
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rotation numbers must be sorted and pairwise distinct")
-    curves = tuple(
-        periodic_curve(
-            map, r.numerator, r.denominator, resolution, tol, fix_tol
-        )
-        for r in rhos
-    )
+    curves = tuple(periodic_curve(map, r.numerator, r.denominator, resolution, tol) for r in rhos)
     violations = []
     for (ra, ca), (rb, cb) in zip(zip(rhos, curves), zip(rhos[1:], curves[1:])):
         bad = int(np.count_nonzero(ca.ys >= cb.ys))
@@ -419,7 +414,7 @@ def psi_family(
     )
 
 
-def classify_monotonicity(map: LiftedMap, p, horizon: int, zero_tol: float = 1e-12) -> str:
+def classify_monotonicity(map: LiftedMap, p, horizon: int) -> str:
     """Classify the horizontal behaviour of the orbit of p over [-N, N].
 
     Orbits of a map without conjugate points move horizontally in one of
@@ -429,6 +424,7 @@ def classify_monotonicity(map: LiftedMap, p, horizon: int, zero_tol: float = 1e-
     the sampled segment (single vertical-start pass from F^{-N}(p) over
     2N steps); if one fires the classification is not valid and
     "undetermined" is returned.  Fixed points are reported as "fixed".
+    Steps shorter than 1e-12 count as stationary.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -442,7 +438,7 @@ def classify_monotonicity(map: LiftedMap, p, horizon: int, zero_tol: float = 1e-
     if detect_overconjugate(map, tuple(back[-1]), 2 * horizon) is not None:
         return UNDETERMINED
     d = np.diff(seg[:, 0])
-    signs = np.where(d > zero_tol, 1, np.where(d < -zero_tol, -1, 0))
+    signs = np.where(d > 1e-12, 1, np.where(d < -1e-12, -1, 0))
     runs: list[int] = []
     for s in signs:
         if not runs or runs[-1] != s:
@@ -472,15 +468,11 @@ def integrability_probe(
         Fraction(1, 2),
         Fraction(1),
     ),
-    tol: float = ROOT_TOL,
-    fix_tol: float = FIX_RESIDUAL_TOL,
-    flux_resolution: int = 256,
-    flux_tol: float = FLUX_TOL,
     curve_resolution: int = 256,
 ) -> ProbeReport:
     """One-sided test for a phase space foliated by invariant circles.
 
-    Order of business: a non-exact map (|flux| > flux_tol) gets
+    Order of business: a non-exact map (|flux| > FLUX_TOL) gets
     NOT_APPLICABLE; an over-conjugate point anywhere on the grid within
     the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness
     (the grid scan stops at the step it appears, lowest index first);
@@ -491,7 +483,7 @@ def integrability_probe(
     y0, y1 = float(y_range[0]), float(y_range[1])
     if nx < 1 or ny < 1 or not y0 < y1:
         raise ValueError("grid must be positive and y_range increasing")
-    fl = flux(map, flux_resolution)
+    fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,
         flux=fl,
@@ -499,7 +491,7 @@ def integrability_probe(
         y_range=(y0, y1),
         horizon=int(horizon),
     )
-    if abs(fl) > flux_tol:
+    if abs(fl) > FLUX_TOL:
         return report
     gx = (np.arange(nx) + 0.5) / nx
     gy = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
@@ -515,24 +507,20 @@ def integrability_probe(
         report.witness_time = t_min
         return report
     report.verdict = VERDICT_NO_OBSTRUCTION
-    report.family = psi_family(map, rationals, curve_resolution, tol, fix_tol)
+    report.family = psi_family(map, rationals, curve_resolution)
     return report
 
 
 def write_curves_csv(curves: Sequence[PeriodicCurve], path, metadata: dict | None = None) -> None:
     """Serialize curves as CSV: columns x, y, residual, label.
 
-    Metadata key=value pairs go into #-prefixed comment lines ahead of the
-    header so the file is self-describing.  Floats are written with repr
-    so parsing the file back reproduces them bit for bit.
+    Metadata pairs go into the # key=value lines ahead of the header
+    (stats.write_table) so the file is self-describing.  Floats are
+    written with repr so parsing the file back reproduces them bit for bit.
     """
-    lines = []
-    for key, val in (metadata or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append("x,y,residual,label")
-    for curve in curves:
-        for x, y, r in zip(curve.xs, curve.ys, curve.residuals):
-            lines.append(f"{float(x)!r},{float(y)!r},{float(r)!r},{curve.label}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    rows = [
+        f"{x!r},{y!r},{r!r},{curve.label}"
+        for curve in curves
+        for x, y, r in zip(curve.xs.tolist(), curve.ys.tolist(), curve.residuals.tolist())
+    ]
+    write_table(path, (metadata or {}).items(), "x,y,residual,label", rows)

@@ -418,7 +418,8 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
 def _check_finite(rows: np.ndarray, start, step: int) -> None:
     """Raise NonFiniteOrbitError at the first row of rows (steps step,
     step + 1, ... of the orbit of start) that is not finite.  Shear and drift
-    carry inf on without raising, so walks check each block of rows once."""
+    carry inf on without raising, so walks check each block of rows, or
+    their last point, once."""
     if not np.isfinite(rows).all():
         raise NonFiniteOrbitError.at(start, step + int(np.argmin(np.isfinite(rows).all(axis=1))))
 
@@ -449,13 +450,8 @@ def _halton(samples: int, base: int) -> np.ndarray:
     return out
 
 
-def twist_check(
-    map: LiftedMap,
-    samples: int = 1000,
-    seed: int = 0,
-    y_halfwidth: float = 3.0,
-) -> TwistReport:
-    """Sample the (1,2) Jacobian entry over [0,1] x [-Y, Y].
+def twist_check(map: LiftedMap, samples: int = 1000, seed: int = 0) -> TwistReport:
+    """Sample the (1,2) Jacobian entry over [0,1] x [-3, 3].
 
     Uses a Halton set in bases 2 and 3, shifted mod 1 by a seeded uniform
     offset, so low-probability sign regions are hit with far fewer samples
@@ -466,7 +462,7 @@ def twist_check(
         raise ValueError("samples must be >= 1")
     shift = np.random.default_rng(seed).random(2)
     xs = (_halton(samples, 2) + shift[0]) % 1.0
-    ys = (2.0 * ((_halton(samples, 3) + shift[1]) % 1.0) - 1.0) * y_halfwidth
+    ys = (2.0 * ((_halton(samples, 3) + shift[1]) % 1.0) - 1.0) * 3.0
     _, b, _, _ = map.jacobian_array(xs, ys)
     i_min = int(np.argmin(b))
     bad = np.flatnonzero(b <= 0.0)

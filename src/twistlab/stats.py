@@ -6,17 +6,21 @@ rng.random((samples, 2)) draw of a seeded PCG64 generator, so record i is
 the same numbers on every run.  Lane computations are elementwise, which
 makes chunked and whole-array executions bit-identical, and summaries are
 reduced in fixed index order.
+
+Every file twistlab writes has one record format, owned here: ``# key=value``
+lines, a header, then the rows.  ``format_value`` prints each value (floats
+by repr, so they round-trip bit for bit) and ``write_table`` writes the file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point, parse_map_spec
+from .maps import LiftedMap, _as_point, _check_finite, parse_map_spec
 from .torsion import _walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
@@ -85,6 +89,15 @@ class ScanConfig:
         x0, x1, y0, y1 = self.box
         return (x1 - x0) * (y1 - y0)
 
+    def fields(self) -> list[tuple[str, object]]:
+        """The config as (name, value) pairs, as the scan CSV records it."""
+        if isinstance(self.mode, GridMode):
+            mode = f"grid:{self.mode.nx}x{self.mode.ny}"
+        else:
+            mode = f"montecarlo:samples={self.mode.samples},seed={self.mode.seed}"
+        return [("box", self.box), ("horizon", self.horizon), ("eps", self.eps),
+                ("period", self.period), ("mode", mode)]
+
 
 def sample_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sample coordinates for a config, in the documented record order."""
@@ -105,7 +118,8 @@ class MeasureEstimate:
     """Summary statistics of a torsion sample.
 
     fraction_negative estimates the measure fraction with torsion below
-    -eps; stderr is the binomial standard error of that indicator.
+    -eps; stderr is the binomial standard error of that indicator.  An
+    empty sample has nan estimates and count 0.
     """
 
     fraction_negative: float
@@ -120,7 +134,7 @@ class MeasureEstimate:
         t = np.asarray(torsion, dtype=float)
         n = t.size
         if n == 0:
-            raise ValueError("cannot summarize an empty sample")
+            return MeasureEstimate(math.nan, math.nan, math.nan, math.nan, 0, eps)
         neg = float(np.count_nonzero(t < -eps)) / n
         nonzero = float(np.count_nonzero(np.abs(t) > eps)) / n
         return MeasureEstimate(
@@ -160,16 +174,10 @@ class ScanResult:
         return MeasureEstimate.from_torsion(self.torsion[self.valid], self.config.eps)
 
     def summary_fields(self) -> list[tuple[str, float | int]]:
-        """The summary as (name, value) pairs, ending with count.
-
-        A scan with no valid lane has no summary: its estimates are nan
-        and its count is 0.
-        """
-        estimates = ("fraction_negative", "fraction_nonzero", "mean_torsion", "stderr")
-        if not self.valid.any():
-            return [(key, math.nan) for key in estimates] + [("count", 0)]
+        """The summary as (name, value) pairs, ending with count."""
         s = self.summary
-        return [(key, getattr(s, key)) for key in estimates + ("count",)]
+        keys = ("fraction_negative", "fraction_nonzero", "mean_torsion", "stderr", "count")
+        return [(key, getattr(s, key)) for key in keys]
 
 
 def _chunks(total: int, chunk_size: int | None) -> Iterator[slice]:
@@ -233,19 +241,20 @@ class IntegralEstimate:
 
 
 def torsion_integral(map: LiftedMap, cfg: ScanConfig) -> IntegralEstimate:
-    """Box-area times the sample mean of horizon-N torsion."""
+    """Box-area times the sample mean of horizon-N torsion.
+
+    With no valid sample the value is nan, and so is the stderr with
+    fewer than two.
+    """
     if not isinstance(cfg.mode, MonteCarloMode):
         raise ValueError("torsion_integral needs a montecarlo-mode config")
     result = torsion_field(map, cfg)
     t = result.torsion[result.valid]
-    if t.size == 0:
-        raise ValueError("no valid samples")
+    n = int(t.size)
     area = cfg.area
-    if t.size < 2:
-        stderr = float("nan")
-    else:
-        stderr = area * float(np.std(t, ddof=1)) / math.sqrt(t.size)
-    return IntegralEstimate(value=area * float(np.mean(t)), stderr=stderr, count=int(t.size))
+    value = area * float(np.mean(t)) if n else math.nan
+    stderr = area * float(np.std(t, ddof=1)) / math.sqrt(n) if n > 1 else math.nan
+    return IntegralEstimate(value=value, stderr=stderr, count=n)
 
 
 @dataclass
@@ -310,7 +319,8 @@ def first_return_torsion(
     walk yields a partial report with complete = False (and no identity
     data when nothing returned).  For the full report, the sum of
     per-return angle sums divided by the total return time is checked
-    against the torsion of a fresh walk of the same length.
+    against the torsion of a fresh walk of the same length.  An orbit that
+    leaves the float range raises NonFiniteOrbitError.
     """
     (x0, x1, y0, y1), (px, py) = check_window(window, p)
     returns = int(returns)
@@ -330,6 +340,7 @@ def first_return_torsion(
             last_t, last_cum = t, cum
             if len(times) >= returns:
                 break
+    _check_finite(np.array([(xt, yt)]), (px, py), t)
     total = sum(times)
     ratio = direct = gap = None
     if times:
@@ -355,51 +366,53 @@ def first_return_torsion(
     )
 
 
-# -- CSV serialization -------------------------------------------------------
+# -- the record format -------------------------------------------------------
 
 
-def _mode_metadata(cfg: ScanConfig) -> dict[str, str]:
-    x0, x1, y0, y1 = cfg.box
-    meta = {
-        "box": f"{x0!r},{x1!r},{y0!r},{y1!r}",
-        "horizon": str(cfg.horizon),
-        "eps": repr(cfg.eps),
-        "period": str(cfg.period),
-    }
-    if isinstance(cfg.mode, GridMode):
-        meta["mode"] = f"grid:{cfg.mode.nx}x{cfg.mode.ny}"
-    else:
-        meta["mode"] = f"montecarlo:samples={cfg.mode.samples},seed={cfg.mode.seed}"
-    return meta
+def format_value(value) -> str:
+    """A written value: maps by spec, floats by repr, sequences comma-joined."""
+    if isinstance(value, LiftedMap):
+        return value.to_spec()
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ",".join(format_value(v) for v in value)
+    return str(value)
 
 
-def write_scan_csv(result: ScanResult, path) -> None:
-    """Serialize a scan: metadata and summary as # lines, then records.
+def write_table(
+    path, meta: Iterable[tuple[str, object]], header: str, rows: Iterable[str]
+) -> None:
+    """Write a record file: a # key=value line per pair, the header, the rows.
 
-    Columns are x, y, torsion, overconj_time (empty when not detected, -2
-    on invalid lanes), rotation.  Floats are written with repr so a parse
-    round-trips bit for bit.  A scan with no valid lane is written with nan
-    estimates and count=0 (see ScanResult.summary_fields).
+    path is a file path or an open text file.  rows are whole lines,
+    already formatted.
     """
-    lines = [f"# map={result.map_spec}"]
-    for key, val in _mode_metadata(result.config).items():
-        lines.append(f"# {key}={val}")
-    for key, val in result.summary_fields():
-        lines.append(f"# {key}={val!r}")
-    lines.append("x,y,torsion,overconj_time,rotation")
-    oc = result.overconj_time
-    for i in range(result.count):
-        oc_field = "" if oc[i] == -1 else str(int(oc[i]))
-        lines.append(
-            f"{float(result.x[i])!r},{float(result.y[i])!r},"
-            f"{float(result.torsion[i])!r},{oc_field},{float(result.rotation[i])!r}"
-        )
+    lines = [f"# {key}={format_value(value)}" for key, value in meta]
+    lines.append(header)
+    lines.extend(rows)
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def write_scan_csv(result: ScanResult, path) -> None:
+    """Serialize a scan: map, config and summary as # lines, then records.
+
+    Columns are x, y, torsion, overconj_time (empty when not detected, -2
+    on invalid lanes), rotation.  Floats are written with repr so a parse
+    round-trips bit for bit.  A scan with no valid lane is written with nan
+    estimates and count=0.
+    """
+    meta = [("map", result.map_spec), *result.config.fields(), *result.summary_fields()]
+    oc = ["" if t == -1 else str(t) for t in result.overconj_time.tolist()]
+    columns = (result.x.tolist(), result.y.tolist(), result.torsion.tolist(), oc,
+               result.rotation.tolist())
+    rows = [f"{x!r},{y!r},{t!r},{o},{r!r}" for x, y, t, o, r in zip(*columns)]
+    write_table(path, meta, "x,y,torsion,overconj_time,rotation", rows)
 
 
 def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

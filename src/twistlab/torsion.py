@@ -231,20 +231,22 @@ def asymptotic_torsion(
     The drift |torsion_N - torsion_{N-window}| is a convergence
     diagnostic only; no limit is asserted.  The orbit is walked once and
     only the running sum is kept, so memory does not grow with horizon.
+    An orbit that leaves the float range raises NonFiniteOrbitError.
     """
     horizon = int(horizon)
     window = int(window)
     if not 1 <= window <= horizon:
         raise ValueError("need horizon >= window >= 1")
-    x, y = _as_point(p)
+    start = _as_point(p)
     wx, wy = _as_dir(w)
-    walk = _walk(map, x, y, wx, wy)
+    walk = _walk(map, *start, wx, wy)
     cum = 0.0
     for _, _, _, _, delta in islice(walk, horizon - window):
         cum += delta
     earlier = cum
-    for _, _, _, _, delta in islice(walk, window):
+    for x, y, _, _, delta in islice(walk, window):
         cum += delta
+    _check_finite(np.array([(x, y)]), start, horizon)
     value = cum / horizon
     if horizon == window:
         drift = abs(value)
@@ -316,20 +318,21 @@ def conjugate_report(
     Both detectors watch one walk of the vertical-start cocycle, which
     stops once each answer is settled: the conjugate time is found, and
     the over-conjugate time has passed its persistence re-check (or the
-    horizon is reached).
+    horizon is reached).  An orbit that leaves the float range raises
+    NonFiniteOrbitError.
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    x, y = _as_point(p)
+    start = _as_point(p)
     over = over_cum = hit = None
     until = horizon
     cum = 0.0
     prev = None
-    walk = _walk(map, x, y, 0.0, 1.0)
-    for n, (_, _, wx, _, delta) in zip(range(1, horizon + 1), walk):
+    walk = _walk(map, *start, 0.0, 1.0)
+    for n, (x, y, wx, _, delta) in zip(range(1, horizon + 1), walk):
         cum += delta
         if over is None:
             if cum < -0.5:
@@ -348,6 +351,7 @@ def conjugate_report(
             prev = wx
         if hit is not None and n >= until:
             break
+    _check_finite(np.array([(x, y)]), start, n)
     cum_at = over_cum
     if hit is not None and (over is None or hit[0] <= over):
         cum_at = hit[2]

@@ -361,6 +361,29 @@ def test_scan_csv_all_invalid_round_trip():
     assert meta["map"] == "inverted(std:k=1.0)"
     assert meta["count"] == "0"
     assert all(meta[k] == "nan" for k in ("fraction_negative", "mean_torsion", "stderr"))
+    # the file's records summarize to what its header says: nan and count 0
+    # (summarize_csv raised "cannot summarize an empty sample" here)
+    est = summarize_csv(io.StringIO(buf.getvalue()))
+    assert_empty_summary(est, cfg.eps)
+    assert_empty_summary(result.summary, cfg.eps)
+
+
+def assert_empty_summary(est, eps):
+    assert est.count == 0 and est.eps == eps
+    estimates = (est.fraction_negative, est.fraction_nonzero, est.mean_torsion, est.stderr)
+    assert all(math.isnan(v) for v in estimates)
+
+
+def test_all_invalid_measure_and_integral_are_nan():
+    # island_measure raised "cannot summarize an empty sample" and
+    # torsion_integral "no valid samples"
+    cfg = mc_cfg((0.0, 1.0, -0.5, 0.5), 5, 0, 10)
+    m = standard(1.0).inverted()
+    assert_empty_summary(island_measure(m, cfg), cfg.eps)
+    integral = torsion_integral(m, cfg)
+    assert integral.count == 0
+    assert math.isnan(integral.value) and math.isnan(integral.stderr)
+    assert_empty_summary(MeasureEstimate.from_torsion(np.array([]), 0.1), 0.1)
 
 
 def test_scan_csv_keeps_invalid_flag():

@@ -179,6 +179,16 @@ ENTRY_POINTS = {
     "iterate_drift": lambda: iterate(drift_shear(0.25), (1e308, 1.7e308), 5),
     "torsion_trace_shear": lambda: torsion_trace(shear(), (1e308, 1e308), n=5),
     "torsion_trace_drift": lambda: torsion_trace(drift_shear(0.25), (1e308, 1.7e308), n=5),
+    # the streaming walks check their last point once, after the loop
+    "asymptotic_torsion_shear": lambda: asymptotic_torsion(shear(), (1e308, 1e308), 50, 10),
+    "asymptotic_torsion_drift": lambda: asymptotic_torsion(
+        drift_shear(0.25), (1e308, 1.7e308), 50, 10),
+    "conjugate_report_shear": lambda: conjugate_report(shear(), (1e308, 1e308), 50),
+    "conjugate_report_drift": lambda: conjugate_report(drift_shear(0.25), (1e308, 1.7e308), 50),
+    "first_return_torsion_shear": lambda: first_return_torsion(
+        shear(), (0.0, 1.0, 0.0, 1.7e308), (1e308, 1e308), 5, 50),
+    "first_return_torsion_drift": lambda: first_return_torsion(
+        drift_shear(0.25), (0.0, 1.0, 0.0, 1.7e308), (1e308, 1.7e308), 5, 50),
 }
 
 
