@@ -312,7 +312,8 @@ def flux(map: LiftedMap, resolution: int = 256, tol: float = 1e-12) -> float:
 def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
     """Average p1 displacement per step over `horizon` steps.
 
-    An orbit that leaves the float range raises NonFiniteOrbitError.
+    An orbit, or a displacement, that leaves the float range raises
+    NonFiniteOrbitError.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -324,7 +325,9 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
             x, y = map.apply_scalar(x, y)
     except (ArithmeticError, ValueError) as exc:
         raise NonFiniteOrbitError.at((x0, y0), n) from exc
-    if not (math.isfinite(x) and math.isfinite(y)):  # shear and drift carry inf on
+    # shear and drift carry inf on; the displacement of a finite orbit
+    # can overflow too
+    if not (math.isfinite(x - x0) and math.isfinite(y)):
         raise NonFiniteOrbitError.at((x0, y0), horizon)
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 

@@ -13,15 +13,6 @@ class TwistViolationError(TwistLabError):
     """
 
 
-class DegenerateAnchorError(TwistLabError):
-    """An angle lift was ambiguous.
-
-    Kept for callers that catch it; nothing raises it any more.  Walks
-    lift angles by counting the transported direction's crossings of the
-    vertical axis, which the half-turn lemma leaves unambiguous.
-    """
-
-
 class NonFiniteOrbitError(TwistLabError, ValueError):
     """An orbit, or a direction or Jacobi field carried along it, left the
     float range.

@@ -30,8 +30,9 @@ floats and for arrays.  It picks a kick (V', V'') and a slope (V' alone)
 for the input: _kick_arr on arrays, _kick on floats with several
 harmonics, _kick's loop body unrolled for a single first harmonic (every
 standard map).  Over them each direction's step and image are written
-once.  Shear and drift are one line each.  Floats and arrays agree bit for
-bit.
+once; a single harmonic's float image has the slope written into it, for
+both directions, which saves a call per map application.  Shear and drift
+are one line each.  Floats and arrays agree bit for bit.
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
             return (lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y))
         return (lambda x, y: (x - y, y, *jac)), (lambda x, y: (x - y, y))
 
-    # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.
+    # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.  A single
+    # harmonic's float image, fused, has the slope written into it and
+    # takes the place of image.
+    fused = None
     if arrays:
         kick = lambda x: _kick_arr(x, harmonics, True, True)
         slope = lambda x: _kick_arr(x, harmonics, True, False)[0]
@@ -164,13 +168,18 @@ def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
             vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
             return vp, 0.0 - q * sin(turn * (0.25 - u))
 
-        def slope(x):
-            u = x - floor(x)
+        def fused(x, y):
+            kx = x if forward else x - y
+            u = kx - floor(kx)
             turn = TWO_PI
             if u >= 0.5:
                 u -= 0.5
                 turn = -TWO_PI
-            return 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
+            vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
+            if forward:
+                y1 = y + vp
+                return x + y1, y1
+            return kx, y - vp
 
     # The kick acts at the base map's x: x itself going forward, the
     # preimage x - y going back, where the Jacobian is the inverse of the
@@ -193,7 +202,7 @@ def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
         def image(x, y):
             kx = x - y
             return kx, y - slope(kx)
-    return step, image
+    return step, fused or image
 
 
 _KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_step_array_k", "_apply_array_k")

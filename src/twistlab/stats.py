@@ -20,8 +20,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point, _check_finite, parse_map_spec
-from .torsion import _walk, asymptotic_torsion, cocycle_scan
+from .maps import LiftedMap, _as_point, parse_map_spec
+from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
 
@@ -322,7 +322,7 @@ def first_return_torsion(
     against the torsion of a fresh walk of the same length.  An orbit that
     leaves the float range raises NonFiniteOrbitError.
     """
-    (x0, x1, y0, y1), (px, py) = check_window(window, p)
+    window, (px, py) = check_window(window, p)
     returns = int(returns)
     cap = int(cap)
     if returns < 1 or cap < 1:
@@ -330,17 +330,15 @@ def first_return_torsion(
     times = []
     sums = []
     last_t = 0
-    cum = last_cum = 0.0
-    walk = _walk(map, px, py, 0.0, 1.0)
-    for t, (xt, yt, _, _, delta) in zip(range(1, cap + 1), walk):
-        cum += delta
-        if _in_window(xt, yt, (x0, x1, y0, y1)):
-            times.append(t - last_t)
-            sums.append(cum - last_cum)
-            last_t, last_cum = t, cum
-            if len(times) >= returns:
-                break
-    _check_finite(np.array([(xt, yt)]), (px, py), t)
+    last_cum = 0.0
+    walk = _Walk(map, px, py, 0.0, 1.0)
+    # each return ends a block of the walk
+    while walk.n < cap and len(times) < returns:
+        walk.run(cap - walk.n, lambda x, y, _: _in_window(x, y, window))
+        if _in_window(walk.x, walk.y, window):
+            times.append(walk.n - last_t)
+            sums.append(walk.cum - last_cum)
+            last_t, last_cum = walk.n, walk.cum
     total = sum(times)
     ratio = direct = gap = None
     if times:
@@ -353,7 +351,7 @@ def first_return_torsion(
                 f"return-sum identity violated: gap {gap!r} over {total} steps"
             )
     return FirstReturnReport(
-        window=(x0, x1, y0, y1),
+        window=window,
         point=(px, py),
         return_times=tuple(times),
         angle_sums=tuple(sums),

@@ -9,8 +9,10 @@ crossing flips the sign of the direction's first component and lowers its
 half-turn index by one; the lifted angle is the direction's principal
 angle placed in that half turn.  No angle is anchored or compared.
 
-The scalar walk lifts this way one step at a time, and with it the
-per-step sums (torsion) and their sign structure (conjugate points); the
+The scalar walk, _Walk, steps and transports one step at a time in
+Python and lifts a block of steps at once in numpy, with the running
+sums (torsion) and their sign structure (conjugate points); a block ends
+early where a consumer must decide, so no walk steps past its stop.  The
 vectorized ensemble kernel, cocycle_scan, lifts the same way per lane,
 taking an angle only where one is read.  A scalar walk whose orbit leaves
 the float range raises NonFiniteOrbitError naming the step; an ensemble
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain
 
 import numpy as np
 
@@ -107,58 +109,91 @@ def step_variation(map: LiftedMap, p, w) -> float:
     The lift of the class angle(DF w) - angle(w): the image crosses the
     vertical axis at most once, clockwise, so the variation is the
     difference of the two principal angles once each is placed in its half
-    turn (see _walk).  It lies in (-1, 1/2).
+    turn (see _Walk).  It lies in (-1, 1/2).
     """
-    x, y = _as_point(p)
-    wx, wy = _as_dir(w)
-    return next(_walk(map, x, y, wx, wy))[4]
+    return float(_Walk(map, *_as_point(p), *_as_dir(w)).run(1)[0])
 
 
-def _walk(map: LiftedMap, x: float, y: float, wx: float, wy: float):
+class _Walk:
     """Transport the unit direction (wx, wy) along the orbit of (x, y).
 
-    Yields (x, y, wx, wy, delta) after each step: the image point, the
-    renormalized image direction, and the step's angle variation.  Endless;
-    callers stop it.  The lift is cocycle_scan's: the half-turn index drops
-    by one at each sign change of the direction's first component (the tie
-    wx == 0 going to the downward side, as in _odd), and the principal
-    angle of each image is placed in that half turn by the whole turn j
-    nearest the half turn's middle; delta is the step of the placed angle.
-    An orbit that leaves the float range raises NonFiniteOrbitError.
+    run's Python loop only steps, transports, renormalizes and records each
+    image; a block's angles, lift and running sum are then taken in numpy.
+    Each image's principal angle th is placed in its half turn by the whole
+    turn j nearest the half turn's middle, and a step is the change of th
+    plus the change of j, kept apart so that it does not lose bits to a
+    large lifted angle.  The first image's th is the scalar _angle's, so
+    step 1 does not depend on numpy's arctan2.  The walk keeps its last
+    point and direction, its step count n and its cumulative cum.
     """
-    step = map.step_scalar
-    atan2 = math.atan2
-    hypot = math.hypot
-    start = (x, y)
-    th0 = _angle(wx, wy)
-    odd = wx > 0.0 if wx else wy < 0.0
-    # the middle of the half turn the lifted angle lies in
-    mid = -0.25 if odd else 0.25
-    j0 = round(mid - th0)
-    try:
-        for n in count(1):
-            x1, y1, a, b, c, d = step(x, y)
-            if b <= 0.0:
-                raise TwistViolationError(
-                    f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
-                )
-            iwx = a * wx + b * wy
-            iwy = c * wx + d * wy
-            th1 = atan2(-iwx, iwy) * _INV_TWO_PI
-            if th1 <= -0.5:
-                th1 += 1.0
-            if (iwx > 0.0 if iwx else iwy < 0.0) is not odd:
-                odd = not odd
-                mid -= 0.5
-            j1 = round(mid - th1)
-            delta = (th1 - th0) + (j1 - j0)
-            th0, j0 = th1, j1
-            x, y = x1, y1
-            norm = hypot(iwx, iwy)
-            wx, wy = iwx / norm, iwy / norm
-            yield x, y, wx, wy, delta
-    except (ArithmeticError, ValueError) as exc:
-        raise NonFiniteOrbitError.at(start, n) from exc
+
+    def __init__(self, map: LiftedMap, x: float, y: float, wx: float, wy: float) -> None:
+        self.step, self.start, self.n, self.cum = map.step_scalar, (x, y), 0, 0.0
+        self.x, self.y, self.wx, self.wy = x, y, wx, wy
+        # the lift's state: the parity and middle of the half turn, th and j
+        self.odd = wx > 0.0 if wx else wy < 0.0
+        self.mid = -0.25 if self.odd else 0.25
+        self.th = _angle(wx, wy)
+        self.j = round(self.mid - self.th)
+
+    def run(self, k: int, stop=None, tol: float = -math.inf, table=None) -> np.ndarray:
+        """Take min(k, BLOCK) steps and return the cumulative after each.
+
+        The block ends early after a step at which stop(x, y, wx) is true,
+        or at which wx changed sign or came within tol of 0.  With table,
+        the rows go to it too: x, y, wx, wy, the step and the cumulative.
+        An orbit that leaves the float range raises NonFiniteOrbitError.
+        """
+        step, hypot = self.step, math.hypot
+        x, y, wx, wy = self.x, self.y, self.wx, self.wy
+        side = -1.0 if wx < 0.0 else 1.0
+        rows = [None] * min(k, BLOCK)
+        try:
+            for i in range(len(rows)):
+                x1, y1, a, b, c, d = step(x, y)
+                if b <= 0.0:
+                    raise TwistViolationError(
+                        f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
+                    )
+                iwx = a * wx + b * wy
+                iwy = c * wx + d * wy
+                norm = hypot(iwx, iwy)
+                x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
+                rows[i] = (iwx, iwy) if table is None else (x, y, wx, wy, iwx, iwy)
+                if side * wx < tol or stop is not None and stop(x, y, wx):
+                    del rows[i + 1 :]
+                    break
+        except (ArithmeticError, ValueError) as exc:
+            raise NonFiniteOrbitError.at(self.start, self.n + i + 1) from exc
+        r = len(rows)
+        block = np.fromiter(chain.from_iterable(rows), float, r * len(rows[0])).reshape(r, -1)
+        # shear and drift carry inf on without raising
+        _check_finite(block, self.start, self.n + 1)
+        _check_finite(np.array([(x, y)]), self.start, self.n + r)
+        delta = self._steps(block[:, -2], block[:, -1])
+        # a sequential sum, equal to the running sum bit for bit
+        cum = np.add.accumulate(np.concatenate(([self.cum], delta)))[1:]
+        if table is not None:
+            table[:r, :4], table[:r, 4], table[:r, 5] = block[:, :4], delta, cum
+        self.x, self.y, self.wx, self.wy = x, y, wx, wy
+        self.n, self.cum = self.n + r, float(cum[-1])
+        return cum
+
+    def _steps(self, iwx: np.ndarray, iwy: np.ndarray) -> np.ndarray:
+        """The variation of each step of a block, from its images."""
+        odd = np.empty(len(iwx) + 1, dtype=bool)
+        th, j = np.empty(len(odd)), np.empty(len(odd))
+        odd[0], th[0], j[0] = self.odd, self.th, self.j
+        _odd(iwx, iwy, odd[1:])
+        mid = self.mid - np.add.accumulate(0.5 * (odd[1:] != odd[:-1]))
+        np.arctan2(-iwx, iwy, out=th[1:])
+        th[1:] *= _INV_TWO_PI
+        np.add(th, 1.0, out=th, where=th <= -0.5)
+        if self.n == 0:
+            th[1] = _angle(iwx[0], iwy[0])
+        np.rint(mid - th[1:], out=j[1:])
+        self.odd, self.mid, self.th, self.j = odd[-1], mid[-1], th[-1], j[-1]
+        return (th[1:] - th[:-1]) + (j[1:] - j[:-1])
 
 
 @dataclass
@@ -200,16 +235,11 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
     # One row per point: x, y, wx, wy, the step into it, the cumulative.
-    # The walk fills it a block of rows at a time.
     table = np.empty((n + 1, 6))
     table[0] = (x, y, wx, wy, np.nan, 0.0)
-    walk = _walk(map, x, y, wx, wy)
-    for i in range(1, n + 1, BLOCK):
-        k = min(BLOCK, n + 1 - i)
-        table[i : i + k, :5] = list(islice(walk, k))
-        _check_finite(table[i : i + k, :5], (x, y), i)
-    # np.cumsum's ufunc: a sequential sum, equal to the running sum bit for bit
-    np.add.accumulate(table[1:, 4], out=table[1:, 5])
+    walk = _Walk(map, x, y, wx, wy)
+    while walk.n < n:
+        walk.run(n - walk.n, table=table[walk.n + 1 :])
     return TorsionTrace(table[1:, 4], table[:, 5], table[:, 0:2], table[:, 2:4])
 
 
@@ -237,21 +267,14 @@ def asymptotic_torsion(
     window = int(window)
     if not 1 <= window <= horizon:
         raise ValueError("need horizon >= window >= 1")
-    start = _as_point(p)
-    wx, wy = _as_dir(w)
-    walk = _walk(map, *start, wx, wy)
-    cum = 0.0
-    for _, _, _, _, delta in islice(walk, horizon - window):
-        cum += delta
-    earlier = cum
-    for x, y, _, _, delta in islice(walk, window):
-        cum += delta
-    _check_finite(np.array([(x, y)]), start, horizon)
-    value = cum / horizon
-    if horizon == window:
-        drift = abs(value)
-    else:
-        drift = abs(value - earlier / (horizon - window))
+    walk = _Walk(map, *_as_point(p), *_as_dir(w))
+    while walk.n < horizon - window:
+        walk.run(horizon - window - walk.n)
+    earlier = walk.cum
+    while walk.n < horizon:
+        walk.run(horizon - walk.n)
+    value = walk.cum / horizon
+    drift = abs(value - (earlier / (horizon - window) if horizon > window else 0.0))
     return TorsionEstimate(value, drift, horizon, window)
 
 
@@ -326,42 +349,37 @@ def conjugate_report(
         raise ValueError("horizon must be >= 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    start = _as_point(p)
     over = over_cum = hit = None
     until = horizon
-    cum = 0.0
-    prev = None
-    walk = _walk(map, *start, 0.0, 1.0)
-    for n, (x, y, wx, _, delta) in zip(range(1, horizon + 1), walk):
-        cum += delta
-        if over is None:
-            if cum < -0.5:
-                over, over_cum = n, cum
-                until = min(n + 50, horizon)
-        elif not cum < -0.5:
-            raise RuntimeError(
-                f"over-conjugate persistence violated at step {n} "
-                f"(cumulative {cum!r}); this indicates an engine bug"
-            )
+    walk = _Walk(map, *_as_point(p), 0.0, 1.0)
+    while walk.n < (horizon if hit is None else until):
+        n0, side = walk.n, -1.0 if walk.wx < 0.0 else 1.0
+        # Until the conjugate time a block ends where its test fires; after
+        # it, a block takes at most 51 steps while the over-conjugate time
+        # is unknown, so that none is taken past that time's re-check.
         if hit is None:
-            if abs(wx) < tol or (prev is not None and (wx < 0.0) != (prev < 0.0)):
-                k = round(-2.0 * cum)
-                if k >= 1 and abs(cum + 0.5 * k) < 0.25:
-                    hit = (n, k, cum)
-            prev = wx
-        if hit is not None and n >= until:
-            break
-    _check_finite(np.array([(x, y)]), start, n)
+            cum = walk.run(horizon - n0, tol=tol)
+        else:
+            cum = walk.run((until if over is not None else min(until, n0 + 51)) - n0)
+        below = cum < -0.5
+        if over is None and below.any():
+            i = int(np.argmax(below))
+            over, over_cum, until = n0 + 1 + i, float(cum[i]), min(n0 + 51 + i, horizon)
+        held = below[max(over - n0 - 1, 0) :] if over is not None else below[:0]
+        if not held.all():  # the re-check: below -1/2 from then on
+            i = len(below) - len(held) + int(np.argmin(held))
+            raise RuntimeError(
+                f"over-conjugate persistence violated at step {n0 + 1 + i} "
+                f"(cumulative {float(cum[i])!r}); this indicates an engine bug"
+            )
+        if hit is None and side * walk.wx < tol:  # wx changed sign or is near 0
+            k = round(-2.0 * walk.cum)
+            if k >= 1 and abs(walk.cum + 0.5 * k) < 0.25:
+                hit = (walk.n, k, walk.cum)
     cum_at = over_cum
     if hit is not None and (over is None or hit[0] <= over):
         cum_at = hit[2]
-    return ConjugateReport(
-        first_overconjugate=over,
-        first_conjugate=None if hit is None else hit[:2],
-        cumulative_at_detection=cum_at,
-        horizon=horizon,
-        tol=tol,
-    )
+    return ConjugateReport(over, None if hit is None else hit[:2], cum_at, horizon, tol)
 
 
 def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:

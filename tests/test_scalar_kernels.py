@@ -25,7 +25,7 @@ from twistlab import (
     torsion_trace,
 )
 from twistlab.maps import BLOCK, SHEAR, TWO_PI
-from twistlab.torsion import _walk
+from twistlab.torsion import _Walk
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -154,7 +154,10 @@ def ref_trace(m, p, w, n):
     """torsion_trace written one row per step, as a running Python sum."""
     steps, cumulative, points, directions = [], [0.0], [p], [w]
     cum = 0.0
-    for _, (x, y, wx, wy, delta) in zip(range(n), _walk(m, *p, *w)):
+    walk, row = _Walk(m, *p, *w), np.empty((1, 6))
+    for _ in range(n):
+        walk.run(1, table=row)
+        x, y, wx, wy, delta, _ = row[0].tolist()
         cum += delta
         steps.append(delta)
         cumulative.append(cum)

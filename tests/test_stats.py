@@ -292,13 +292,11 @@ def test_first_return_stops_at_last_return(monkeypatch):
 
 
 def test_first_return_identity_check_raises(monkeypatch):
-    walk = twistlab.stats._walk
+    class SkewedWalk(twistlab.stats._Walk):
+        def _steps(self, iwx, iwy):
+            return super()._steps(iwx, iwy) + 1e-9
 
-    def skewed_walk(map, x, y, wx, wy):
-        for x, y, wx, wy, delta in walk(map, x, y, wx, wy):
-            yield x, y, wx, wy, delta + 1e-9
-
-    monkeypatch.setattr(twistlab.stats, "_walk", skewed_walk)
+    monkeypatch.setattr(twistlab.stats, "_Walk", SkewedWalk)
     with pytest.raises(RuntimeError, match="return-sum identity violated"):
         first_return_torsion(
             standard(1.0), (-0.05, 0.05, -0.05, 0.05), (0.02, 0.0), returns=2

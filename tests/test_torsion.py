@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import twistlab.torsion
 from twistlab import (
     CoincidentPointsError,
-    DegenerateAnchorError,
     TwistViolationError,
     angle_from_vertical,
     asymptotic_torsion,
@@ -323,11 +322,12 @@ def test_conjugate_report_consistency():
 def test_overconjugate_persistence_check_raises(monkeypatch):
     """A cumulative that climbs back above -1/2 trips the re-check."""
 
-    def fake_walk(map, x, y, wx, wy):
-        yield x, y, 1.0, 0.0, -0.6
-        yield x, y, 1.0, 0.0, 0.3
+    def fake_steps(self, iwx, iwy):
+        # the shear's vertical start never turns past vertical: the steps
+        # -0.6 and 0.3, then none
+        return np.array([-0.6, 0.3] + [0.0] * (len(iwx) - 2))
 
-    monkeypatch.setattr(twistlab.torsion, "_walk", fake_walk)
+    monkeypatch.setattr(twistlab.torsion._Walk, "_steps", fake_steps)
     with pytest.raises(RuntimeError, match="persistence violated at step 2"):
         detect_overconjugate(shear(), (0.0, 0.0), 10)
 

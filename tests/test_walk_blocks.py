@@ -1,0 +1,109 @@
+"""The block walk cut at block edges: every walk takes the steps it would
+take in one piece, and stops on the step it would stop on."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistlab import (
+    LiftedMap,
+    asymptotic_torsion,
+    conjugate_report,
+    drift_shear,
+    first_return_torsion,
+    generating_function,
+    shear,
+    standard,
+    torsion_trace,
+)
+from twistlab.maps import BLOCK, TWO_PI
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=25)
+
+EDGES = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+maps = st.one_of(
+    st.sampled_from([shear(), drift_shear(0.25), generating_function(0.02, -0.007)]),
+    st.floats(min_value=0.0, max_value=6.0).map(standard),
+)
+points = st.tuples(
+    st.floats(min_value=-(2.0**40), max_value=2.0**40), st.floats(min_value=-1.0, max_value=1.0)
+)
+directions = st.one_of(
+    st.just((0.0, 1.0)),
+    st.floats(min_value=0.0, max_value=1.0).map(
+        lambda t: (math.cos(TWO_PI * t), math.sin(TWO_PI * t))),
+)
+
+
+@PROPERTY
+@given(m=maps, p=points, w=directions)
+def test_trace_is_the_prefix_of_a_longer_trace(m, p, w):
+    longer = torsion_trace(m, p, w, 2 * BLOCK + 5)
+    for n in EDGES:
+        tr = torsion_trace(m, p, w, n)
+        assert tr.steps.tobytes() == longer.steps[:n].tobytes()
+        for got, ref in [(tr.cumulative, longer.cumulative), (tr.points, longer.points),
+                         (tr.directions, longer.directions)]:
+            assert got.tobytes() == ref[: n + 1].tobytes()
+
+
+@PROPERTY
+@given(m=maps, p=points, w=directions, edge=st.sampled_from(EDGES),
+       window=st.sampled_from([1, 7, BLOCK, BLOCK + 1]))
+def test_asymptotic_torsion_reads_the_trace_at_block_edges(m, p, w, edge, window):
+    horizon = edge + window
+    cumulative = torsion_trace(m, p, w, horizon).cumulative
+    est = asymptotic_torsion(m, p, horizon, window, w)
+    assert est.value == cumulative[horizon] / horizon
+    assert est.last_window_drift == abs(est.value - cumulative[edge] / edge)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Tally LiftedMap.step_scalar calls."""
+    tally = [0]
+    step = LiftedMap.step_scalar
+
+    def counted(self, x, y):
+        tally[0] += 1
+        return step(self, x, y)
+
+    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
+    return tally
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_walks_to_a_block_edge_take_its_steps(calls, n):
+    m, p = standard(1.5), (0.3, 0.1)
+    torsion_trace(m, p, n=n)
+    assert calls[0] == n
+    asymptotic_torsion(m, p, n + 1, n)
+    assert calls[0] == 2 * n + 1
+    # std:k=0 turns no direction past the vertical
+    conjugate_report(standard(0.0), p, n)
+    assert calls[0] == 3 * n + 1
+    # the drift carries y up and out of the window for good
+    rep = first_return_torsion(drift_shear(0.25), (0.0, 1.0, 0.0, 0.1), (0.5, 0.05), cap=n)
+    assert rep.return_times == () and rep.complete is False
+    assert calls[0] == 4 * n + 1
+
+
+@pytest.mark.parametrize("k, tol, hit, over, stop", [
+    (1e-5, 1e-9, 994, 994, 1044),
+    (1.040625e-05, 1e-9, 974, 974, BLOCK),  # the stop is a block edge
+    (9.421875e-06, 1e-9, BLOCK, BLOCK, BLOCK + 50),  # the conjugate time is one
+    (2.4e-6, 1e-9, 2028, 2028, 2078),
+    # a wide tol finds the conjugate time before the over-conjugate time
+    (1e-5, 0.99, 987, 994, 1044),
+    (2.4e-6, 0.99, 2021, 2028, 2078),
+])
+def test_conjugate_report_stops_across_block_edges(calls, k, tol, hit, over, stop):
+    # near the elliptic origin of a weak kick the vertical turns slowly:
+    # its conjugate time lands near a block edge, the persistence
+    # re-check's 50 steps across it
+    rep = conjugate_report(standard(k), (0.0, 0.0), 3000, tol)
+    assert rep.first_conjugate == (hit, 1) and rep.first_overconjugate == over
+    assert calls[0] == stop

@@ -4,12 +4,12 @@ replaced, its exact ties, and orbits that leave the float range."""
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import (
-    DegenerateAnchorError,
     NonFiniteOrbitError,
     TwistViolationError,
     asymptotic_torsion,
@@ -31,12 +31,16 @@ from twistlab import (
 )
 from twistlab.cli import run
 from twistlab.maps import TWO_PI
-from twistlab.torsion import _INV_TWO_PI, _walk
+from twistlab.torsion import _INV_TWO_PI, _Walk
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
 
 # The anchored walk's tolerance.
 ANCHOR_TOL = 1e-9
+
+
+class DegenerateAnchorError(Exception):
+    """The anchored walk could not place a step within its tolerance."""
 
 
 def anchored_walk(map, x, y, wx, wy):
@@ -64,6 +68,15 @@ def anchored_walk(map, x, y, wx, wy):
         norm = math.hypot(iwx, iwy)
         wx, wy = iwx / norm, iwy / norm
         yield x, y, wx, wy, delta
+
+
+def walk_rows(m, x, y, wx, wy, n):
+    """The walk's first n rows (x, y, wx, wy, step), a block at a time."""
+    table = np.empty((n, 6))
+    walk = _Walk(m, x, y, wx, wy)
+    while walk.n < n:
+        walk.run(n - walk.n, table=table[walk.n :])
+    return table[:, :5].tolist()
 
 
 def bits(v):
@@ -113,7 +126,7 @@ def test_long_walk_matches_anchored_reference(m):
 def assert_walk_matches_reference(m, x, y, w, n):
     norm = math.hypot(*w)
     wx, wy = w[0] / norm, w[1] / norm
-    got = list(islice(_walk(m, x, y, wx, wy), n))
+    got = walk_rows(m, x, y, wx, wy, n)
     want = list(islice(anchored_walk(m, x, y, wx, wy), n))
     cum = ref_cum = 0.0
     for k, (g, r) in enumerate(zip(got, want)):
@@ -174,6 +187,10 @@ ENTRY_POINTS = {
     # checks after its loop, iterate and torsion_trace once per block
     "rotation_number_drift": lambda: rotation_number(drift_shear(0.25), (1e308, 1.7e308), 5),
     "rotation_number_shear": lambda: rotation_number(shear(), (1e308, 1e308), 5),
+    # finite orbits whose displacement overflows
+    "rotation_number_shear_displacement": lambda: rotation_number(shear(), (-1e308, 1e308), 2),
+    "rotation_number_drift_displacement": lambda: rotation_number(
+        drift_shear(0.25), (-1.5e308, 1e308), 2),
     "iterate_shear": lambda: iterate(shear(), (1e308, 1e308), 5),
     "iterate_inverse_shear": lambda: iterate(shear(), (1e308, -1e308), -5),
     "iterate_drift": lambda: iterate(drift_shear(0.25), (1e308, 1.7e308), 5),
@@ -218,11 +235,12 @@ def test_block_check_names_the_first_non_finite_step(sign):
 
 
 def test_walk_names_the_step_it_fails_at():
-    walk = _walk(HUGE, *START, 0.0, 1.0)
-    points = [p[0] for p in islice(walk, 12)]
-    assert all(map(math.isfinite, points[:-1])) and math.isinf(points[-1])
+    # the stop hook sees each point as it is stepped to
+    points = []
     with pytest.raises(NonFiniteOrbitError, match="by step 13") as info:
-        next(walk)
+        _Walk(HUGE, *START, 0.0, 1.0).run(50, lambda x, y, wx: points.append(x))
+    assert len(points) == 12
+    assert all(map(math.isfinite, points[:-1])) and math.isinf(points[-1])
     assert isinstance(info.value.__cause__, OverflowError)
 
 
