@@ -41,7 +41,7 @@ from .stats import format_value, write_table
 from .torsion import (
     VERTICAL,
     _as_dir,
-    _first_overconjugate,
+    _overconjugate,
     detect_overconjugate,
     linking_number,
     torsion_trace,
@@ -307,8 +307,8 @@ def _attrs(obj, *names: str) -> Fields:
 def _trace(a) -> tuple[Fields, Writer]:
     trace = torsion_trace(a.map, a.point, a.vector, a.n)
     # A vertical-start trace already holds the over-conjugate time.
-    if a.vector == VERTICAL:
-        oc = _first_overconjugate(trace.cumulative)
+    if _as_dir(a.vector) == VERTICAL:
+        oc = _overconjugate(trace.cumulative[1:], 0)
     else:
         oc = detect_overconjugate(a.map, a.point, a.n)
     fields = [("torsion", trace.torsion), ("first_overconjugate", "none" if oc is None else oc)]

@@ -37,32 +37,11 @@ HALF_TURN_WARN_TOL = 1e-6
 _INV_TWO_PI = 1.0 / TWO_PI
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A half-line direction attached to a base point."""
-
-    base: tuple[float, float]
-    dir: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        bx, by = _as_point(self.base)
-        dx, dy = float(self.dir[0]), float(self.dir[1])
-        norm = math.hypot(dx, dy)
-        if not math.isfinite(norm) or norm == 0.0:
-            raise ValueError("direction must be a nonzero finite vector")
-        if abs(norm - 1.0) > 1e-12:
-            dx, dy = dx / norm, dy / norm
-        object.__setattr__(self, "base", (bx, by))
-        object.__setattr__(self, "dir", (dx, dy))
-
-
 VERTICAL = (0.0, 1.0)
 
 
 def _as_dir(w) -> tuple[float, float]:
-    """Coerce a direction argument (sequence or TangentVector) to floats."""
-    if isinstance(w, TangentVector):
-        return w.dir
+    """Coerce a direction argument to a unit vector of floats."""
     wx, wy = float(w[0]), float(w[1])
     norm = math.hypot(wx, wy)
     if not math.isfinite(norm) or norm == 0.0:
@@ -167,9 +146,11 @@ class _Walk:
             raise NonFiniteOrbitError.at(self.start, self.n + i + 1) from exc
         r = len(rows)
         block = np.fromiter(chain.from_iterable(rows), float, r * len(rows[0])).reshape(r, -1)
-        # shear and drift carry inf on without raising
+        # shear and drift carry inf on without raising; a walk without points
+        # walks the block again with them, for _check_finite to name the step
         _check_finite(block, self.start, self.n + 1)
-        _check_finite(np.array([(x, y)]), self.start, self.n + r)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            self.run(r, stop, tol, np.empty((r, 6)))
         delta = self._steps(block[:, -2], block[:, -1])
         # a sequential sum, equal to the running sum bit for bit
         cum = np.add.accumulate(np.concatenate(([self.cum], delta)))[1:]
@@ -281,31 +262,34 @@ def asymptotic_torsion(
 def detect_overconjugate(map: LiftedMap, p, horizon: int) -> int | None:
     """First n <= horizon with vertical-start cumulative angle < -1/2.
 
-    Once the cumulative drops below -1/2 it must stay there; that is
-    re-checked for the next 50 steps (within the horizon) and a violation
-    raises RuntimeError since it would mean the engine miscounted.
+    The walk and its re-check of the cumulative staying below -1/2 are
+    conjugate_report's.
     """
     return conjugate_report(map, p, horizon).first_overconjugate
 
 
-def _first_overconjugate(cumulative: np.ndarray) -> int | None:
-    """detect_overconjugate read off a vertical-start trace's cumulative.
+def _overconjugate(cum: np.ndarray, n0: int, over: int | None = None) -> int | None:
+    """The over-conjugate time of a vertical-start walk, re-checked.
 
-    The walk and its sums are the ones conjugate_report makes, so the
-    answer and the 50-step persistence re-check are the same.
+    cum holds the cumulatives after steps n0+1, n0+2, ...; over is the time
+    an earlier block found, if any.  Returns over, or else the first step
+    whose cumulative is below -1/2.  Once below, the cumulative must stay
+    there: every entry of cum from that step on is re-checked, and a
+    violation raises RuntimeError since it would mean the engine miscounted.
     """
-    below = cumulative < -0.5  # never at cumulative[0] = 0
-    if not below.any():
-        return None
-    first = int(np.argmax(below))
-    held = below[first : first + 51]
+    below = cum < -0.5
+    if over is None:
+        if not below.any():
+            return None
+        over = n0 + 1 + int(np.argmax(below))
+    held = below[max(over - n0 - 1, 0) :]
     if not held.all():
-        n = first + int(np.argmin(held))
+        i = len(below) - len(held) + int(np.argmin(held))
         raise RuntimeError(
-            f"over-conjugate persistence violated at step {n} "
-            f"(cumulative {float(cumulative[n])!r}); this indicates an engine bug"
+            f"over-conjugate persistence violated at step {n0 + 1 + i} "
+            f"(cumulative {float(cum[i])!r}); this indicates an engine bug"
         )
-    return first
+    return over
 
 
 def detect_conjugate(
@@ -339,10 +323,11 @@ def conjugate_report(
     """Run both detectors; cumulative is reported at the earliest hit.
 
     Both detectors watch one walk of the vertical-start cocycle, which
-    stops once each answer is settled: the conjugate time is found, and
-    the over-conjugate time has passed its persistence re-check (or the
-    horizon is reached).  An orbit that leaves the float range raises
-    NonFiniteOrbitError.
+    stops once each answer is settled: the conjugate time is found and
+    the walk is 50 steps past the over-conjugate time, or the horizon is
+    reached.  Every step walked from the over-conjugate time on is
+    re-checked to stay below -1/2 (_overconjugate).  An orbit that leaves
+    the float range raises NonFiniteOrbitError.
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -361,17 +346,10 @@ def conjugate_report(
             cum = walk.run(horizon - n0, tol=tol)
         else:
             cum = walk.run((until if over is not None else min(until, n0 + 51)) - n0)
-        below = cum < -0.5
-        if over is None and below.any():
-            i = int(np.argmax(below))
-            over, over_cum, until = n0 + 1 + i, float(cum[i]), min(n0 + 51 + i, horizon)
-        held = below[max(over - n0 - 1, 0) :] if over is not None else below[:0]
-        if not held.all():  # the re-check: below -1/2 from then on
-            i = len(below) - len(held) + int(np.argmin(held))
-            raise RuntimeError(
-                f"over-conjugate persistence violated at step {n0 + 1 + i} "
-                f"(cumulative {float(cum[i])!r}); this indicates an engine bug"
-            )
+        first = over is None
+        over = _overconjugate(cum, n0, over)
+        if first and over is not None:
+            over_cum, until = float(cum[over - n0 - 1]), min(over + 50, horizon)
         if hit is None and side * walk.wx < tol:  # wx changed sign or is near 0
             k = round(-2.0 * walk.cum)
             if k >= 1 and abs(walk.cum + 0.5 * k) < 0.25:

@@ -272,7 +272,8 @@ def test_coincident_linking_points_are_usage_error(capsys):
 
 
 def test_vertical_trace_walks_the_orbit_once(capsys, monkeypatch):
-    # the over-conjugate time comes from the trace itself: 500 steps, not 1000
+    # the over-conjugate time comes from the trace itself: 500 steps, not
+    # 1000, also for a vertical vector that is not of unit length
     calls = [0]
     step = LiftedMap.step_scalar
 
@@ -281,10 +282,12 @@ def test_vertical_trace_walks_the_orbit_once(capsys, monkeypatch):
         return step(self, x, y)
 
     monkeypatch.setattr(LiftedMap, "step_scalar", counted)
-    argv = ["trace", "--map", "std:k=0", "--point", "0.1,0.2", "--n", "500"]
-    code, out, _ = run_capture(capsys, argv)
-    assert code == 0 and "first_overconjugate = none\n" in out
-    assert calls[0] == 500
+    for vector in ("0,1", "0,5"):
+        calls[0] = 0
+        argv = ["trace", "--map", "std:k=0", "--point", "0.1,0.2", "--vector", vector, "--n", "500"]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == 0 and "first_overconjugate = none\n" in out
+        assert calls[0] == 500, vector
 
 
 @pytest.mark.parametrize("vector", ["0,1", "0,3", "1,2"])

@@ -28,7 +28,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
-from twistlab.maps import LiftedMap, _kick
+from twistlab.maps import BLOCK, LiftedMap, _kick
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -332,6 +332,20 @@ def test_overconjugate_persistence_check_raises(monkeypatch):
         detect_overconjugate(shear(), (0.0, 0.0), 10)
 
 
+def test_overconjugate_persistence_is_rechecked_across_blocks(monkeypatch):
+    """The re-check carries into the next block of the walk."""
+
+    def fake_steps(self, iwx, iwy):
+        # over-conjugate at step 3 of the first block, then a climb back at
+        # the first step of the second
+        head = [-0.2, -0.2, -0.2] if self.n == 0 else [0.3]
+        return np.array(head + [0.0] * (len(iwx) - len(head)))
+
+    monkeypatch.setattr(twistlab.torsion._Walk, "_steps", fake_steps)
+    with pytest.raises(RuntimeError, match=f"persistence violated at step {BLOCK + 1}"):
+        conjugate_report(shear(), (0.0, 0.0), 2 * BLOCK)
+
+
 def count_steps(monkeypatch):
     """Patch LiftedMap.step_scalar to tally its calls; returns the tally."""
     calls = [0]
@@ -631,17 +645,24 @@ def test_first_overconjugate_read_off_the_trace(k):
     for _ in range(40):
         p = tuple(rng.uniform([0.0, -0.5], [1.0, 0.5]))
         tr = torsion_trace(m, p, n=120)
-        got = twistlab.torsion._first_overconjugate(tr.cumulative)
+        got = twistlab.torsion._overconjugate(tr.cumulative[1:], 0)
         assert got == detect_overconjugate(m, p, 120)
 
 
 def test_first_overconjugate_rechecks_persistence():
-    first = twistlab.torsion._first_overconjugate
+    def first(cumulative):
+        return twistlab.torsion._overconjugate(cumulative[1:], 0)
+
     assert first(np.array([0.0, -0.3, -0.5, -0.6, -0.9])) == 3
     assert first(np.array([0.0, -0.3, -0.4])) is None
-    # a climb back above -1/2 within 50 steps is an engine bug; later it is not checked
+    # a climb back above -1/2 at any later step is an engine bug
     with pytest.raises(RuntimeError, match="persistence violated at step 3"):
         first(np.array([0.0, -0.6, -0.7, -0.4]))
     late = np.full(60, -0.6)
     late[0], late[-1] = 0.0, 0.0
-    assert first(late) == 1
+    with pytest.raises(RuntimeError, match="persistence violated at step 59"):
+        first(late)
+    # a later block: the time found earlier is kept and its steps re-checked
+    assert twistlab.torsion._overconjugate(np.array([-0.7, -0.8]), 10, 4) == 4
+    with pytest.raises(RuntimeError, match="persistence violated at step 12"):
+        twistlab.torsion._overconjugate(np.array([-0.7, -0.2]), 10, 4)

@@ -196,7 +196,7 @@ ENTRY_POINTS = {
     "iterate_drift": lambda: iterate(drift_shear(0.25), (1e308, 1.7e308), 5),
     "torsion_trace_shear": lambda: torsion_trace(shear(), (1e308, 1e308), n=5),
     "torsion_trace_drift": lambda: torsion_trace(drift_shear(0.25), (1e308, 1.7e308), n=5),
-    # the streaming walks check their last point once, after the loop
+    # the streaming walks record no points: they walk a non-finite block again
     "asymptotic_torsion_shear": lambda: asymptotic_torsion(shear(), (1e308, 1e308), 50, 10),
     "asymptotic_torsion_drift": lambda: asymptotic_torsion(
         drift_shear(0.25), (1e308, 1.7e308), 50, 10),
@@ -230,8 +230,24 @@ def test_block_check_names_the_first_non_finite_step(sign):
     with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
         iterate(m, (0.0, 0.0), sign * 3000)
     if sign > 0:
-        with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
-            torsion_trace(m, (0.0, 0.0), n=3000)
+        for call in (
+            lambda: torsion_trace(m, (0.0, 0.0), n=3000),
+            lambda: asymptotic_torsion(m, (0.0, 0.0), 3000, 10),
+            lambda: conjugate_report(m, (0.0, 0.0), 3000),
+        ):
+            with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
+                call()
+
+
+@pytest.mark.parametrize("family", ["shear", "drift"])
+@pytest.mark.parametrize("entry", ["asymptotic_torsion", "conjugate_report", "first_return_torsion"])
+def test_streaming_walks_name_the_step_the_trace_names(entry, family):
+    # a walk that records only directions names the first non-finite step too
+    with pytest.raises(NonFiniteOrbitError) as traced:
+        ENTRY_POINTS[f"torsion_trace_{family}"]()
+    with pytest.raises(NonFiniteOrbitError) as streamed:
+        ENTRY_POINTS[f"{entry}_{family}"]()
+    assert str(streamed.value) == str(traced.value)
 
 
 def test_walk_names_the_step_it_fails_at():
