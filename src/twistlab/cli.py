@@ -164,11 +164,11 @@ def _color_hex(u: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_heatmap(field: _stats.ScanResult, path, vmax: float | None = None) -> None:
+def render_heatmap(field: _stats.ScanResult, path) -> None:
     """Write a self-contained SVG heatmap of a grid-mode torsion field.
 
     One rect per grid cell, diverging color scale symmetric about zero
-    (scale bound = vmax if given, else the data's max |torsion|), legend
+    (scale bound = the data's max |torsion|), legend
     with the data min/max.  Byte output is a pure function of the input.
     """
     if not isinstance(field.config.mode, _stats.GridMode):
@@ -176,9 +176,7 @@ def render_heatmap(field: _stats.ScanResult, path, vmax: float | None = None) ->
     nx, ny = field.config.mode.nx, field.config.mode.ny
     t = field.torsion.reshape(ny, nx)
     finite = field.torsion[np.isfinite(field.torsion)]
-    if vmax is None:
-        vmax = float(np.max(np.abs(finite))) if finite.size else 0.0
-    scale = max(vmax, 1e-12)
+    scale = max(float(np.max(np.abs(finite))) if finite.size else 0.0, 1e-12)
     tmin = float(np.min(finite)) if finite.size else float("nan")
     tmax = float(np.max(finite)) if finite.size else float("nan")
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
-from .maps import LiftedMap, _as_point, iterate
+from .maps import LiftedMap, _as_point, _first_non_finite, iterate
 from .stats import write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -326,9 +326,9 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
     except (ArithmeticError, ValueError) as exc:
         raise NonFiniteOrbitError.at((x0, y0), n) from exc
     # shear and drift carry inf on; the displacement of a finite orbit
-    # can overflow too
+    # can overflow too, at the horizon
     if not (math.isfinite(x - x0) and math.isfinite(y)):
-        raise NonFiniteOrbitError.at((x0, y0), horizon)
+        raise NonFiniteOrbitError.at((x0, y0), _first_non_finite(map.apply_scalar, x0, y0, horizon))
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 

@@ -13,6 +13,9 @@ standard             F(x, y) = (x + y', y') with y' = y - (k/2pi) sin(2pi x)
 genfun               same kicked form with V(x) = sum_i a_i cos(2pi i x),
                      i.e. y' = y + V'(x); std:k coincides with a1 = k/(4pi^2)
 
+Spec heads and parameter names live in one table, _SPECS, the one home of
+the spec grammar: LiftedMap's checks, to_spec and parse_map_spec read it.
+
 All coordinates live on the lifted plane; reduction mod 1 happens only at
 output time.
 
@@ -51,7 +54,10 @@ DRIFT = "drift"
 STANDARD = "standard"
 GENFUN = "genfun"
 
-_FAMILIES = (SHEAR, DRIFT, STANDARD, GENFUN)
+# The spec grammar, one entry per family: its spec head and the names of
+# its parameters, None for genfun's a1, a2, ... (at least one).
+_SPECS = {SHEAR: ("shear", ()), DRIFT: ("drift", ("c",)), STANDARD: ("std", ("k",)),
+          GENFUN: ("genfun", None)}
 
 # Default orbit-length guard for iterate().
 ITERATE_CAP = 10_000_000
@@ -222,10 +228,9 @@ class LiftedMap:
     Parameters
     ----------
     family : str
-        One of "shear", "drift", "standard", "genfun".
+        A family of _SPECS, the one home of the spec grammar.
     params : tuple of float
-        Family parameters: () for shear, (c,) for drift, (k,) for standard,
-        (a1, ..., am) for genfun.
+        The family's parameters, in the order of its names in _SPECS.
     twist_sign : int
         +1 for the catalogue maps.  -1 swaps the map with its inverse; it
         exists only as an explicitly inverted test fixture and violates the
@@ -237,24 +242,20 @@ class LiftedMap:
     twist_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _SPECS:
             raise ValueError(f"unknown map family {self.family!r}")
         if self.twist_sign not in (1, -1):
             raise ValueError("twist_sign must be +1 or -1")
         params = tuple(float(v) for v in self.params)
         if not all(math.isfinite(v) for v in params):
             raise ValueError("map parameters must be finite")
-        if self.family == SHEAR and params:
-            raise ValueError("shear takes no parameters")
-        if self.family == DRIFT and len(params) != 1:
-            raise ValueError("drift takes exactly one parameter c")
-        if self.family == STANDARD:
-            if len(params) != 1:
-                raise ValueError("standard takes exactly one parameter k")
-            if params[0] < 0.0:
-                raise ValueError("standard-map kick strength k must be >= 0")
-        if self.family == GENFUN and len(params) < 1:
-            raise ValueError("genfun needs at least one cosine coefficient")
+        names = _SPECS[self.family][1]
+        if names is None and not params:
+            raise ValueError(f"{self.family} needs at least one cosine coefficient")
+        if names is not None and len(params) != len(names):
+            raise ValueError(f"{self.family} takes the parameters ({', '.join(names)})")
+        if self.family == STANDARD and params[0] < 0.0:
+            raise ValueError("standard-map kick strength k must be >= 0")
         object.__setattr__(self, "params", params)
         # Kick harmonics (i, p_i, q_i): V'(x) = -sum p_i sin(2 pi i x) and
         # V''(x) = -sum q_i cos(2 pi i x).
@@ -291,24 +292,6 @@ class LiftedMap:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._bind_kernels()
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def shear() -> "LiftedMap":
-        return LiftedMap(SHEAR)
-
-    @staticmethod
-    def drift_shear(c: float) -> "LiftedMap":
-        return LiftedMap(DRIFT, (c,))
-
-    @staticmethod
-    def standard(k: float) -> "LiftedMap":
-        return LiftedMap(STANDARD, (k,))
-
-    @staticmethod
-    def generating_function(*coeffs: float) -> "LiftedMap":
-        return LiftedMap(GENFUN, tuple(coeffs))
 
     def inverted(self) -> "LiftedMap":
         """Swap the map with its inverse (negative-twist test fixture)."""
@@ -382,18 +365,27 @@ class LiftedMap:
 
     def to_spec(self) -> str:
         """The CLI spec string for this map (see parse_map_spec)."""
-        if self.family == SHEAR:
-            base = "shear"
-        elif self.family == DRIFT:
-            base = f"drift:c={self.params[0]!r}"
-        elif self.family == STANDARD:
-            base = f"std:k={self.params[0]!r}"
-        else:
-            pairs = ",".join(f"a{i}={a!r}" for i, a in enumerate(self.params, start=1))
-            base = f"genfun:{pairs}"
-        if self.twist_sign == -1:
-            return f"inverted({base})"
-        return base
+        head, names = _SPECS[self.family]
+        names = names or [f"a{i}" for i in range(1, len(self.params) + 1)]
+        pairs = ",".join(f"{name}={v!r}" for name, v in zip(names, self.params))
+        spec = f"{head}:{pairs}" if pairs else head
+        return f"inverted({spec})" if self.twist_sign == -1 else spec
+
+
+def shear() -> LiftedMap:
+    return LiftedMap(SHEAR)
+
+
+def drift_shear(c: float) -> LiftedMap:
+    return LiftedMap(DRIFT, (c,))
+
+
+def standard(k: float) -> LiftedMap:
+    return LiftedMap(STANDARD, (k,))
+
+
+def generating_function(*coeffs: float) -> LiftedMap:
+    return LiftedMap(GENFUN, coeffs)
 
 
 def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
@@ -412,7 +404,7 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
     out[0] = start
     step = map.apply_scalar if n >= 0 else map.apply_inverse_scalar
     for i in range(1, length + 1, BLOCK):
-        rows = []
+        rows, x0, y0 = [], x, y
         try:
             for _ in range(min(BLOCK, length + 1 - i)):
                 x, y = step(x, y)
@@ -420,17 +412,20 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
         except (ArithmeticError, ValueError) as exc:
             raise NonFiniteOrbitError.at(start, i + len(rows)) from exc
         out[i : i + len(rows)] = rows
-        _check_finite(out[i : i + len(rows)], start, i)
+        if not (math.isfinite(x) and math.isfinite(y)):  # shear and drift carry inf on
+            raise NonFiniteOrbitError.at(start, i - 1 + _first_non_finite(step, x0, y0, len(rows)))
     return out
 
 
-def _check_finite(rows: np.ndarray, start, step: int) -> None:
-    """Raise NonFiniteOrbitError at the first row of rows (steps step,
-    step + 1, ... of the orbit of start) that is not finite.  Shear and drift
-    carry inf on without raising, so walks check each block of rows, or
-    their last point, once."""
-    if not np.isfinite(rows).all():
-        raise NonFiniteOrbitError.at(start, step + int(np.argmin(np.isfinite(rows).all(axis=1))))
+def _first_non_finite(step, x: float, y: float, n: int) -> int:
+    """The first of n steps from (x, y) to a non-finite point, or n.  Shear
+    and drift carry inf on without raising: a walk checks its last point,
+    then walks again with step (which may return more) to name the step."""
+    for i in range(1, n):
+        x, y = step(x, y)[:2]
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return i
+    return n
 
 
 @dataclass(frozen=True)
@@ -487,49 +482,34 @@ def twist_check(map: LiftedMap, samples: int = 1000, seed: int = 0) -> TwistRepo
 def parse_map_spec(spec: str) -> LiftedMap:
     """Build a LiftedMap from its CLI string (the inverse of to_spec).
 
-    Grammar: ``shear`` | ``drift:c=<real>`` | ``std:k=<real>`` |
-    ``genfun:a1=<real>,a2=<real>,...`` | ``inverted(<spec>)``.
+    Grammar: ``<head>`` for a family without parameters, else
+    ``<head>:<name>=<real>,...`` with each of its names once, heads and
+    names as in _SPECS (genfun's a1, a2, ... in any order, a missing one
+    0), or ``inverted(<spec>)``.
     """
     spec = spec.strip()
     if spec.startswith("inverted(") and spec.endswith(")"):
         return parse_map_spec(spec[len("inverted(") : -1]).inverted()
-    if spec == "shear":
-        return LiftedMap.shear()
     head, sep, tail = spec.partition(":")
-    if not sep or not tail:
-        raise ValueError(f"malformed map spec {spec!r}")
-    fields = []
-    for item in tail.split(","):
-        key, eq, val = item.partition("=")
-        if not eq:
-            raise ValueError(f"malformed parameter {item!r} in map spec {spec!r}")
+    family = next((f for f, (h, _) in _SPECS.items() if h == head), None)
+    if family is None:
+        raise ValueError(f"unknown map family {head!r} in map spec {spec!r}")
+    names = _SPECS[family][1]
+    params: dict[int, float] = {}
+    for item in tail.split(",") if sep else ():
+        key, _, val = item.partition("=")
         try:
-            fields.append((key.strip(), float(val)))
+            value = float(val)
         except ValueError:
-            raise ValueError(f"non-numeric value {val!r} in map spec {spec!r}") from None
-    keys = [key for key, _ in fields]
-    if head == "drift":
-        if keys != ["c"]:
-            raise ValueError("drift spec takes the parameter c exactly once")
-        return LiftedMap.drift_shear(fields[0][1])
-    if head == "std":
-        if keys != ["k"]:
-            raise ValueError("std spec takes the parameter k exactly once")
-        return LiftedMap.standard(fields[0][1])
-    if head == "genfun":
-        coeffs: dict[int, float] = {}
-        for key, val in fields:
-            if not (len(key) > 1 and key[0] == "a" and key[1:].isdigit() and int(key[1:]) >= 1):
-                raise ValueError(f"genfun parameters look like a1=..., got {key!r}")
-            coeffs[int(key[1:])] = val
-        if len(coeffs) < len(fields):
-            raise ValueError(f"a genfun coefficient is repeated in map spec {spec!r}")
-        top = max(coeffs)
-        return LiftedMap.generating_function(*(coeffs.get(i, 0.0) for i in range(1, top + 1)))
-    raise ValueError(f"unknown map family {head!r}")
-
-# Module-level constructor aliases for the common import style.
-shear = LiftedMap.shear
-drift_shear = LiftedMap.drift_shear
-standard = LiftedMap.standard
-generating_function = LiftedMap.generating_function
+            raise ValueError(f"malformed parameter {item!r} in map spec {spec!r}") from None
+        key = key.strip()
+        if names is None:  # a<i> is the i-th coefficient
+            i = int(key[1:]) - 1 if key[:1] == "a" and key[1:].isdigit() else -1
+        else:
+            i = names.index(key) if key in names else -1
+        if i < 0 or i in params:
+            raise ValueError(f"unknown or repeated parameter {key!r} in map spec {spec!r}")
+        params[i] = value
+    # genfun fills gaps with 0; elsewhere a missing name leaves too few values
+    top = max(params, default=-1) + 1 if names is None else len(params)
+    return LiftedMap(family, tuple(params.get(i, 0.0) for i in range(top)))

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point, parse_map_spec
+from .maps import LiftedMap, _as_point
 from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05

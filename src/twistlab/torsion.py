@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CoincidentPointsError, NonFiniteOrbitError, TwistViolationError
-from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_finite
+from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _first_non_finite
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -146,11 +146,13 @@ class _Walk:
             raise NonFiniteOrbitError.at(self.start, self.n + i + 1) from exc
         r = len(rows)
         block = np.fromiter(chain.from_iterable(rows), float, r * len(rows[0])).reshape(r, -1)
-        # shear and drift carry inf on without raising; a walk without points
-        # walks the block again with them, for _check_finite to name the step
-        _check_finite(block, self.start, self.n + 1)
+        if not np.isfinite(block).all():
+            i = int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise NonFiniteOrbitError.at(self.start, self.n + 1 + i)
+        # rows without points miss an inf that shear or drift carries on
         if not (math.isfinite(x) and math.isfinite(y)):
-            self.run(r, stop, tol, np.empty((r, 6)))
+            i = _first_non_finite(step, self.x, self.y, r)
+            raise NonFiniteOrbitError.at(self.start, self.n + i)
         delta = self._steps(block[:, -2], block[:, -1])
         # a sequential sum, equal to the running sum bit for bit
         cum = np.add.accumulate(np.concatenate(([self.cum], delta)))[1:]
@@ -402,7 +404,9 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
             xi_prev, xi = xi, xi_next
     except (ArithmeticError, ValueError) as exc:
         raise NonFiniteOrbitError.at(start, n) from exc
-    return None
+    if math.isfinite(x) and math.isfinite(y):  # shear carries inf on, and its V'' is 0
+        return None
+    raise NonFiniteOrbitError.at(start, _first_non_finite(step, *start, horizon))
 
 
 @dataclass(frozen=True)

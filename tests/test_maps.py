@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab import (
     IterationCapError,
@@ -15,6 +17,7 @@ from twistlab import (
     standard,
     twist_check,
 )
+from twistlab.cli import run
 
 TWO_PI = 2.0 * math.pi
 
@@ -266,11 +269,17 @@ def test_parse_map_spec_grammar():
         "std:k=1,k=2",
         "genfun:a1=1,a01=2",
         "drift:c=1,c=1",
+        "shear:c=1",
+        "genfun:",
+        "inverted()",
+        "std:k=1e400",
     ],
 )
-def test_parse_map_spec_rejects(bad):
+def test_parse_map_spec_rejects(bad, capsys):
     with pytest.raises(ValueError):
         parse_map_spec(bad)
+    assert run(["flux", "--map", bad]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -281,6 +290,42 @@ def test_to_spec_round_trip(m):
     assert again.family == m.family
     assert again.params == pytest.approx(m.params, abs=0)
     assert again == m
+
+
+# Parameters whose text must survive the trip: signed zeros, subnormals and
+# the ends of the float range.
+EDGE_PARAMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+CATALOGUE = st.one_of(
+    st.just(shear()),
+    EDGE_PARAMS.map(drift_shear),
+    EDGE_PARAMS.map(lambda k: standard(k if k >= 0.0 else -k)),  # keeps -0.0
+    st.tuples(
+        st.lists(EDGE_PARAMS, min_size=1, max_size=4),
+        st.lists(st.sampled_from([0.0, -0.0]), max_size=3),  # trailing zeros
+    ).map(lambda t: generating_function(*t[0], *t[1])),
+)
+
+
+def _inverted(m, times):
+    for _ in range(times):
+        m = m.inverted()
+    return m
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(CATALOGUE, st.integers(0, 3), st.integers(0, 3))
+def test_to_spec_round_trips_every_family(m, flips, depth):
+    m = _inverted(m, flips)
+    spec = m.to_spec()
+    again = parse_map_spec(spec)
+    assert again == m
+    # the text comparison also sees the sign of a zero, which == does not
+    assert again.to_spec() == spec
+    nested = parse_map_spec("inverted(" * depth + spec + ")" * depth)
+    assert nested == _inverted(m, depth) and nested.to_spec() == _inverted(m, depth).to_spec()
 
 
 def test_constructor_validation():

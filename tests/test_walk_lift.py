@@ -206,6 +206,8 @@ ENTRY_POINTS = {
         shear(), (0.0, 1.0, 0.0, 1.7e308), (1e308, 1e308), 5, 50),
     "first_return_torsion_drift": lambda: first_return_torsion(
         drift_shear(0.25), (0.0, 1.0, 0.0, 1.7e308), (1e308, 1.7e308), 5, 50),
+    # shear's V'' is 0, so its Jacobi field stays finite
+    "jacobi_conjugate_oracle_shear": lambda: jacobi_conjugate_oracle(shear(), (1e308, 1e308), 50),
 }
 
 
@@ -239,10 +241,18 @@ def test_block_check_names_the_first_non_finite_step(sign):
                 call()
 
 
-@pytest.mark.parametrize("family", ["shear", "drift"])
-@pytest.mark.parametrize("entry", ["asymptotic_torsion", "conjugate_report", "first_return_torsion"])
+STREAMED = [
+    (entry, family)
+    for entry in (
+        "asymptotic_torsion", "conjugate_report", "first_return_torsion", "rotation_number"
+    )
+    for family in ("drift", "shear")
+] + [("jacobi_conjugate_oracle", "shear")]
+
+
+@pytest.mark.parametrize("entry, family", STREAMED, ids=[f"{e}-{f}" for e, f in STREAMED])
 def test_streaming_walks_name_the_step_the_trace_names(entry, family):
-    # a walk that records only directions names the first non-finite step too
+    # a walk that keeps no points names the first non-finite step too
     with pytest.raises(NonFiniteOrbitError) as traced:
         ENTRY_POINTS[f"torsion_trace_{family}"]()
     with pytest.raises(NonFiniteOrbitError) as streamed:
@@ -258,6 +268,15 @@ def test_walk_names_the_step_it_fails_at():
     assert len(points) == 12
     assert all(map(math.isfinite, points[:-1])) and math.isinf(points[-1])
     assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_walk_calls_stop_once_per_step_when_its_points_overflow():
+    # shear carries inf on without raising; naming the step takes no second
+    # pass through the stop hook
+    points = []
+    with pytest.raises(NonFiniteOrbitError, match="by step 1:"):
+        _Walk(shear(), 1e308, 1e308, 0.0, 1.0).run(5, lambda x, y, wx: points.append(x))
+    assert len(points) == 5 and math.isinf(points[0])
 
 
 def test_jacobi_oracle_names_leaving_the_float_range():
