@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -144,25 +145,28 @@ class ProbeReport:
     horizon: int | None = None
 
 
-def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0) -> np.ndarray:
+def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, errors=None):
     """Roots y_j of increasing functions y -> g(xs[j], y), all nodes at once.
 
-    g takes equally shaped arrays of nodes and trial values.  Each node
+    g takes equally shaped arrays of nodes and trial values; a node is
+    whatever g reads, an x or an index into the caller's data.  Each node
     runs the same steps it would alone: brackets start at [-1, 1] and
     double outward to +-2^16 before giving up; with monotone_samples > 1
     the bracket is then sampled that many times and must be strictly
     increasing, since bisection could otherwise land on any of several
     roots (NonMonotoneBracketError); bisection stops once |g| < tol, when
     the bracket has collapsed to 4 ulp, or after 200 halvings.  Nodes
-    that fail drop out; once all nodes are done the error of the
-    lowest-index failing node is raised.
+    that fail drop out with a NaN root.  Their errors go into errors, by
+    node index, when it is given; otherwise, once all nodes are done, the
+    error of the lowest-index failing node is raised.
     """
     # tol = 0 is allowed: no residual beats it, so every bracket collapses
     # and the solver's own error says so.
     if not 0.0 <= tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
     m = xs.shape[0]
-    errors: dict[int, Exception] = {}
+    raise_first = errors is None
+    errors = {} if raise_first else errors
     failed = np.zeros(m, dtype=bool)
 
     def fail(j, error: Exception) -> None:
@@ -225,25 +229,30 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0) -> np
             act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
     for j in act:
         fail(j, BracketExpansionError("bisection failed to meet tolerance"))
-    if errors:
+    if raise_first and errors:
         raise errors[min(errors)]
     return roots
 
 
 def _sections(
-    map: LiftedMap, xs: np.ndarray, p: int, q: int, tol: float, monotone_samples: int = 0
+    map: LiftedMap, xs: np.ndarray, p, q: int, tol: float, monotone_samples: int = 0, errors=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots ys of p1(F^q(x, y)) = x + p at every node x, and F^q(xs, ys)."""
+    """Roots ys of p1(F^q(x, y)) = x + p at every node x, and F^q(xs, ys).
+
+    p is one offset or one per node: the solver's nodes index xs and p.
+    """
+    p = np.broadcast_to(np.asarray(p, dtype=float), xs.shape)
 
     def forward_q(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(q):
             x, y = map.apply_array(x, y)
         return x, y
 
-    def g(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return forward_q(x, y)[0] - x - p
+    def g(j: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = xs[j]
+        return forward_q(x, y)[0] - x - p[j]
 
-    ys = _solve_roots(g, xs, tol, monotone_samples)
+    ys = _solve_roots(g, np.arange(len(xs)), tol, monotone_samples, errors)
     xq, yq = forward_q(xs, ys)
     return ys, xq, yq
 
@@ -302,9 +311,8 @@ def flux(map: LiftedMap, resolution: int = 256, tol: float = 1e-12) -> float:
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     ys, _, y1 = _sections(map, np.arange(resolution) / resolution, 0, 1, tol)
-    total = 0.0
-    for gap in (y1 - ys).tolist():  # left to right: np.sum's pairwise order moves the last bits
-        total += gap
+    # left to right from 0.0: np.sum's pairwise order moves the last bits
+    total = float(np.add.accumulate(np.concatenate(([0.0], y1 - ys)))[-1])
     # Periodic trapezoid: endpoints coincide, so the rule is the mean.
     return total / resolution
 
@@ -357,31 +365,43 @@ def periodic_curve(
         raise ValueError("q must be a positive integer")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
-    rho = Fraction(p, q)
+    return _rotation_curves(map, (Fraction(p, q),), resolution, tol, bracket_samples)[0]
+
+
+def _rotation_curves(
+    map: LiftedMap, rhos: Sequence[Fraction], resolution: int, tol: float, bracket_samples: int = 9
+) -> tuple[PeriodicCurve, ...]:
+    """periodic_curve for each of the sorted rhos, one root solve per denominator.
+
+    The rationals p/q of one q share F^q, so their nodes are solved
+    together, each with its offset p.  Every node takes the steps it
+    would alone, so each curve is bit for bit its own solve's, and a
+    failure raises the error that one solve per rational in order would:
+    the first failing rational's, at its lowest failing node.
+    """
     xs = np.arange(resolution) / resolution
-    ys, xq, yq = _sections(map, xs, p, q, tol, bracket_samples)
-    root_res = np.abs(xq - xs - p)
-    fix_res = np.abs(yq - ys)
-    fixed_ok = bool(np.max(fix_res) <= FIX_RESIDUAL_TOL)
-    return PeriodicCurve(
-        xs=xs,
-        ys=ys,
-        label=f"PsiRho({p}/{q})",
-        residuals=root_res,
-        rho=rho,
-        fix_residuals=fix_res,
-        fixed_ok=fixed_ok,
-    )
+    curves, errors = {}, {}
+    for q in dict.fromkeys(r.denominator for r in rhos):
+        group, failed = [r for r in rhos if r.denominator == q], {}
+        ps = np.repeat([float(r.numerator) for r in group], len(xs))
+        solved = _sections(map, np.tile(xs, len(group)), ps, q, tol, bracket_samples, failed)
+        if failed:
+            errors[group[min(failed) // len(xs)]] = failed[min(failed)]
+            continue
+        for r, ys, xq, yq in zip(group, *(a.reshape(len(group), -1) for a in solved)):
+            fix_res = np.abs(yq - ys)
+            curves[r] = PeriodicCurve(xs.copy(), ys, f"PsiRho({r.numerator}/{q})",
+                                      np.abs(xq - xs - r.numerator), rho=r, fix_residuals=fix_res,
+                                      fixed_ok=bool(np.max(fix_res) <= FIX_RESIDUAL_TOL))
+    if errors:
+        raise errors[min(errors)]
+    return tuple(curves[r] for r in rhos)
 
 
 def _as_fraction(rho) -> Fraction:
-    if isinstance(rho, Fraction):
-        return rho
-    if isinstance(rho, int):
-        return Fraction(rho)
     if isinstance(rho, tuple):
         return Fraction(rho[0], rho[1])
-    if isinstance(rho, str):
+    if isinstance(rho, (Fraction, int, str)):
         return Fraction(rho)
     raise ValueError(f"cannot interpret {rho!r} as a rational rotation number")
 
@@ -394,6 +414,7 @@ def psi_family(
 ) -> PsiFamily:
     """Build periodic curves for a sorted list of rationals and check order.
 
+    The curves take one root solve per denominator (_rotation_curves).
     monotone_ok requires strict pointwise ordering between consecutive
     curves at every shared node; violations are recorded per pair with
     the number of offending nodes, not raised.
@@ -403,7 +424,7 @@ def psi_family(
         raise ValueError("need at least one rotation number")
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rotation numbers must be sorted and pairwise distinct")
-    curves = tuple(periodic_curve(map, r.numerator, r.denominator, resolution, tol) for r in rhos)
+    curves = _rotation_curves(map, rhos, resolution, tol)
     violations = []
     for (ra, ca), (rb, cb) in zip(zip(rhos, curves), zip(rhos[1:], curves[1:])):
         bad = int(np.count_nonzero(ca.ys >= cb.ys))
@@ -442,10 +463,7 @@ def classify_monotonicity(map: LiftedMap, p, horizon: int) -> str:
         return UNDETERMINED
     d = np.diff(seg[:, 0])
     signs = np.where(d > 1e-12, 1, np.where(d < -1e-12, -1, 0))
-    runs: list[int] = []
-    for s in signs:
-        if not runs or runs[-1] != s:
-            runs.append(int(s))
+    runs = [int(s) for s, _ in groupby(signs)]
     if runs in ([1], [-1]):
         return MONOTONE
     if runs in ([1, -1], [-1, 1]):

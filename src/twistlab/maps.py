@@ -30,12 +30,12 @@ Jacobian off the step.
 
 One builder, _kernels, makes each map's kernels once at construction, for
 floats and for arrays.  It picks a kick (V', V'') and a slope (V' alone)
-for the input: _kick_arr on arrays, _kick on floats with several
-harmonics, _kick's loop body unrolled for a single first harmonic (every
-standard map).  Over them each direction's step and image are written
-once; a single harmonic's float image has the slope written into it, for
-both directions, which saves a call per map application.  Shear and drift
-are one line each.  Floats and arrays agree bit for bit.
+for the input, _kick_arr on arrays and _kick on floats, and writes each
+direction's step and image once over them.  A single first harmonic on
+floats (every standard map) gets _single_harmonic's kernels instead:
+_kick's loop body is written into each direction's step and image, so a
+map application makes no further Python call.  Shear and drift are one
+line each.  Floats and arrays agree bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ ITERATE_CAP = 10_000_000
 
 # Rows per block when scalar walks fill an array (iterate, torsion_trace).
 BLOCK = 1024
+
+# The most cosine coefficients of a genfun map; every kick loops over all.
+GENFUN_MAX_INDEX = 64
 
 
 def _kick(x: float, harmonics, sin: bool, cos: bool) -> tuple[float, float]:
@@ -149,43 +152,15 @@ def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
             return (lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y))
         return (lambda x, y: (x - y, y, *jac)), (lambda x, y: (x - y, y))
 
-    # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.  A single
-    # harmonic's float image, fused, has the slope written into it and
-    # takes the place of image.
-    fused = None
+    if not arrays and len(harmonics) == 1:
+        return _single_harmonic(*harmonics[0][1:], forward)
+    # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.
     if arrays:
         kick = lambda x: _kick_arr(x, harmonics, True, True)
         slope = lambda x: _kick_arr(x, harmonics, True, False)[0]
-    elif len(harmonics) > 1:
+    else:
         kick = lambda x: _kick(x, harmonics, True, True)
         slope = lambda x: _kick(x, harmonics, True, False)[0]
-    else:
-        # One first harmonic: _kick's loop body, unrolled.  Each closure
-        # folds on its own; a shared fold would cost a call per step.
-        ((_, p, q),) = harmonics
-        floor, sin = math.floor, math.sin
-
-        def kick(x):
-            u = x - floor(x)
-            turn = TWO_PI
-            if u >= 0.5:
-                u -= 0.5
-                turn = -TWO_PI
-            vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
-            return vp, 0.0 - q * sin(turn * (0.25 - u))
-
-        def fused(x, y):
-            kx = x if forward else x - y
-            u = kx - floor(kx)
-            turn = TWO_PI
-            if u >= 0.5:
-                u -= 0.5
-                turn = -TWO_PI
-            vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
-            if forward:
-                y1 = y + vp
-                return x + y1, y1
-            return kx, y - vp
 
     # The kick acts at the base map's x: x itself going forward, the
     # preimage x - y going back, where the Jacobian is the inverse of the
@@ -208,7 +183,45 @@ def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
         def image(x, y):
             kx = x - y
             return kx, y - slope(kx)
-    return step, fused or image
+    return step, image
+
+
+def _single_harmonic(p: float, q: float, forward: bool):
+    """Float (step, image) of one first harmonic going forward or back, with
+    _kick's loop body written into each, so that a step makes no other call."""
+    floor, sin = math.floor, math.sin
+    if forward:
+        def step(x, y):
+            u, turn = x - floor(x), TWO_PI
+            if u >= 0.5:
+                u, turn = u - 0.5, -TWO_PI
+            w = 0.0 - q * sin(turn * (0.25 - u))
+            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+            return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+
+        def image(x, y):
+            u, turn = x - floor(x), TWO_PI
+            if u >= 0.5:
+                u, turn = u - 0.5, -TWO_PI
+            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+            return x + y1, y1
+    else:
+        def step(x, y):
+            kx = x - y
+            u, turn = kx - floor(kx), TWO_PI
+            if u >= 0.5:
+                u, turn = u - 0.5, -TWO_PI
+            w = 0.0 - q * sin(turn * (0.25 - u))
+            vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
+            return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
+
+        def image(x, y):
+            kx = x - y
+            u, turn = kx - floor(kx), TWO_PI
+            if u >= 0.5:
+                u, turn = u - 0.5, -TWO_PI
+            return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+    return step, image
 
 
 _KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_step_array_k", "_apply_array_k")
@@ -250,8 +263,8 @@ class LiftedMap:
         if not all(math.isfinite(v) for v in params):
             raise ValueError("map parameters must be finite")
         names = _SPECS[self.family][1]
-        if names is None and not params:
-            raise ValueError(f"{self.family} needs at least one cosine coefficient")
+        if names is None and not 1 <= len(params) <= GENFUN_MAX_INDEX:
+            raise ValueError(f"{self.family} takes 1 to {GENFUN_MAX_INDEX} cosine coefficients")
         if names is not None and len(params) != len(names):
             raise ValueError(f"{self.family} takes the parameters ({', '.join(names)})")
         if self.family == STANDARD and params[0] < 0.0:
@@ -484,8 +497,8 @@ def parse_map_spec(spec: str) -> LiftedMap:
 
     Grammar: ``<head>`` for a family without parameters, else
     ``<head>:<name>=<real>,...`` with each of its names once, heads and
-    names as in _SPECS (genfun's a1, a2, ... in any order, a missing one
-    0), or ``inverted(<spec>)``.
+    names as in _SPECS (genfun's a1, a2, ... up to a<GENFUN_MAX_INDEX> in
+    any order, a missing one 0), or ``inverted(<spec>)``.
     """
     spec = spec.strip()
     if spec.startswith("inverted(") and spec.endswith(")"):
@@ -509,6 +522,8 @@ def parse_map_spec(spec: str) -> LiftedMap:
             i = names.index(key) if key in names else -1
         if i < 0 or i in params:
             raise ValueError(f"unknown or repeated parameter {key!r} in map spec {spec!r}")
+        if names is None and i >= GENFUN_MAX_INDEX:
+            raise ValueError(f"{key!r} is past a{GENFUN_MAX_INDEX} in map spec {spec!r}")
         params[i] = value
     # genfun fills gaps with 0; elsewhere a missing name leaves too few values
     top = max(params, default=-1) + 1 if names is None else len(params)

@@ -137,14 +137,8 @@ class MeasureEstimate:
             return MeasureEstimate(math.nan, math.nan, math.nan, math.nan, 0, eps)
         neg = float(np.count_nonzero(t < -eps)) / n
         nonzero = float(np.count_nonzero(np.abs(t) > eps)) / n
-        return MeasureEstimate(
-            fraction_negative=neg,
-            fraction_nonzero=nonzero,
-            mean_torsion=float(np.mean(t)),
-            stderr=math.sqrt(neg * (1.0 - neg) / n),
-            count=n,
-            eps=eps,
-        )
+        stderr = math.sqrt(neg * (1.0 - neg) / n)
+        return MeasureEstimate(neg, nonzero, float(np.mean(t)), stderr, n, eps)
 
 
 @dataclass
@@ -327,10 +321,7 @@ def first_return_torsion(
     cap = int(cap)
     if returns < 1 or cap < 1:
         raise ValueError("returns and cap must be >= 1")
-    times = []
-    sums = []
-    last_t = 0
-    last_cum = 0.0
+    times, sums, last_t, last_cum = [], [], 0, 0.0
     walk = _Walk(map, px, py, 0.0, 1.0)
     # each return ends a block of the walk
     while walk.n < cap and len(times) < returns:
@@ -445,14 +436,7 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             (float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr))
         )
     arr = np.array(rows, dtype=float).reshape(-1, 5)
-    cols = {
-        "x": arr[:, 0],
-        "y": arr[:, 1],
-        "torsion": arr[:, 2],
-        "overconj_time": arr[:, 3],
-        "rotation": arr[:, 4],
-    }
-    return cols, meta
+    return dict(zip(("x", "y", "torsion", "overconj_time", "rotation"), arr.T)), meta
 
 
 def summarize_csv(path) -> MeasureEstimate:

@@ -10,20 +10,24 @@ half-turn index by one; the lifted angle is the direction's principal
 angle placed in that half turn.  No angle is anchored or compared.
 
 The scalar walk, _Walk, steps and transports one step at a time in
-Python and lifts a block of steps at once in numpy, with the running
-sums (torsion) and their sign structure (conjugate points); a block ends
-early where a consumer must decide, so no walk steps past its stop.  The
-vectorized ensemble kernel, cocycle_scan, lifts the same way per lane,
-taking an angle only where one is read.  A scalar walk whose orbit leaves
-the float range raises NonFiniteOrbitError naming the step; an ensemble
-lane is flagged invalid there, or where the twist fails.
+Python, keeping each image in flat lists, and lifts a block of steps at
+once in numpy, with the running sums (torsion) and their sign structure
+(conjugate points); a block ends early where a consumer must decide, so
+no walk steps past its stop.  linking_number takes blocks the same way:
+its loop only steps both orbits.  The vectorized ensemble kernel,
+cocycle_scan, lifts the same way per lane, taking an angle only where one
+is read.  A scalar walk whose orbit leaves the float range raises
+NonFiniteOrbitError naming the step; an ensemble lane is flagged invalid
+there, or where the twist fails.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import neg
 
 import numpy as np
 
@@ -35,7 +39,6 @@ VERTICAL_TOL = 1e-9
 HALF_TURN_WARN_TOL = 1e-6
 
 _INV_TWO_PI = 1.0 / TWO_PI
-
 
 VERTICAL = (0.0, 1.0)
 
@@ -126,38 +129,43 @@ class _Walk:
         step, hypot = self.step, math.hypot
         x, y, wx, wy = self.x, self.y, self.wx, self.wy
         side = -1.0 if wx < 0.0 else 1.0
-        rows = [None] * min(k, BLOCK)
+        r = min(k, BLOCK)
+        ix, iy = [0.0] * r, [0.0] * r
+        points = None if table is None else [None] * r
         try:
-            for i in range(len(rows)):
+            for i in range(r):
                 x1, y1, a, b, c, d = step(x, y)
                 if b <= 0.0:
                     raise TwistViolationError(
                         f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
                     )
-                iwx = a * wx + b * wy
-                iwy = c * wx + d * wy
+                iwx = ix[i] = a * wx + b * wy
+                iwy = iy[i] = c * wx + d * wy
                 norm = hypot(iwx, iwy)
                 x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
-                rows[i] = (iwx, iwy) if table is None else (x, y, wx, wy, iwx, iwy)
+                if points is not None:
+                    points[i] = (x, y, wx, wy)
                 if side * wx < tol or stop is not None and stop(x, y, wx):
-                    del rows[i + 1 :]
+                    r = i + 1
                     break
         except (ArithmeticError, ValueError) as exc:
             raise NonFiniteOrbitError.at(self.start, self.n + i + 1) from exc
-        r = len(rows)
-        block = np.fromiter(chain.from_iterable(rows), float, r * len(rows[0])).reshape(r, -1)
-        if not np.isfinite(block).all():
-            i = int(np.argmin(np.isfinite(block).all(axis=1)))
-            raise NonFiniteOrbitError.at(self.start, self.n + 1 + i)
-        # rows without points miss an inf that shear or drift carries on
+        iwx, iwy = np.fromiter(ix, float, r), np.fromiter(iy, float, r)
+        finite = np.isfinite(iwx) & np.isfinite(iwy)
+        if points is not None:
+            block = np.fromiter(chain.from_iterable(points[:r]), float, 4 * r).reshape(r, 4)
+            finite &= np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise NonFiniteOrbitError.at(self.start, self.n + 1 + int(np.argmin(finite)))
+        # the images miss an inf that shear or drift carries on
         if not (math.isfinite(x) and math.isfinite(y)):
             i = _first_non_finite(step, self.x, self.y, r)
             raise NonFiniteOrbitError.at(self.start, self.n + i)
-        delta = self._steps(block[:, -2], block[:, -1])
+        delta = self._steps(iwx, iwy)
         # a sequential sum, equal to the running sum bit for bit
         cum = np.add.accumulate(np.concatenate(([self.cum], delta)))[1:]
         if table is not None:
-            table[:r, :4], table[:r, 4], table[:r, 5] = block[:, :4], delta, cum
+            table[:r, :4], table[:r, 4], table[:r, 5] = block, delta, cum
         self.x, self.y, self.wx, self.wy = x, y, wx, wy
         self.n, self.cum = self.n + r, float(cum[-1])
         return cum
@@ -426,6 +434,8 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     half a turn per step, so any step landing within HALF_TURN_WARN_TOL
     of the boundary sets near_half_turn.  Coincident points are rejected,
     and orbits that leave the float range raise NonFiniteOrbitError.
+    The loop only steps both orbits and keeps their differences; each
+    block's checks, angles (_angle's) and sums are then taken at once.
     """
     n = int(n)
     if n < 1:
@@ -434,27 +444,40 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     qx, qy = _as_point(q)
     if px == qx and py == qy:
         raise CoincidentPointsError("linking needs two distinct points")
-    total = 0.0
-    flagged = False
     th_prev = angle_from_vertical((qx - px, qy - py))
-    start = (px, py), (qx, qy)
-    for i in range(1, n + 1):
-        px, py = map.apply_scalar(px, py)
-        qx, qy = map.apply_scalar(qx, qy)
-        dx, dy = qx - px, qy - py
-        if dx == 0.0 and dy == 0.0:
-            raise CoincidentPointsError("orbits collided to machine precision")
+    start, apply, total, flagged = ((px, py), (qx, qy)), map.apply_scalar, 0.0, False
+    dxs, dys = [0.0] * min(n, BLOCK), [0.0] * min(n, BLOCK)
+    for n0 in range(0, n, BLOCK):
+        r, error = min(BLOCK, n - n0), None
+        try:
+            for i in range(r):
+                px, py = apply(px, py)
+                qx, qy = apply(qx, qy)
+                dxs[i] = qx - px
+                dys[i] = qy - py
+        except Exception as exc:  # raised below, unless an earlier step fails a check
+            r, error = i, exc
+        dx, dy = np.fromiter(dxs, float, r), np.fromiter(dys, float, r)
         # a point that leaves the float range makes the difference
-        # non-finite at once, so no step is taken from it
-        if not (math.isfinite(dx) and math.isfinite(dy)):
-            raise NonFiniteOrbitError.at(start, i)
-        th = _angle(dx, dy)
-        raw = th - th_prev
-        rep = raw - round(raw)
-        if abs(abs(rep) - 0.5) <= HALF_TURN_WARN_TOL:
-            flagged = True
-        total += rep
-        th_prev = th
+        # non-finite at once; the first bad step raises
+        collided = (dx == 0.0) & (dy == 0.0)
+        bad = collided | ~(np.isfinite(dx) & np.isfinite(dy))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if collided[i]:
+                raise CoincidentPointsError("orbits collided to machine precision")
+            raise NonFiniteOrbitError.at(start, n0 + i + 1)
+        if error is not None:
+            raise error
+        # -dx as _angle negates it: -(+0.0) is -0.0
+        th = np.fromiter(builtins.map(math.atan2, builtins.map(neg, dxs[:r]), dys), float, r)
+        th *= _INV_TWO_PI
+        np.add(th, 1.0, out=th, where=th <= -0.5)
+        raw = np.diff(th, prepend=th_prev)
+        rep = raw - np.rint(raw)
+        flagged = flagged or bool((np.abs(np.abs(rep) - 0.5) <= HALF_TURN_WARN_TOL).any())
+        total = float(np.add.accumulate(np.concatenate(([total], rep)))[-1])
+        th_prev = th[-1]
     return LinkingEstimate(value=total / n, near_half_turn=flagged, n=n)
 
 

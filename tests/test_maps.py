@@ -18,6 +18,7 @@ from twistlab import (
     twist_check,
 )
 from twistlab.cli import run
+from twistlab.maps import GENFUN_MAX_INDEX
 
 TWO_PI = 2.0 * math.pi
 
@@ -273,6 +274,9 @@ def test_parse_map_spec_grammar():
         "genfun:",
         "inverted()",
         "std:k=1e400",
+        # each genfun coefficient costs every kick a harmonic, zeros too
+        "genfun:a100000=0.01",
+        f"genfun:a{GENFUN_MAX_INDEX + 1}=1",
     ],
 )
 def test_parse_map_spec_rejects(bad, capsys):
@@ -335,6 +339,12 @@ def test_constructor_validation():
         generating_function()
     with pytest.raises(ValueError):
         standard(float("nan"))
+    # the spec grammar's bound holds for constructed maps too, so every
+    # map's to_spec parses back
+    last = generating_function(*[0.0] * (GENFUN_MAX_INDEX - 1), 0.01)
+    assert parse_map_spec(last.to_spec()) == last
+    with pytest.raises(ValueError, match="cosine coefficients"):
+        generating_function(*[0.0] * GENFUN_MAX_INDEX, 0.01)
 
 
 def test_point_validation():

@@ -24,7 +24,7 @@ from twistlab import (
     standard,
     torsion_trace,
 )
-from twistlab.maps import BLOCK, SHEAR, TWO_PI
+from twistlab.maps import BLOCK, SHEAR, TWO_PI, _kick
 from twistlab.torsion import _Walk
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -136,6 +136,37 @@ def test_scalar_methods_match_reference_off_the_reals(m):
     # the kicked forms raise from math.floor where the reference does
     for x, y in [(math.inf, 0.0), (-math.inf, 1.0), (math.nan, 0.0), (0.3, math.inf), (0.3, math.nan)]:
         check_methods(m, x, y)
+
+
+# Quarter turns, lifted up to 2^52 (where every float is an integer or a
+# half-integer), signed zeros and tiny magnitudes.
+QUARTERS = [s * (i / 4 + j) for s in (1.0, -1.0) for i in range(4)
+            for j in (0.0, 1.0, 7.0, 2.0**20, 2.0**40, 2.0**50)]
+EDGES = QUARTERS + [0.0, -0.0, 2.0**51 + 0.5, -(2.0**51 + 0.5), 2.0**52, -(2.0**52),
+                     5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("m", [standard(k) for k in (0.0, 0.5, 1.0, 1e300)]
+                         + [standard(k).inverted() for k in (0.0, 0.5, 1.0, 1e300)],
+                         ids=lambda m: m.to_spec())
+def test_single_harmonic_kernels_match_kick(m):
+    # each direction's step and image, with the kick written in, against
+    # the general _kick at the base map's x
+    fwd = m.twist_sign == 1
+    for x in EDGES:
+        for y in (0.0, -0.0, 0.25, -0.5, 2.0**52):
+            for forward, step, image in ((fwd, m.step_scalar, m.apply_scalar),
+                                         (not fwd, None, m.apply_inverse_scalar)):
+                kx = x if forward else x - y
+                vp, w = _kick(kx, m._harmonics, True, True)
+                if forward:
+                    y1 = y + vp
+                    want = (x + y1, y1, 1.0 + w, 1.0, w, 1.0)
+                else:
+                    want = (kx, y - vp, 1.0, -1.0, -w, 1.0 + w)
+                assert bits(image(x, y)) == bits(want[:2]), (x, y, forward)
+                if step is not None:
+                    assert bits(step(x, y)) == bits(want), (x, y, forward)
 
 
 @pytest.mark.parametrize("m", MAPS, ids=lambda m: m.to_spec())

@@ -1,6 +1,7 @@
 """Angle cocycle engine: traces, detectors, oracles, linking, scans."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import twistlab.torsion
 from twistlab import (
     CoincidentPointsError,
+    NonFiniteOrbitError,
     TwistViolationError,
     angle_from_vertical,
     asymptotic_torsion,
@@ -525,6 +527,109 @@ def test_linking_non_finite_difference_raises():
     linking_number(_Blowup(), (1.0, 0.0), (2.0, 0.0), 1)
     with pytest.raises(ValueError, match="finite"):
         linking_number(_Blowup(), (1.0, 0.0), (2.0, 0.0), 2)
+
+
+def linking_per_step(map, p, q, n):
+    """linking_number as a per-step loop, errors included: each step is
+    checked for a collision, then for a non-finite difference, before the
+    next step is taken."""
+    px, py = p
+    qx, qy = q
+    total, flagged = 0.0, False
+    th_prev = angle_from_vertical((qx - px, qy - py))
+    for i in range(1, n + 1):
+        px, py = map.apply_scalar(px, py)
+        qx, qy = map.apply_scalar(qx, qy)
+        dx, dy = qx - px, qy - py
+        if dx == 0.0 and dy == 0.0:
+            raise CoincidentPointsError("orbits collided to machine precision")
+        if not (math.isfinite(dx) and math.isfinite(dy)):
+            raise NonFiniteOrbitError.at(((p[0], p[1]), (q[0], q[1])), i)
+        th = twistlab.torsion._angle(dx, dy)
+        rep = (th - th_prev) - round(th - th_prev)
+        flagged |= abs(abs(rep) - 0.5) <= twistlab.torsion.HALF_TURN_WARN_TOL
+        total += rep
+        th_prev = th
+    return total / n, flagged
+
+
+def linking_outcome(f, *args):
+    """(value, flag) with the value's bits, or the type and message raised."""
+    try:
+        value, flag = f(*args)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    return struct.pack("<d", value), flag
+
+
+def linking_pair(m, p, q, n):
+    est = linking_number(m, p, q, n)
+    assert est.n == n
+    return est.value, est.near_half_turn
+
+
+LINKING_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", LINKING_NS)
+@settings(deadline=None, derandomize=True, database=None, max_examples=12)
+@given(
+    m=st.sampled_from(POSITIVE_TWIST_MAPS + [standard(1.5), standard(0.0)]),
+    p=st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+    d=st.tuples(st.sampled_from([0.0, 0.25, -0.5, 1e-9]) | st.floats(-1.0, 1.0),
+                st.sampled_from([0.0, 0.5, -1e-9]) | st.floats(-1.0, 1.0)),
+)
+def test_linking_blocks_match_reference(n, m, p, d):
+    # d = (0, y) starts with qx == px: -dx is -0.0 there, as in _angle
+    q = (p[0] + d[0], p[1] + d[1])
+    if q == p:
+        return
+    want = linking_outcome(linking_per_step, m, p, q, n)
+    assert linking_outcome(linking_pair, m, p, q, n) == want
+    if not isinstance(want[0], type):  # no error: the checked angles agree too
+        assert linking_outcome(linking_reference, m, p, q, n) == want
+
+
+class _Halving:
+    # halves both coordinates: the orbits of (1, 0) and (2, 0) meet at 0
+    # at step 1076, in the second block
+    def apply_scalar(self, x, y):
+        return 0.5 * x, 0.5 * y
+
+
+class _Doubling:
+    # doubles x: the orbit of 2e-300 leaves the float range in the second block
+    def apply_scalar(self, x, y):
+        return 2.0 * x, y
+
+
+# (map, p, q): errors inside a later block, from a duck-typed map, a map
+# that carries inf on (shear) and maps that raise one step past it.
+LINKING_EDGES = [
+    (_Halving(), (1.0, 0.0), (2.0, 0.0)),
+    (_Doubling(), (1e-300, 0.0), (2e-300, 0.0)),
+    (_Blowup(), (1.0, 0.0), (2.0, 0.0)),
+    (shear(), (0.0, 1e305), (0.0, 1.0001e305)),
+    (standard(0.5), (0.0, 1e305), (0.25, 1.0001e305)),
+    (generating_function(0.02, 0.001), (0.0, 5e304), (0.0, 5.0001e304)),
+]
+
+
+@pytest.mark.parametrize("n", LINKING_NS + [3 * BLOCK])
+@pytest.mark.parametrize("case", LINKING_EDGES, ids=lambda c: type(c[0]).__name__)
+def test_linking_errors_match_per_step_loop(case, n):
+    m, p, q = case
+    want = linking_outcome(linking_per_step, m, p, q, n)
+    assert linking_outcome(linking_pair, m, p, q, n) == want
+
+
+def test_linking_edge_cases_fail_in_a_later_block():
+    # all but _Blowup raise past the first block, as they are meant to
+    for (m, p, q), kind in zip(LINKING_EDGES, [CoincidentPointsError] + [Exception] * 5):
+        with pytest.raises(kind):
+            linking_per_step(m, p, q, 3 * BLOCK)
+        if not isinstance(m, _Blowup):
+            linking_per_step(m, p, q, BLOCK)
 
 
 def test_cocycle_scan_matches_scalar_trace():
