@@ -271,6 +271,8 @@ def _characteristic_curves(
     map: LiftedMap, resolution: int, tol: float
 ) -> tuple[PeriodicCurve, PeriodicCurve]:
     """Psi1 and PsiMinus1 on the uniform grid j/resolution, from one solve."""
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     xs = np.arange(resolution) / resolution
     ys, x1, y1 = _sections(map, xs, 0, 1, tol)
     res = np.abs(x1 - xs)
@@ -379,6 +381,8 @@ def _rotation_curves(
     failure raises the error that one solve per rational in order would:
     the first failing rational's, at its lowest failing node.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     xs = np.arange(resolution) / resolution
     curves, errors = {}, {}
     for q in dict.fromkeys(r.denominator for r in rhos):

@@ -28,14 +28,13 @@ reduction, so step_scalar/step_array return the image and the Jacobian of
 one step from it; apply_* leave the cos out, and jacobian_* read the
 Jacobian off the step.
 
-One builder, _kernels, makes each map's kernels once at construction, for
-floats and for arrays.  It picks a kick (V', V'') and a slope (V' alone)
-for the input, _kick_arr on arrays and _kick on floats, and writes each
-direction's step and image once over them.  A single first harmonic on
-floats (every standard map) gets _single_harmonic's kernels instead:
-_kick's loop body is written into each direction's step and image, so a
-map application makes no further Python call.  Shear and drift are one
-line each.  Floats and arrays agree bit for bit.
+One builder, _kernels, makes each family's forward step and its two
+images, forward and back, once at construction, for floats (_kick) and
+for arrays (_kick_arr); a single first harmonic on floats (every standard
+map) gets _single_harmonic's, with _kick's loop body written in.  An
+inverted map swaps the images, and its step is the forward step at the
+preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
+adjugate.  Floats and arrays agree bit for bit.
 """
 
 from __future__ import annotations
@@ -131,29 +130,28 @@ def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
     return vp, w
 
 
-def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
-    """(step, image) kernels of one map going forward or back.
+def _kernels(family: str, params, harmonics, arrays: bool):
+    """(step, image, inverse) kernels of one map going forward.
 
-    step returns (x1, y1, a, b, c, d), image (x1, y1); both take floats, or
-    arrays when arrays is set.  Jacobian entries that do not depend on the
-    point are floats.
+    step returns (x1, y1, a, b, c, d), image (x1, y1) and inverse the
+    preimage (x0, y0); all take floats, or arrays when arrays is set.
+    Jacobian entries that do not depend on the point are floats.  An
+    inverted map's step is _inverted(step, inverse).
     """
     if not harmonics:
-        jac = (1.0, 1.0, 0.0, 1.0) if forward else (1.0, -1.0, -0.0, 1.0)
+        jac = (1.0, 1.0, 0.0, 1.0)
         if family == DRIFT:
             c = params[0]
-            if forward:
-                return (lambda x, y: (x + y, y + c, *jac)), (lambda x, y: (x + y, y + c))
-            return (lambda x, y: (x - y + c, y - c, *jac)), (lambda x, y: (x - y + c, y - c))
+            return ((lambda x, y: (x + y, y + c, *jac)), (lambda x, y: (x + y, y + c)),
+                    (lambda x, y: (x - y + c, y - c)))
         if arrays:  # +y copies y, so no output array is an input array
-            image = (lambda x, y: (x + y, +y)) if forward else (lambda x, y: (x - y, +y))
-            return (lambda x, y: (*image(x, y), *jac)), image
-        if forward:
-            return (lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y))
-        return (lambda x, y: (x - y, y, *jac)), (lambda x, y: (x - y, y))
+            image = lambda x, y: (x + y, +y)
+            return (lambda x, y: (*image(x, y), *jac)), image, (lambda x, y: (x - y, +y))
+        return ((lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y)),
+                (lambda x, y: (x - y, y)))
 
     if not arrays and len(harmonics) == 1:
-        return _single_harmonic(*harmonics[0][1:], forward)
+        return _single_harmonic(*harmonics[0][1:])
     # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.
     if arrays:
         kick = lambda x: _kick_arr(x, harmonics, True, True)
@@ -162,66 +160,58 @@ def _kernels(family: str, params, harmonics, forward: bool, arrays: bool):
         kick = lambda x: _kick(x, harmonics, True, True)
         slope = lambda x: _kick(x, harmonics, True, False)[0]
 
-    # The kick acts at the base map's x: x itself going forward, the
-    # preimage x - y going back, where the Jacobian is the inverse of the
-    # base Jacobian at the preimage (det = 1).
-    if forward:
-        def step(x, y):
-            vp, w = kick(x)
-            y1 = y + vp
-            return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+    def step(x, y):
+        vp, w = kick(x)
+        y1 = y + vp
+        return x + y1, y1, 1.0 + w, 1.0, w, 1.0
 
-        def image(x, y):
-            y1 = y + slope(x)
-            return x + y1, y1
-    else:
-        def step(x, y):
-            kx = x - y
-            vp, w = kick(kx)
-            return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
+    def image(x, y):
+        y1 = y + slope(x)
+        return x + y1, y1
 
-        def image(x, y):
-            kx = x - y
-            return kx, y - slope(kx)
-    return step, image
+    def inverse(x, y):  # the kick acts at the preimage's x, x - y
+        kx = x - y
+        return kx, y - slope(kx)
+    return step, image, inverse
 
 
-def _single_harmonic(p: float, q: float, forward: bool):
-    """Float (step, image) of one first harmonic going forward or back, with
-    _kick's loop body written into each, so that a step makes no other call."""
+def _single_harmonic(p: float, q: float):
+    """Float (step, image, inverse) of one first harmonic, with _kick's loop
+    body written into each, so that a step makes no other call."""
     floor, sin = math.floor, math.sin
-    if forward:
-        def step(x, y):
-            u, turn = x - floor(x), TWO_PI
-            if u >= 0.5:
-                u, turn = u - 0.5, -TWO_PI
-            w = 0.0 - q * sin(turn * (0.25 - u))
-            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-            return x + y1, y1, 1.0 + w, 1.0, w, 1.0
 
-        def image(x, y):
-            u, turn = x - floor(x), TWO_PI
-            if u >= 0.5:
-                u, turn = u - 0.5, -TWO_PI
-            y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-            return x + y1, y1
-    else:
-        def step(x, y):
-            kx = x - y
-            u, turn = kx - floor(kx), TWO_PI
-            if u >= 0.5:
-                u, turn = u - 0.5, -TWO_PI
-            w = 0.0 - q * sin(turn * (0.25 - u))
-            vp = 0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u))
-            return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
+    def step(x, y):
+        u, turn = x - floor(x), TWO_PI
+        if u >= 0.5:
+            u, turn = u - 0.5, -TWO_PI
+        w = 0.0 - q * sin(turn * (0.25 - u))
+        y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+        return x + y1, y1, 1.0 + w, 1.0, w, 1.0
 
-        def image(x, y):
-            kx = x - y
-            u, turn = kx - floor(kx), TWO_PI
-            if u >= 0.5:
-                u, turn = u - 0.5, -TWO_PI
-            return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-    return step, image
+    def image(x, y):
+        u, turn = x - floor(x), TWO_PI
+        if u >= 0.5:
+            u, turn = u - 0.5, -TWO_PI
+        y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+        return x + y1, y1
+
+    def inverse(x, y):
+        kx = x - y
+        u, turn = kx - floor(kx), TWO_PI
+        if u >= 0.5:
+            u, turn = u - 0.5, -TWO_PI
+        return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+    return step, image, inverse
+
+
+def _inverted(step, inverse):
+    """The step of the inverse map: the preimage p, and the inverse of the
+    Jacobian at p, which is its adjugate as every map keeps area (det = 1)."""
+    def inverted_step(x, y):
+        x0, y0 = inverse(x, y)
+        a, b, c, d = step(x0, y0)[2:]
+        return x0, y0, d, -b, -c, a
+    return inverted_step
 
 
 _KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_step_array_k", "_apply_array_k")
@@ -288,13 +278,12 @@ class LiftedMap:
     def _bind_kernels(self) -> None:
         """Bind step, apply, apply-inverse on floats, step, apply on arrays."""
         args = (self.family, self.params, self._harmonics)
-        forward = self.twist_sign == 1
-        kernels = (
-            *_kernels(*args, forward, False),
-            _kernels(*args, not forward, False)[1],
-            *_kernels(*args, forward, True),
-        )
-        for name, kernel in zip(_KERNEL_ATTRS, kernels):
+        step, image, inverse = _kernels(*args, False)
+        step_a, image_a, inverse_a = _kernels(*args, True)
+        if self.twist_sign == -1:  # the inverse map: swap the images, invert the step
+            step, image, inverse = _inverted(step, inverse), inverse, image
+            step_a, image_a = _inverted(step_a, inverse_a), inverse_a
+        for name, kernel in zip(_KERNEL_ATTRS, (step, image, inverse, step_a, image_a)):
             object.__setattr__(self, name, kernel)
 
     # Closures do not pickle: state leaves the kernels out and loading
@@ -516,8 +505,9 @@ def parse_map_spec(spec: str) -> LiftedMap:
         except ValueError:
             raise ValueError(f"malformed parameter {item!r} in map spec {spec!r}") from None
         key = key.strip()
-        if names is None:  # a<i> is the i-th coefficient
-            i = int(key[1:]) - 1 if key[:1] == "a" and key[1:].isdigit() else -1
+        if names is None:  # a<i> is the i-th coefficient; any 3 digits are past a64
+            digits = key[1:].lstrip("0") if key[:1] == "a" and key[1:].isdecimal() else ""
+            i = int(digits[:3] or 0) - 1
         else:
             i = names.index(key) if key in names else -1
         if i < 0 or i in params:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,14 +27,20 @@ from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 DEFAULT_EPS = 0.05
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ValueError naming the field unless value is an integer (int or numpy int) >= least."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridMode:
     nx: int
     ny: int
 
     def __post_init__(self) -> None:
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid dimensions must be >= 1")
+        _check_count("nx", self.nx)
+        _check_count("ny", self.ny)
 
     @property
     def count(self) -> int:
@@ -46,8 +53,8 @@ class MonteCarloMode:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        _check_count("samples", self.samples)
+        _check_count("seed", self.seed, least=0)
 
     @property
     def count(self) -> int:
@@ -76,12 +83,10 @@ class ScanConfig:
             raise ValueError("box coordinates must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("box must satisfy x0 < x1 and y0 < y1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check_count("horizon", self.horizon)
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
+        _check_count("period", self.period)
         object.__setattr__(self, "box", (x0, x1, y0, y1))
 
     @property

@@ -252,6 +252,33 @@ def test_classify_examples():
     assert classify_monotonicity(standard(1.0), (0.02, 0.0), 25) == "undetermined"
 
 
+@pytest.mark.parametrize("resolution", [0, -3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda r: psi1_curve(standard(0.5), r),
+        lambda r: psi_minus1_curve(standard(0.5), r),
+        lambda r: region_x(standard(0.5), "minus", r),
+        lambda r: periodic_curve(standard(0.5), 0, 1, r),
+        lambda r: psi_family(shear(), [Fraction(0), Fraction(1, 2)], resolution=r),
+        lambda r: integrability_probe(standard(0.0), grid=(4, 4), horizon=20,
+                                      rationals=[0], curve_resolution=r),
+    ],
+    ids=["psi1_curve", "psi_minus1_curve", "region_x", "periodic_curve", "psi_family",
+         "integrability_probe"],
+)
+def test_curve_resolution_below_one_is_rejected(build, resolution):
+    # these returned empty curves that raised on evaluate, or raised
+    # numpy's "zero-size array" error
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        build(resolution)
+
+
+def test_flux_keeps_its_own_resolution_check():
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        flux(shear(), 1)
+
+
 def test_classify_monotone_negative_direction():
     assert classify_monotonicity(shear(), (0.0, -0.25), 25) == "monotone"
 

@@ -256,6 +256,11 @@ def test_parse_map_spec_grammar():
     assert m.family == "genfun" and m.params == (0.02, 0.0, 0.01)
 
 
+HUGE_KEY = "genfun:a" + "9" * 5000 + "=1"
+# the grammar's own message, not the text of a failed int() conversion
+MESSAGES = {HUGE_KEY: "is past a64", "genfun:a\u00b2=1": "unknown or repeated parameter"}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -277,10 +282,13 @@ def test_parse_map_spec_grammar():
         # each genfun coefficient costs every kick a harmonic, zeros too
         "genfun:a100000=0.01",
         f"genfun:a{GENFUN_MAX_INDEX + 1}=1",
+        # a key longer than CPython converts to int, and a digit int() refuses
+        pytest.param(HUGE_KEY, id="genfun:a<5000 nines>=1"),
+        "genfun:a\u00b2=1",
     ],
 )
 def test_parse_map_spec_rejects(bad, capsys):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=MESSAGES.get(bad)):
         parse_map_spec(bad)
     assert run(["flux", "--map", bad]) == 2
     assert capsys.readouterr().out == ""

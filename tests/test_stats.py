@@ -65,6 +65,35 @@ def test_config_validation():
         MonteCarloMode(0, 1)
 
 
+BOX = (0.0, 1.0, -0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ScanConfig(BOX, GridMode(2, 2), horizon=2.5), "horizon"),
+        (lambda: ScanConfig(BOX, GridMode(2, 2), horizon=3, period=1.5), "period"),
+        (lambda: GridMode(2.5, 2), "nx"),
+        (lambda: GridMode(2, np.float64(2.0)), "ny"),
+        (lambda: MonteCarloMode(2.5, 1), "samples"),
+        (lambda: MonteCarloMode(4, -1), "seed"),
+        (lambda: MonteCarloMode(4, 1.0), "seed"),
+        (lambda: MonteCarloMode(4, "1"), "seed"),
+    ],
+)
+def test_config_rejects_non_integral_counts(build, field):
+    # horizon=2.5 ran 2 steps and divided by 2.5; GridMode(2.5, 2) drew 6
+    # samples and counted 5.0; the bad MonteCarloModes failed inside numpy
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build()
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ScanConfig(BOX, MonteCarloMode(np.int64(3), np.int32(0)), horizon=np.int64(2))
+    assert sample_points(cfg)[0].shape == (3,)
+    assert GridMode(np.int16(2), 3).count == 6
+
+
 def test_grid_sample_points_are_cell_centers():
     cfg = grid_cfg((0.0, 1.0, -1.0, 1.0), 4, 2, 10)
     xs, ys = sample_points(cfg)
