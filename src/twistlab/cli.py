@@ -87,6 +87,8 @@ def _yrange(text: str) -> tuple[float, float]:
 
 
 def _integer(text: str, least: int = 1) -> int:
+    if len(text) > 4300:  # int() would name CPython's conversion limit instead
+        raise ValueError("must have at most 4300 digits")
     value = int(text)
     if value < least:
         raise ValueError(f"must be >= {least}")

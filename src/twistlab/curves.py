@@ -329,16 +329,16 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     x0, y0 = _as_point(p)
-    x, y = x0, y0
+    x, y, apply = x0, y0, map._apply_k
     try:
         for n in range(1, horizon + 1):
-            x, y = map.apply_scalar(x, y)
+            x, y = apply(x, y)
     except (ArithmeticError, ValueError) as exc:
         raise NonFiniteOrbitError.at((x0, y0), n) from exc
     # shear and drift carry inf on; the displacement of a finite orbit
     # can overflow too, at the horizon
     if not (math.isfinite(x - x0) and math.isfinite(y)):
-        raise NonFiniteOrbitError.at((x0, y0), _first_non_finite(map.apply_scalar, x0, y0, horizon))
+        raise NonFiniteOrbitError.at((x0, y0), _first_non_finite(apply, x0, y0, horizon))
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 
@@ -508,6 +508,8 @@ def integrability_probe(
     y0, y1 = float(y_range[0]), float(y_range[1])
     if nx < 1 or ny < 1 or not y0 < y1:
         raise ValueError("grid must be positive and y_range increasing")
+    if curve_resolution < 1:  # checked before the flux and the scan run
+        raise ValueError("curve resolution must be >= 1")
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,

@@ -34,7 +34,9 @@ for arrays (_kick_arr); a single first harmonic on floats (every standard
 map) gets _single_harmonic's, with _kick's loop body written in.  An
 inverted map swaps the images, and its step is the forward step at the
 preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
-adjugate.  Floats and arrays agree bit for bit.
+adjugate.  Floats and arrays agree bit for bit.  A map binds each kernel
+as _observe(name, kernel), the one way to observe them: the scalar orbit
+loops step the bound kernels, not the methods.
 """
 
 from __future__ import annotations
@@ -217,6 +219,11 @@ def _inverted(step, inverse):
 _KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_step_array_k", "_apply_array_k")
 
 
+def _observe(name: str, kernel):
+    """Returns kernel; a test replaces this to count or patch the kernels of later maps."""
+    return kernel
+
+
 def _as_point(p) -> tuple[float, float]:
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -284,7 +291,7 @@ class LiftedMap:
             step, image, inverse = _inverted(step, inverse), inverse, image
             step_a, image_a = _inverted(step_a, inverse_a), inverse_a
         for name, kernel in zip(_KERNEL_ATTRS, (step, image, inverse, step_a, image_a)):
-            object.__setattr__(self, name, kernel)
+            object.__setattr__(self, name, _observe(name, kernel))
 
     # Closures do not pickle: state leaves the kernels out and loading
     # rebuilds them.
@@ -404,7 +411,7 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
     length = abs(n)
     out = np.empty((length + 1, 2))
     out[0] = start
-    step = map.apply_scalar if n >= 0 else map.apply_inverse_scalar
+    step = map._apply_k if n >= 0 else map._apply_inverse_k
     for i in range(1, length + 1, BLOCK):
         rows, x0, y0 = [], x, y
         try:

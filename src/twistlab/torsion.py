@@ -9,12 +9,12 @@ crossing flips the sign of the direction's first component and lowers its
 half-turn index by one; the lifted angle is the direction's principal
 angle placed in that half turn.  No angle is anchored or compared.
 
-The scalar walk, _Walk, steps and transports one step at a time in
-Python, keeping each image in flat lists, and lifts a block of steps at
-once in numpy, with the running sums (torsion) and their sign structure
-(conjugate points); a block ends early where a consumer must decide, so
-no walk steps past its stop.  linking_number takes blocks the same way:
-its loop only steps both orbits.  The vectorized ensemble kernel,
+The scalar walk, _Walk, steps the map's bound kernel (maps._observe is
+the one way to watch it) and transports in Python, keeps each image in
+flat lists and lifts a block at once in numpy, with the running sums
+(torsion) and their sign structure (conjugate points); a block ends early
+where a consumer must decide, so no walk steps past its stop.  Blocks of
+linking_number only step both orbits.  The vectorized ensemble kernel,
 cocycle_scan, lifts the same way per lane, taking an angle only where one
 is read.  A scalar walk whose orbit leaves the float range raises
 NonFiniteOrbitError naming the step; an ensemble lane is flagged invalid
@@ -99,8 +99,8 @@ def step_variation(map: LiftedMap, p, w) -> float:
 class _Walk:
     """Transport the unit direction (wx, wy) along the orbit of (x, y).
 
-    run's Python loop only steps, transports, renormalizes and records each
-    image; a block's angles, lift and running sum are then taken in numpy.
+    run's loop steps the bound map._step_k, transports, renormalizes and
+    records each image; numpy then takes a block's angles, lift and sum.
     Each image's principal angle th is placed in its half turn by the whole
     turn j nearest the half turn's middle, and a step is the change of th
     plus the change of j, kept apart so that it does not lose bits to a
@@ -110,7 +110,7 @@ class _Walk:
     """
 
     def __init__(self, map: LiftedMap, x: float, y: float, wx: float, wy: float) -> None:
-        self.step, self.start, self.n, self.cum = map.step_scalar, (x, y), 0, 0.0
+        self.step, self.start, self.n, self.cum = map._step_k, (x, y), 0, 0.0
         self.x, self.y, self.wx, self.wy = x, y, wx, wy
         # the lift's state: the parity and middle of the half turn, th and j
         self.odd = wx > 0.0 if wx else wy < 0.0
@@ -392,8 +392,7 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
     if map.twist_sign != 1 or map.family == DRIFT:
         raise ValueError(f"map {map.to_spec()!r} has no generating function")
     start = x, y = _as_point(p)
-    step = map.step_scalar
-    xi_prev = 0.0
+    step, xi_prev = map._step_k, 0.0
     x, y, _, xi, _, _ = step(x, y)
     try:
         for n in range(2, horizon + 1):
@@ -445,7 +444,7 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     if px == qx and py == qy:
         raise CoincidentPointsError("linking needs two distinct points")
     th_prev = angle_from_vertical((qx - px, qy - py))
-    start, apply, total, flagged = ((px, py), (qx, qy)), map.apply_scalar, 0.0, False
+    start, apply, total, flagged = ((px, py), (qx, qy)), map._apply_k, 0.0, False
     dxs, dys = [0.0] * min(n, BLOCK), [0.0] * min(n, BLOCK)
     for n0 in range(0, n, BLOCK):
         r, error = min(BLOCK, n - n0), None

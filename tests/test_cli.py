@@ -78,6 +78,17 @@ def test_out_is_directory_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "9" * 5000), ("--grid", "2x" + "9" * 5000)],
+                         ids=["n", "grid"])
+def test_overlong_integer_is_usage_error(capsys, flag, value):
+    # int() answered with CPython's conversion limit and its setting
+    argv = ["field", "--map", "shear", "--box", "0,1,0,1", "--grid", "2x2", "--n", "5"]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"twistlab: usage error: {flag}: must have at most 4300 digits\n"
+
+
 def test_computation_failure_exits_one(capsys):
     # strongly kicked map breaks the bracketing the curve builder needs
     code, _, err = run_capture(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import twistlab.stats
-from twistlab import GridMode, LiftedMap, ScanConfig, detect_overconjugate, parse_map_spec
+from twistlab import GridMode, ScanConfig, detect_overconjugate, parse_map_spec
 from twistlab.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -271,23 +271,15 @@ def test_coincident_linking_points_are_usage_error(capsys):
 # ------------------------------------------------------ trace walks once
 
 
-def test_vertical_trace_walks_the_orbit_once(capsys, monkeypatch):
+def test_vertical_trace_walks_the_orbit_once(capsys, kernels):
     # the over-conjugate time comes from the trace itself: 500 steps, not
     # 1000, also for a vertical vector that is not of unit length
-    calls = [0]
-    step = LiftedMap.step_scalar
-
-    def counted(self, x, y):
-        calls[0] += 1
-        return step(self, x, y)
-
-    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
     for vector in ("0,1", "0,5"):
-        calls[0] = 0
+        kernels.calls.clear()
         argv = ["trace", "--map", "std:k=0", "--point", "0.1,0.2", "--vector", vector, "--n", "500"]
         code, out, _ = run_capture(capsys, argv)
         assert code == 0 and "first_overconjugate = none\n" in out
-        assert calls[0] == 500, vector
+        assert kernels.calls == {"_step_k": 500}, vector
 
 
 @pytest.mark.parametrize("vector", ["0,1", "0,3", "1,2"])

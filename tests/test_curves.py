@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from twistlab import (
-    LiftedMap,
     NonMonotoneBracketError,
     VERDICT_CONJUGATE,
     VERDICT_NO_OBSTRUCTION,
@@ -274,6 +273,21 @@ def test_curve_resolution_below_one_is_rejected(build, resolution):
         build(resolution)
 
 
+@pytest.mark.parametrize("k, verdict", [(0.0, VERDICT_NO_OBSTRUCTION), (1.5, VERDICT_CONJUGATE)])
+def test_probe_checks_curve_resolution_before_it_scans(kernels, k, verdict):
+    # the flux and the grid scan ran before the check, and a probe that
+    # found conjugate points never checked at all
+    def probe(resolution):
+        return integrability_probe(standard(k), grid=(4, 4), horizon=50, rationals=[0],
+                                   curve_resolution=resolution)
+
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        probe(0)
+    assert not kernels.calls
+    # the tally sees the scan of a valid probe
+    assert probe(8).verdict == verdict and kernels.calls["_step_array_k"] > 0
+
+
 def test_flux_keeps_its_own_resolution_check():
     with pytest.raises(ValueError, match="resolution must be >= 2"):
         flux(shear(), 1)
@@ -338,25 +352,11 @@ def test_write_curves_csv(tmp_path):
     assert float(fields[1]) == fam.curves[1].ys[0]
 
 
-def count_array_steps(monkeypatch):
-    """Patch LiftedMap.step_array to tally its calls; returns the tally."""
-    calls = [0]
-    step = LiftedMap.step_array
-
-    def counted(self, x, y):
-        calls[0] += 1
-        return step(self, x, y)
-
-    monkeypatch.setattr(LiftedMap, "step_array", counted)
-    return calls
-
-
-def test_probe_scan_stops_at_witness(monkeypatch):
+def test_probe_scan_stops_at_witness(kernels):
     m = standard(1.5)
-    calls = count_array_steps(monkeypatch)
     report = integrability_probe(m, grid=(32, 32), y_range=(-2.0, 2.0), horizon=1000)
     assert report.verdict == VERDICT_CONJUGATE
-    assert calls[0] == report.witness_time
+    assert kernels.calls["_step_array_k"] == report.witness_time
     # the witness a plain full-horizon scan selects: earliest, lowest index
     gx = (np.arange(32) + 0.5) / 32
     gy = -2.0 + (np.arange(32) + 0.5) * (4.0 / 32)
@@ -368,11 +368,10 @@ def test_probe_scan_stops_at_witness(monkeypatch):
     assert report.witness == (float(X.ravel()[idx]), float(Y.ravel()[idx]))
 
 
-def test_probe_scan_without_witness_runs_horizon(monkeypatch):
-    calls = count_array_steps(monkeypatch)
+def test_probe_scan_without_witness_runs_horizon(kernels):
     report = integrability_probe(
         standard(0.0), grid=(32, 32), horizon=1000, rationals=[Fraction(0)],
         curve_resolution=16,
     )
     assert report.verdict == VERDICT_NO_OBSTRUCTION
-    assert calls[0] == 1000
+    assert kernels.calls["_step_array_k"] == 1000

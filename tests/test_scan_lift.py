@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from twistlab import (
     GridMode,
-    LiftedMap,
     ScanConfig,
     cocycle_scan,
     drift_shear,
@@ -232,24 +231,22 @@ def test_overflowing_scan_flags_lanes_without_warning():
     assert np.all(np.isnan(scan.cumulative)) and np.all(np.isnan(scan.history))
 
 
-def test_stop_ignores_a_direction_that_went_nan(monkeypatch):
+def test_stop_ignores_a_direction_that_went_nan(kernels):
     # Lane 0 keeps b = 1 but its direction turns NaN at step 2, which flips
     # its sign parity to a second crossing; the std:k=0 lanes never cross
     # twice, so the scan runs to n and lane 0 ends invalid.
-    step = LiftedMap.step_array
-    calls = [0]
+    def patch(step):
+        def patched(x, y):
+            x1, y1, *entries = step(x, y)
+            a, b, c, d = (np.array(np.broadcast_to(e, np.shape(x)), dtype=float) for e in entries)
+            if kernels.calls["_step_array_k"] == 2:  # counted before the call
+                a[0] = c[0] = np.nan
+            return x1, y1, a, b, c, d
+        return patched
 
-    def patched(self, x, y):
-        x1, y1, *entries = step(self, x, y)
-        a, b, c, d = (np.array(np.broadcast_to(e, np.shape(x)), dtype=float) for e in entries)
-        calls[0] += 1
-        if calls[0] == 2:
-            a[0] = c[0] = np.nan
-        return x1, y1, a, b, c, d
-
-    monkeypatch.setattr(LiftedMap, "step_array", patched)
+    kernels.patch("_step_array_k", patch)
     xs, ys = np.array([0.1, 0.4, 0.7]), np.array([0.0, 0.3, -0.2])
     scan = cocycle_scan(standard(0.0), xs, ys, 20, stop_at_overconjugate=True)
-    assert calls[0] == 20 and scan.n == 20
+    assert kernels.calls == {"_step_array_k": 20} and scan.n == 20
     assert scan.overconj_time.tolist() == [-2, -1, -1]
     assert scan.valid.tolist() == [False, True, True]

@@ -24,7 +24,6 @@ from twistlab import (
     vertical_step_variation,
     write_scan_csv,
 )
-from twistlab.maps import LiftedMap
 from twistlab.stats import sample_points
 
 TWO_PI = 2.0 * math.pi
@@ -303,21 +302,13 @@ def test_first_return_capped_reports_partial():
     assert rep.cap == 19
 
 
-def test_first_return_stops_at_last_return(monkeypatch):
-    calls = [0]
-    step = LiftedMap.step_scalar
-
-    def counted(self, x, y):
-        calls[0] += 1
-        return step(self, x, y)
-
-    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
+def test_first_return_stops_at_last_return(kernels):
     rep = first_return_torsion(
         standard(1.0), (-0.05, 0.05, -0.05, 0.05), (0.02, 0.0), returns=5
     )
     assert rep.complete and rep.total_steps < rep.cap
     # one stream up to the fifth return, one fresh trace for the identity
-    assert calls[0] == 2 * rep.total_steps
+    assert kernels.calls == {"_step_k": 2 * rep.total_steps}
 
 
 def test_first_return_identity_check_raises(monkeypatch):

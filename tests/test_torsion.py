@@ -348,24 +348,10 @@ def test_overconjugate_persistence_is_rechecked_across_blocks(monkeypatch):
         conjugate_report(shear(), (0.0, 0.0), 2 * BLOCK)
 
 
-def count_steps(monkeypatch):
-    """Patch LiftedMap.step_scalar to tally its calls; returns the tally."""
-    calls = [0]
-    step = LiftedMap.step_scalar
-
-    def counted(self, x, y):
-        calls[0] += 1
-        return step(self, x, y)
-
-    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
-    return calls
-
-
-def test_conjugate_report_walks_once(monkeypatch):
-    calls = count_steps(monkeypatch)
+def test_conjugate_report_walks_once(kernels):
     rep = conjugate_report(standard(0.0), (0.3, 0.2), 500)
     assert rep.first_overconjugate is None and rep.first_conjugate is None
-    assert calls[0] == 500
+    assert kernels.calls == {"_step_k": 500}
 
 
 def ref_jacobi(m, p, horizon):
@@ -390,25 +376,26 @@ def ref_jacobi(m, p, horizon):
 @pytest.mark.parametrize("m", [standard(0.0), standard(1.0), standard(1.5), shear(),
                                generating_function(0.02, -0.007)], ids=lambda m: m.to_spec())
 @pytest.mark.parametrize("p", [(0.02, 0.0), (0.3, 0.2), (0.5, 0.0), (-7.25, 1.5)])
-def test_jacobi_oracle_makes_one_step_per_step(monkeypatch, m, p):
+def test_jacobi_oracle_makes_one_step_per_step(kernels, m, p):
     want = ref_jacobi(m, p, 400)
-    calls = count_steps(monkeypatch)
-    for name in ("apply_scalar", "jacobian_scalar"):
-        def refuse(self, x, y, name=name):
-            raise AssertionError(f"the oracle called {name}")
+    def refuse(kernel):
+        def refused(x, y):
+            raise AssertionError("the oracle called an image kernel")
+        return refused
 
-        monkeypatch.setattr(LiftedMap, name, refuse)
-    got = jacobi_conjugate_oracle(m, p, 400)
+    kernels.patch("_apply_k", refuse)
+    kernels.patch("_apply_inverse_k", refuse)
+    # jacobian_scalar runs the step: a call to it would count as a step
+    got = jacobi_conjugate_oracle(LiftedMap(m.family, m.params), p, 400)
     assert got == want
-    assert calls[0] == (400 if got is None else got)
+    assert kernels.calls == {"_step_k": 400 if got is None else got}
 
 
-def test_conjugate_report_stops_when_settled(monkeypatch):
+def test_conjugate_report_stops_when_settled(kernels):
     # over-conjugate at 4 plus its 50-step re-check settles both answers
-    calls = count_steps(monkeypatch)
     rep = conjugate_report(standard(1.0), (0.02, 0.0), 1000)
     assert rep.first_overconjugate == 4 and rep.first_conjugate == (4, 1)
-    assert calls[0] == 54
+    assert kernels.calls["_step_k"] == 54
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -517,9 +504,17 @@ def test_linking_matches_checked_angle_reference(m):
         assert (est.value, est.near_half_turn) == linking_reference(m, p, q, 300)
 
 
-class _Blowup:
-    # scales x by 1e200 per step, so the second step's difference is inf - inf
+class _ImageMap:
+    """A duck-typed map given by its float image kernel _apply_k, which the
+    engine steps; the per-step references call apply_scalar."""
+
     def apply_scalar(self, x, y):
+        return self._apply_k(x, y)
+
+
+class _Blowup(_ImageMap):
+    # scales x by 1e200 per step, so the second step's difference is inf - inf
+    def _apply_k(self, x, y):
         return x * 1e200, y
 
 
@@ -590,16 +585,16 @@ def test_linking_blocks_match_reference(n, m, p, d):
         assert linking_outcome(linking_reference, m, p, q, n) == want
 
 
-class _Halving:
+class _Halving(_ImageMap):
     # halves both coordinates: the orbits of (1, 0) and (2, 0) meet at 0
     # at step 1076, in the second block
-    def apply_scalar(self, x, y):
+    def _apply_k(self, x, y):
         return 0.5 * x, 0.5 * y
 
 
-class _Doubling:
+class _Doubling(_ImageMap):
     # doubles x: the orbit of 2e-300 leaves the float range in the second block
-    def apply_scalar(self, x, y):
+    def _apply_k(self, x, y):
         return 2.0 * x, y
 
 
@@ -720,25 +715,25 @@ def test_cocycle_scan_stop_at_overconjugate():
     assert cocycle_scan(m.inverted(), xs, ys, 50, stop_at_overconjugate=True).n == 50
 
 
-def test_cocycle_scan_stop_ignores_invalid_lanes(monkeypatch):
+def test_cocycle_scan_stop_ignores_invalid_lanes(kernels):
     # Lane 0 breaks the twist at step 1 and then turns a third of a turn
     # clockwise per step, so it crosses -1/2 at step 2.  It is invalid, and
     # the shear-like std:k=0 lanes never cross, so the scan runs to n.
-    step = LiftedMap.step_array
-    calls = [0]
     cos, sin = math.cos(TWO_PI / 3), math.sin(TWO_PI / 3)
 
-    def patched(self, x, y):
-        x1, y1, *entries = step(self, x, y)
-        a, b, c, d = (np.array(np.broadcast_to(e, np.shape(x)), dtype=float) for e in entries)
-        calls[0] += 1
-        a[0], b[0], c[0], d[0] = (1.0, -1.0, 0.0, 1.0) if calls[0] == 1 else (cos, sin, -sin, cos)
-        return x1, y1, a, b, c, d
+    def patch(step):
+        def patched(x, y):
+            x1, y1, *entries = step(x, y)
+            a, b, c, d = (np.array(np.broadcast_to(e, np.shape(x)), dtype=float) for e in entries)
+            first = kernels.calls["_step_array_k"] == 1  # counted before the call
+            a[0], b[0], c[0], d[0] = (1.0, -1.0, 0.0, 1.0) if first else (cos, sin, -sin, cos)
+            return x1, y1, a, b, c, d
+        return patched
 
-    monkeypatch.setattr(LiftedMap, "step_array", patched)
+    kernels.patch("_step_array_k", patch)
     xs, ys = np.array([0.1, 0.4, 0.7]), np.array([0.0, 0.3, -0.2])
     scan = cocycle_scan(standard(0.0), xs, ys, 20, keep_history=True, stop_at_overconjugate=True)
-    assert scan.n == 20
+    assert scan.n == 20 and kernels.calls["_step_array_k"] == 20
     assert scan.overconj_time.tolist() == [-2, -1, -1]
 
 

@@ -1,5 +1,6 @@
 """The block walk cut at block edges: every walk takes the steps it would
-take in one piece, and stops on the step it would stop on."""
+take in one piece, and stops on the step it would stop on.  Every scalar
+orbit loop makes one kernel call per step (the kernels fixture counts)."""
 
 import math
 
@@ -8,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistlab import (
-    LiftedMap,
+    NonFiniteOrbitError,
     asymptotic_torsion,
+    classify_monotonicity,
     conjugate_report,
     drift_shear,
     first_return_torsion,
     generating_function,
+    iterate,
+    jacobi_conjugate_oracle,
+    linking_number,
+    rotation_number,
     shear,
     standard,
     torsion_trace,
@@ -61,34 +67,55 @@ def test_asymptotic_torsion_reads_the_trace_at_block_edges(m, p, w, edge, window
     assert est.last_window_drift == abs(est.value - cumulative[edge] / edge)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Tally LiftedMap.step_scalar calls."""
-    tally = [0]
-    step = LiftedMap.step_scalar
-
-    def counted(self, x, y):
-        tally[0] += 1
-        return step(self, x, y)
-
-    monkeypatch.setattr(LiftedMap, "step_scalar", counted)
-    return tally
-
-
 @pytest.mark.parametrize("n", EDGES)
-def test_walks_to_a_block_edge_take_its_steps(calls, n):
+def test_walks_to_a_block_edge_take_its_steps(kernels, n):
     m, p = standard(1.5), (0.3, 0.1)
     torsion_trace(m, p, n=n)
-    assert calls[0] == n
+    assert kernels.calls == {"_step_k": n}
     asymptotic_torsion(m, p, n + 1, n)
-    assert calls[0] == 2 * n + 1
+    assert kernels.calls == {"_step_k": 2 * n + 1}
     # std:k=0 turns no direction past the vertical
     conjugate_report(standard(0.0), p, n)
-    assert calls[0] == 3 * n + 1
+    assert kernels.calls == {"_step_k": 3 * n + 1}
     # the drift carries y up and out of the window for good
     rep = first_return_torsion(drift_shear(0.25), (0.0, 1.0, 0.0, 0.1), (0.5, 0.05), cap=n)
     assert rep.return_times == () and rep.complete is False
-    assert calls[0] == 4 * n + 1
+    assert kernels.calls == {"_step_k": 4 * n + 1}
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_orbit_loops_make_one_call_per_step(kernels, n):
+    m, p = standard(1.5), (0.3, 0.1)
+    rotation_number(m, p, n)
+    assert kernels.calls == {"_apply_k": n}
+    kernels.calls.clear()
+    linking_number(m, p, (0.35, 0.1), n)
+    assert kernels.calls == {"_apply_k": 2 * n}
+    kernels.calls.clear()
+    iterate(m, p, n)
+    assert kernels.calls == {"_apply_k": n}
+    kernels.calls.clear()
+    iterate(m, p, -n)
+    assert kernels.calls == {"_apply_inverse_k": n}
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_classify_walks_the_segment_once(kernels, n):
+    # std:k=0 has no over-conjugate point, so the detector walks all 2n steps
+    assert classify_monotonicity(standard(0.0), (0.3, 0.1), n) == "monotone"
+    assert kernels.calls == {"_apply_inverse_k": n, "_apply_k": n, "_step_k": 2 * n}
+
+
+@pytest.mark.parametrize("loop, kernel", [
+    (lambda m: rotation_number(m, (0.0, 1e308), 5), "_apply_k"),
+    (lambda m: iterate(m, (0.0, 1e308), 5), "_apply_k"),
+    (lambda m: jacobi_conjugate_oracle(m, (0.0, 1e308), 5), "_step_k"),
+])
+def test_overflow_is_named_by_a_kernel_walk(kernels, loop, kernel):
+    # shear carries inf on: five steps, then two more to name step 2
+    with pytest.raises(NonFiniteOrbitError, match="by step 2"):
+        loop(shear())
+    assert kernels.calls == {kernel: 7}
 
 
 @pytest.mark.parametrize("k, tol, hit, over, stop", [
@@ -100,10 +127,10 @@ def test_walks_to_a_block_edge_take_its_steps(calls, n):
     (1e-5, 0.99, 987, 994, 1044),
     (2.4e-6, 0.99, 2021, 2028, 2078),
 ])
-def test_conjugate_report_stops_across_block_edges(calls, k, tol, hit, over, stop):
+def test_conjugate_report_stops_across_block_edges(kernels, k, tol, hit, over, stop):
     # near the elliptic origin of a weak kick the vertical turns slowly:
     # its conjugate time lands near a block edge, the persistence
     # re-check's 50 steps across it
     rep = conjugate_report(standard(k), (0.0, 0.0), 3000, tol)
     assert rep.first_conjugate == (hit, 1) and rep.first_overconjugate == over
-    assert calls[0] == stop
+    assert kernels.calls == {"_step_k": stop}
