@@ -567,7 +567,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 args.out.write_text(text)
             else:
                 write(args.out)
-    except (TwistLabError, ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    except (TwistLabError, ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"twistlab: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
-from .maps import LiftedMap, _as_point, _first_non_finite, iterate
+from .maps import BLOCK, LiftedMap, _as_point, _first_non_finite, iterate
 from .stats import write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -329,16 +329,16 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     x0, y0 = _as_point(p)
-    x, y, apply = x0, y0, map._apply_k
-    try:
-        for n in range(1, horizon + 1):
-            x, y = apply(x, y)
-    except (ArithmeticError, ValueError) as exc:
-        raise NonFiniteOrbitError.at((x0, y0), n) from exc
+    x, y, orbit = x0, y0, map._orbit_k
+    xs, ys = [0.0] * min(horizon, BLOCK), [0.0] * min(horizon, BLOCK)
+    for n0 in range(0, horizon, BLOCK):
+        x, y, r, exc = orbit(x, y, min(BLOCK, horizon - n0), xs, ys)
+        if exc is not None:
+            raise NonFiniteOrbitError.at((x0, y0), n0 + r + 1) from exc
     # shear and drift carry inf on; the displacement of a finite orbit
     # can overflow too, at the horizon
     if not (math.isfinite(x - x0) and math.isfinite(y)):
-        raise NonFiniteOrbitError.at((x0, y0), _first_non_finite(apply, x0, y0, horizon))
+        raise NonFiniteOrbitError.at((x0, y0), _first_non_finite(map._apply_k, x0, y0, horizon))
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 

@@ -34,9 +34,11 @@ for arrays (_kick_arr); a single first harmonic on floats (every standard
 map) gets _single_harmonic's, with _kick's loop body written in.  An
 inverted map swaps the images, and its step is the forward step at the
 preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
-adjugate.  Floats and arrays agree bit for bit.  A map binds each kernel
-as _observe(name, kernel), the one way to observe them: the scalar orbit
-loops step the bound kernels, not the methods.
+adjugate.  Floats and arrays agree bit for bit.  The scalar orbit loops
+step block kernels, up to a block of steps a call: a tangent walk and an
+orbit each way, _single_harmonic's with its step written in, the other
+maps' one loop over the per-step kernels (_walk_block, _orbit_block).
+Each kernel is bound as _observe(name, kernel), the one way to watch it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationCapError, NonFiniteOrbitError
+from .errors import IterationCapError, NonFiniteOrbitError, TwistViolationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -178,9 +180,10 @@ def _kernels(family: str, params, harmonics, arrays: bool):
 
 
 def _single_harmonic(p: float, q: float):
-    """Float (step, image, inverse) of one first harmonic, with _kick's loop
-    body written into each, so that a step makes no other call."""
-    floor, sin = math.floor, math.sin
+    """Float (step, image, inverse) of one first harmonic, _kick's loop body
+    written into each, then the walk and orbit blocks with it written into
+    their loops (b is 1.0: no twist test) and the generic inverse orbit."""
+    floor, sin, hypot = math.floor, math.sin, math.hypot
 
     def step(x, y):
         u, turn = x - floor(x), TWO_PI
@@ -203,7 +206,87 @@ def _single_harmonic(p: float, q: float):
         if u >= 0.5:
             u, turn = u - 0.5, -TWO_PI
         return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-    return step, image, inverse
+
+    def walk(x, y, wx, wy, r, ix, iy, points, stop, tol):
+        side = -1.0 if wx < 0.0 else 1.0
+        try:
+            for i in range(r):
+                u, turn = x - floor(x), TWO_PI
+                if u >= 0.5:
+                    u, turn = u - 0.5, -TWO_PI
+                w = 0.0 - q * sin(turn * (0.25 - u))
+                y = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+                x = x + y
+                # the Jacobian (1 + w, 1, w, 1); a product with 1.0 is exact
+                iwx = ix[i] = (1.0 + w) * wx + wy
+                iwy = iy[i] = w * wx + wy
+                norm = hypot(iwx, iwy)
+                wx, wy = iwx / norm, iwy / norm
+                if points is not None:
+                    points[i] = (x, y, wx, wy)
+                if side * wx < tol or stop is not None and stop(x, y, wx):
+                    return x, y, wx, wy, i + 1, None
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, wx, wy, i, exc
+        return x, y, wx, wy, r, None
+
+    def orbit(x, y, r, xs, ys):
+        try:
+            for i in range(r):
+                u, turn = x - floor(x), TWO_PI
+                if u >= 0.5:
+                    u, turn = u - 0.5, -TWO_PI
+                y = ys[i] = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+                x = xs[i] = x + y
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, i, exc
+        return x, y, r, None
+    return step, image, inverse, walk, orbit, _orbit_block(inverse)
+
+
+def _walk_block(step):
+    """walk(x, y, wx, wy, r, ix, iy, points, stop, tol) transports the unit
+    direction (wx, wy) along up to r steps from (x, y): step i's image
+    direction goes to ix[i], iy[i], and with points (x, y, wx, wy) to
+    points[i].  It ends after a step where stop (or None) is true of
+    (x, y, wx), or where wx changed sign or came within tol of 0, and
+    returns (x, y, wx, wy, taken, exc): the steps taken, and the
+    ArithmeticError or ValueError of the step after them, or None.
+    b <= 0 raises TwistViolationError."""
+    hypot = math.hypot
+
+    def walk(x, y, wx, wy, r, ix, iy, points, stop, tol):
+        side = -1.0 if wx < 0.0 else 1.0
+        try:
+            for i in range(r):
+                x1, y1, a, b, c, d = step(x, y)
+                if b <= 0.0:
+                    raise TwistViolationError(f"twist entry {b!r} <= 0 at {(x, y)}: "
+                                              "not a positive twist map here")
+                iwx = ix[i] = a * wx + b * wy
+                iwy = iy[i] = c * wx + d * wy
+                norm = hypot(iwx, iwy)
+                x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
+                if points is not None:
+                    points[i] = (x, y, wx, wy)
+                if side * wx < tol or stop is not None and stop(x, y, wx):
+                    return x, y, wx, wy, i + 1, None
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, wx, wy, i, exc
+        return x, y, wx, wy, r, None
+    return walk
+
+
+def _orbit_block(image):
+    """orbit(x, y, r, xs, ys): up to r steps into xs, ys; returns (x, y, taken, exc)."""
+    def orbit(x, y, r, xs, ys):
+        try:
+            for i in range(r):
+                x, y = xs[i], ys[i] = image(x, y)
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, i, exc
+        return x, y, r, None
+    return orbit
 
 
 def _inverted(step, inverse):
@@ -216,7 +299,8 @@ def _inverted(step, inverse):
     return inverted_step
 
 
-_KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_step_array_k", "_apply_array_k")
+_KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_walk_k", "_orbit_k",
+                 "_orbit_inverse_k", "_step_array_k", "_apply_array_k")
 
 
 def _observe(name: str, kernel):
@@ -283,14 +367,17 @@ class LiftedMap:
         self._bind_kernels()
 
     def _bind_kernels(self) -> None:
-        """Bind step, apply, apply-inverse on floats, step, apply on arrays."""
+        """Bind the float kernels and blocks, then step and apply on arrays."""
         args = (self.family, self.params, self._harmonics)
-        step, image, inverse = _kernels(*args, False)
+        floats = _kernels(*args, False)
         step_a, image_a, inverse_a = _kernels(*args, True)
         if self.twist_sign == -1:  # the inverse map: swap the images, invert the step
-            step, image, inverse = _inverted(step, inverse), inverse, image
+            step, image, inverse = floats[:3]
+            floats = _inverted(step, inverse), inverse, image
             step_a, image_a = _inverted(step_a, inverse_a), inverse_a
-        for name, kernel in zip(_KERNEL_ATTRS, (step, image, inverse, step_a, image_a)):
+        if len(floats) == 3:  # the generic blocks over the per-step kernels
+            floats += _walk_block(floats[0]), _orbit_block(floats[1]), _orbit_block(floats[2])
+        for name, kernel in zip(_KERNEL_ATTRS, (*floats, step_a, image_a)):
             object.__setattr__(self, name, _observe(name, kernel))
 
     # Closures do not pickle: state leaves the kernels out and loading
@@ -411,18 +498,17 @@ def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
     length = abs(n)
     out = np.empty((length + 1, 2))
     out[0] = start
-    step = map._apply_k if n >= 0 else map._apply_inverse_k
+    orbit = map._orbit_k if n >= 0 else map._orbit_inverse_k
+    xs, ys = [0.0] * min(length, BLOCK), [0.0] * min(length, BLOCK)
     for i in range(1, length + 1, BLOCK):
-        rows, x0, y0 = [], x, y
-        try:
-            for _ in range(min(BLOCK, length + 1 - i)):
-                x, y = step(x, y)
-                rows.append((x, y))
-        except (ArithmeticError, ValueError) as exc:
-            raise NonFiniteOrbitError.at(start, i + len(rows)) from exc
-        out[i : i + len(rows)] = rows
+        x0, y0 = x, y
+        x, y, r, exc = orbit(x, y, min(BLOCK, length + 1 - i), xs, ys)
+        if exc is not None:
+            raise NonFiniteOrbitError.at(start, i + r) from exc
+        out[i : i + r, 0], out[i : i + r, 1] = xs[:r], ys[:r]
         if not (math.isfinite(x) and math.isfinite(y)):  # shear and drift carry inf on
-            raise NonFiniteOrbitError.at(start, i - 1 + _first_non_finite(step, x0, y0, len(rows)))
+            step = map._apply_k if n >= 0 else map._apply_inverse_k
+            raise NonFiniteOrbitError.at(start, i - 1 + _first_non_finite(step, x0, y0, r))
     return out
 
 

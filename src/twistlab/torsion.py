@@ -9,16 +9,16 @@ crossing flips the sign of the direction's first component and lowers its
 half-turn index by one; the lifted angle is the direction's principal
 angle placed in that half turn.  No angle is anchored or compared.
 
-The scalar walk, _Walk, steps the map's bound kernel (maps._observe is
-the one way to watch it) and transports in Python, keeps each image in
-flat lists and lifts a block at once in numpy, with the running sums
+The scalar walk, _Walk, calls the map's walk block (maps._observe is the
+one way to watch it), which steps and transports in Python into flat
+lists, and lifts a block at once in numpy, with the running sums
 (torsion) and their sign structure (conjugate points); a block ends early
-where a consumer must decide, so no walk steps past its stop.  Blocks of
-linking_number only step both orbits.  The vectorized ensemble kernel,
-cocycle_scan, lifts the same way per lane, taking an angle only where one
-is read.  A scalar walk whose orbit leaves the float range raises
-NonFiniteOrbitError naming the step; an ensemble lane is flagged invalid
-there, or where the twist fails.
+where a consumer must decide, so no walk steps past its stop.
+linking_number subtracts the two orbits' blocks in numpy.  The vectorized
+ensemble kernel, cocycle_scan, lifts the same way per lane, taking an
+angle only where one is read.  A scalar walk whose orbit leaves the
+float range raises NonFiniteOrbitError naming the step; an ensemble lane
+is flagged invalid there, or where the twist fails.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ import builtins
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import neg
 
 import numpy as np
 
-from .errors import CoincidentPointsError, NonFiniteOrbitError, TwistViolationError
+from .errors import CoincidentPointsError, NonFiniteOrbitError
 from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _first_non_finite
 
 # Default tolerances; every op taking them accepts overrides.
@@ -99,8 +98,9 @@ def step_variation(map: LiftedMap, p, w) -> float:
 class _Walk:
     """Transport the unit direction (wx, wy) along the orbit of (x, y).
 
-    run's loop steps the bound map._step_k, transports, renormalizes and
-    records each image; numpy then takes a block's angles, lift and sum.
+    run calls the map's walk block, map._walk_k, which steps, transports,
+    renormalizes and records each image, and ends at the stop and sign
+    tests; numpy then takes the block's angles, lift and sum.
     Each image's principal angle th is placed in its half turn by the whole
     turn j nearest the half turn's middle, and a step is the change of th
     plus the change of j, kept apart so that it does not lose bits to a
@@ -110,8 +110,8 @@ class _Walk:
     """
 
     def __init__(self, map: LiftedMap, x: float, y: float, wx: float, wy: float) -> None:
-        self.step, self.start, self.n, self.cum = map._step_k, (x, y), 0, 0.0
-        self.x, self.y, self.wx, self.wy = x, y, wx, wy
+        self.block, self.step, self.start = map._walk_k, map._step_k, (x, y)
+        self.x, self.y, self.wx, self.wy, self.n, self.cum = x, y, wx, wy, 0, 0.0
         # the lift's state: the parity and middle of the half turn, th and j
         self.odd = wx > 0.0 if wx else wy < 0.0
         self.mid = -0.25 if self.odd else 0.25
@@ -126,30 +126,13 @@ class _Walk:
         the rows go to it too: x, y, wx, wy, the step and the cumulative.
         An orbit that leaves the float range raises NonFiniteOrbitError.
         """
-        step, hypot = self.step, math.hypot
-        x, y, wx, wy = self.x, self.y, self.wx, self.wy
-        side = -1.0 if wx < 0.0 else 1.0
         r = min(k, BLOCK)
         ix, iy = [0.0] * r, [0.0] * r
         points = None if table is None else [None] * r
-        try:
-            for i in range(r):
-                x1, y1, a, b, c, d = step(x, y)
-                if b <= 0.0:
-                    raise TwistViolationError(
-                        f"twist entry {b!r} <= 0 at {(x, y)}: not a positive twist map here"
-                    )
-                iwx = ix[i] = a * wx + b * wy
-                iwy = iy[i] = c * wx + d * wy
-                norm = hypot(iwx, iwy)
-                x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
-                if points is not None:
-                    points[i] = (x, y, wx, wy)
-                if side * wx < tol or stop is not None and stop(x, y, wx):
-                    r = i + 1
-                    break
-        except (ArithmeticError, ValueError) as exc:
-            raise NonFiniteOrbitError.at(self.start, self.n + i + 1) from exc
+        x, y, wx, wy, r, exc = self.block(self.x, self.y, self.wx, self.wy, r, ix, iy, points,
+                                          stop, tol)
+        if exc is not None:
+            raise NonFiniteOrbitError.at(self.start, self.n + r + 1) from exc
         iwx, iwy = np.fromiter(ix, float, r), np.fromiter(iy, float, r)
         finite = np.isfinite(iwx) & np.isfinite(iwy)
         if points is not None:
@@ -159,7 +142,7 @@ class _Walk:
             raise NonFiniteOrbitError.at(self.start, self.n + 1 + int(np.argmin(finite)))
         # the images miss an inf that shear or drift carries on
         if not (math.isfinite(x) and math.isfinite(y)):
-            i = _first_non_finite(step, self.x, self.y, r)
+            i = _first_non_finite(self.step, self.x, self.y, r)
             raise NonFiniteOrbitError.at(self.start, self.n + i)
         delta = self._steps(iwx, iwy)
         # a sequential sum, equal to the running sum bit for bit
@@ -433,8 +416,9 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     half a turn per step, so any step landing within HALF_TURN_WARN_TOL
     of the boundary sets near_half_turn.  Coincident points are rejected,
     and orbits that leave the float range raise NonFiniteOrbitError.
-    The loop only steps both orbits and keeps their differences; each
-    block's checks, angles (_angle's) and sums are then taken at once.
+    Each block steps the orbit of p, then that of q, with the map's orbit
+    block; their differences, checks, angles (_angle's) and sums are then
+    taken at once.
     """
     n = int(n)
     if n < 1:
@@ -444,19 +428,17 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     if px == qx and py == qy:
         raise CoincidentPointsError("linking needs two distinct points")
     th_prev = angle_from_vertical((qx - px, qy - py))
-    start, apply, total, flagged = ((px, py), (qx, qy)), map._apply_k, 0.0, False
-    dxs, dys = [0.0] * min(n, BLOCK), [0.0] * min(n, BLOCK)
+    start, orbit, total, flagged = ((px, py), (qx, qy)), map._orbit_k, 0.0, False
+    pxs, pys, qxs, qys = ([0.0] * min(n, BLOCK) for _ in range(4))
     for n0 in range(0, n, BLOCK):
-        r, error = min(BLOCK, n - n0), None
-        try:
-            for i in range(r):
-                px, py = apply(px, py)
-                qx, qy = apply(qx, qy)
-                dxs[i] = qx - px
-                dys[i] = qy - py
-        except Exception as exc:  # raised below, unless an earlier step fails a check
-            r, error = i, exc
-        dx, dy = np.fromiter(dxs, float, r), np.fromiter(dys, float, r)
+        # q takes the steps p took; the error of the first failing step
+        # (p's before q's) is raised below, unless an earlier step fails a check
+        px, py, r, error = orbit(px, py, min(BLOCK, n - n0), pxs, pys)
+        qx, qy, r, q_error = orbit(qx, qy, r, qxs, qys)
+        error = error if q_error is None else q_error
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+            dx = np.fromiter(qxs, float, r) - np.fromiter(pxs, float, r)
+            dy = np.fromiter(qys, float, r) - np.fromiter(pys, float, r)
         # a point that leaves the float range makes the difference
         # non-finite at once; the first bad step raises
         collided = (dx == 0.0) & (dy == 0.0)
@@ -469,7 +451,7 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
         if error is not None:
             raise error
         # -dx as _angle negates it: -(+0.0) is -0.0
-        th = np.fromiter(builtins.map(math.atan2, builtins.map(neg, dxs[:r]), dys), float, r)
+        th = np.fromiter(builtins.map(math.atan2, (-dx).tolist(), dy.tolist()), float, r)
         th *= _INV_TWO_PI
         np.add(th, 1.0, out=th, where=th <= -0.5)
         raw = np.diff(th, prepend=th_prev)

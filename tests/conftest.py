@@ -2,8 +2,9 @@
 
 Every kernel a LiftedMap binds passes through twistlab.maps._observe.  The
 kernels fixture replaces that hook, so each map built after the fixture is
-set up counts the calls of its kernels, and can be made to step a patched
-kernel.  Maps built before (at import or collection) are not observed.
+set up counts the calls of its kernels, or the steps a block kernel
+takes, and can be made to step a patched kernel.  Maps built before (at
+import or collection) are not observed.
 """
 
 from collections import Counter
@@ -13,8 +14,13 @@ import pytest
 import twistlab.maps
 
 
+# The block kernels return (..., steps taken, exception).
+BLOCKS = ("_walk_k", "_orbit_k", "_orbit_inverse_k")
+
+
 class Kernels:
-    """calls: the calls of each kernel, by its name in maps._KERNEL_ATTRS.
+    """calls: the calls of each kernel, or the steps taken by each block
+    kernel, by its name in maps._KERNEL_ATTRS.
     patch(name, make): the maps built afterwards bind make(kernel) as name."""
 
     def __init__(self) -> None:
@@ -34,7 +40,13 @@ class Kernels:
             calls[name] += 1
             return kernel(*args)
 
-        return counted
+        def counted_steps(*args):
+            out = kernel(*args)
+            if out[-2]:  # a block that took no step adds no entry
+                calls[name] += out[-2]
+            return out
+
+        return counted_steps if name in BLOCKS else counted
 
 
 @pytest.fixture

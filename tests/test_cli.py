@@ -89,6 +89,14 @@ def test_overlong_integer_is_usage_error(capsys, flag, value):
     assert err == f"twistlab: usage error: {flag}: must have at most 4300 digits\n"
 
 
+def test_unallocatable_trace_exits_one(capsys):
+    # the 4 PiB trace table is refused at once, before anything is allocated
+    argv = ["trace", "--map", "shear", "--point", "0,0", "--n", "99999999999999"]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("twistlab: error: ") and err.count("\n") == 1
+
+
 def test_computation_failure_exits_one(capsys):
     # strongly kicked map breaks the bracketing the curve builder needs
     code, _, err = run_capture(

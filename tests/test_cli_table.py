@@ -279,7 +279,7 @@ def test_vertical_trace_walks_the_orbit_once(capsys, kernels):
         argv = ["trace", "--map", "std:k=0", "--point", "0.1,0.2", "--vector", vector, "--n", "500"]
         code, out, _ = run_capture(capsys, argv)
         assert code == 0 and "first_overconjugate = none\n" in out
-        assert kernels.calls == {"_step_k": 500}, vector
+        assert kernels.calls == {"_walk_k": 500}, vector
 
 
 @pytest.mark.parametrize("vector", ["0,1", "0,3", "1,2"])

@@ -308,7 +308,7 @@ def test_first_return_stops_at_last_return(kernels):
     )
     assert rep.complete and rep.total_steps < rep.cap
     # one stream up to the fifth return, one fresh trace for the identity
-    assert kernels.calls == {"_step_k": 2 * rep.total_steps}
+    assert kernels.calls == {"_walk_k": 2 * rep.total_steps}
 
 
 def test_first_return_identity_check_raises(monkeypatch):

@@ -30,7 +30,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
-from twistlab.maps import BLOCK, LiftedMap, _kick
+from twistlab.maps import BLOCK, LiftedMap, _kick, _orbit_block
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -351,7 +351,7 @@ def test_overconjugate_persistence_is_rechecked_across_blocks(monkeypatch):
 def test_conjugate_report_walks_once(kernels):
     rep = conjugate_report(standard(0.0), (0.3, 0.2), 500)
     assert rep.first_overconjugate is None and rep.first_conjugate is None
-    assert kernels.calls == {"_step_k": 500}
+    assert kernels.calls == {"_walk_k": 500}
 
 
 def ref_jacobi(m, p, horizon):
@@ -395,7 +395,7 @@ def test_conjugate_report_stops_when_settled(kernels):
     # over-conjugate at 4 plus its 50-step re-check settles both answers
     rep = conjugate_report(standard(1.0), (0.02, 0.0), 1000)
     assert rep.first_overconjugate == 4 and rep.first_conjugate == (4, 1)
-    assert kernels.calls["_step_k"] == 54
+    assert kernels.calls["_walk_k"] == 54
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -505,8 +505,12 @@ def test_linking_matches_checked_angle_reference(m):
 
 
 class _ImageMap:
-    """A duck-typed map given by its float image kernel _apply_k, which the
-    engine steps; the per-step references call apply_scalar."""
+    """A duck-typed map given by its float image kernel _apply_k; the
+    engine steps the generic orbit block over it, and the per-step
+    references call apply_scalar."""
+
+    def __init__(self):
+        self._orbit_k = _orbit_block(self._apply_k)
 
     def apply_scalar(self, x, y):
         return self._apply_k(x, y)

@@ -1,8 +1,10 @@
 """The block walk cut at block edges: every walk takes the steps it would
 take in one piece, and stops on the step it would stop on.  Every scalar
-orbit loop makes one kernel call per step (the kernels fixture counts)."""
+orbit loop steps a block kernel, which takes one orbit step per step asked
+for (the kernels fixture counts the steps a block takes)."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -71,39 +73,39 @@ def test_asymptotic_torsion_reads_the_trace_at_block_edges(m, p, w, edge, window
 def test_walks_to_a_block_edge_take_its_steps(kernels, n):
     m, p = standard(1.5), (0.3, 0.1)
     torsion_trace(m, p, n=n)
-    assert kernels.calls == {"_step_k": n}
+    assert kernels.calls == {"_walk_k": n}
     asymptotic_torsion(m, p, n + 1, n)
-    assert kernels.calls == {"_step_k": 2 * n + 1}
+    assert kernels.calls == {"_walk_k": 2 * n + 1}
     # std:k=0 turns no direction past the vertical
     conjugate_report(standard(0.0), p, n)
-    assert kernels.calls == {"_step_k": 3 * n + 1}
+    assert kernels.calls == {"_walk_k": 3 * n + 1}
     # the drift carries y up and out of the window for good
     rep = first_return_torsion(drift_shear(0.25), (0.0, 1.0, 0.0, 0.1), (0.5, 0.05), cap=n)
     assert rep.return_times == () and rep.complete is False
-    assert kernels.calls == {"_step_k": 4 * n + 1}
+    assert kernels.calls == {"_walk_k": 4 * n + 1}
 
 
 @pytest.mark.parametrize("n", EDGES)
 def test_orbit_loops_make_one_call_per_step(kernels, n):
     m, p = standard(1.5), (0.3, 0.1)
     rotation_number(m, p, n)
-    assert kernels.calls == {"_apply_k": n}
+    assert kernels.calls == {"_orbit_k": n}
     kernels.calls.clear()
     linking_number(m, p, (0.35, 0.1), n)
-    assert kernels.calls == {"_apply_k": 2 * n}
+    assert kernels.calls == {"_orbit_k": 2 * n}
     kernels.calls.clear()
     iterate(m, p, n)
-    assert kernels.calls == {"_apply_k": n}
+    assert kernels.calls == {"_orbit_k": n}
     kernels.calls.clear()
     iterate(m, p, -n)
-    assert kernels.calls == {"_apply_inverse_k": n}
+    assert kernels.calls == {"_orbit_inverse_k": n}
 
 
 @pytest.mark.parametrize("n", EDGES)
 def test_classify_walks_the_segment_once(kernels, n):
     # std:k=0 has no over-conjugate point, so the detector walks all 2n steps
     assert classify_monotonicity(standard(0.0), (0.3, 0.1), n) == "monotone"
-    assert kernels.calls == {"_apply_inverse_k": n, "_apply_k": n, "_step_k": 2 * n}
+    assert kernels.calls == {"_orbit_inverse_k": n, "_orbit_k": n, "_walk_k": 2 * n}
 
 
 @pytest.mark.parametrize("loop, kernel", [
@@ -112,10 +114,12 @@ def test_classify_walks_the_segment_once(kernels, n):
     (lambda m: jacobi_conjugate_oracle(m, (0.0, 1e308), 5), "_step_k"),
 ])
 def test_overflow_is_named_by_a_kernel_walk(kernels, loop, kernel):
-    # shear carries inf on: five steps, then two more to name step 2
+    # shear carries inf on: five steps (the orbit block's, or the oracle's
+    # own), then two more by the per-step kernel to name step 2
     with pytest.raises(NonFiniteOrbitError, match="by step 2"):
         loop(shear())
-    assert kernels.calls == {kernel: 7}
+    first = "_orbit_k" if kernel == "_apply_k" else kernel
+    assert kernels.calls == Counter({first: 5}) + Counter({kernel: 2})
 
 
 @pytest.mark.parametrize("k, tol, hit, over, stop", [
@@ -133,4 +137,4 @@ def test_conjugate_report_stops_across_block_edges(kernels, k, tol, hit, over, s
     # re-check's 50 steps across it
     rep = conjugate_report(standard(k), (0.0, 0.0), 3000, tol)
     assert rep.first_conjugate == (hit, 1) and rep.first_overconjugate == over
-    assert kernels.calls == {"_step_k": stop}
+    assert kernels.calls == {"_walk_k": stop}
