@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
-from .maps import BLOCK, LiftedMap, _as_point, _first_non_finite, iterate
+from .maps import LiftedMap, _as_point, _check_count, _orbit, iterate
 from .stats import write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -271,8 +271,7 @@ def _characteristic_curves(
     map: LiftedMap, resolution: int, tol: float
 ) -> tuple[PeriodicCurve, PeriodicCurve]:
     """Psi1 and PsiMinus1 on the uniform grid j/resolution, from one solve."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = _check_count("resolution", resolution)
     xs = np.arange(resolution) / resolution
     ys, x1, y1 = _sections(map, xs, 0, 1, tol)
     res = np.abs(x1 - xs)
@@ -310,8 +309,7 @@ def flux(map: LiftedMap, resolution: int = 256, tol: float = 1e-12) -> float:
     Zero (within quadrature and root error) exactly when the map is exact
     symplectic; the drift map returns its drift c.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = _check_count("resolution", resolution, 2)
     ys, _, y1 = _sections(map, np.arange(resolution) / resolution, 0, 1, tol)
     # left to right from 0.0: np.sum's pairwise order moves the last bits
     total = float(np.add.accumulate(np.concatenate(([0.0], y1 - ys)))[-1])
@@ -325,20 +323,11 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
     An orbit, or a displacement, that leaves the float range raises
     NonFiniteOrbitError.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _check_count("horizon", horizon)
     x0, y0 = _as_point(p)
-    x, y, orbit = x0, y0, map._orbit_k
-    xs, ys = [0.0] * min(horizon, BLOCK), [0.0] * min(horizon, BLOCK)
-    for n0 in range(0, horizon, BLOCK):
-        x, y, r, exc = orbit(x, y, min(BLOCK, horizon - n0), xs, ys)
-        if exc is not None:
-            raise NonFiniteOrbitError.at((x0, y0), n0 + r + 1) from exc
-    # shear and drift carry inf on; the displacement of a finite orbit
-    # can overflow too, at the horizon
-    if not (math.isfinite(x - x0) and math.isfinite(y)):
-        raise NonFiniteOrbitError.at((x0, y0), _first_non_finite(map._apply_k, x0, y0, horizon))
+    x = _orbit(map, (x0, y0), horizon)[0]
+    if not math.isfinite(x - x0):  # the displacement of a finite orbit can overflow
+        raise NonFiniteOrbitError.at((x0, y0), horizon)
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 
@@ -361,10 +350,8 @@ def periodic_curve(
     than raised, since a non-exact map legitimately produces a non-fixed
     section.
     """
-    p = int(p)
-    q = int(q)
-    if q < 1:
-        raise ValueError("q must be a positive integer")
+    p = _check_count("p", p, -math.inf)
+    q = _check_count("q", q)
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
     return _rotation_curves(map, (Fraction(p, q),), resolution, tol, bracket_samples)[0]
@@ -381,8 +368,7 @@ def _rotation_curves(
     failure raises the error that one solve per rational in order would:
     the first failing rational's, at its lowest failing node.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = _check_count("resolution", resolution)
     xs = np.arange(resolution) / resolution
     curves, errors = {}, {}
     for q in dict.fromkeys(r.denominator for r in rhos):
@@ -454,9 +440,7 @@ def classify_monotonicity(map: LiftedMap, p, horizon: int) -> str:
     "undetermined" is returned.  Fixed points are reported as "fixed".
     Steps shorter than 1e-12 count as stationary.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _check_count("horizon", horizon)
     back = iterate(map, p, -horizon)
     fwd = iterate(map, p, horizon)
     seg = np.vstack((back[::-1], fwd[1:]))
@@ -504,26 +488,26 @@ def integrability_probe(
     otherwise the rational family is built and certified and the verdict
     is NO_OBSTRUCTION_FOUND.  Absence of detection is evidence, not proof.
     """
-    nx, ny = int(grid[0]), int(grid[1])
+    nx, ny = _check_count("grid", grid[0]), _check_count("grid", grid[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
-    if nx < 1 or ny < 1 or not y0 < y1:
-        raise ValueError("grid must be positive and y_range increasing")
-    if curve_resolution < 1:  # checked before the flux and the scan run
-        raise ValueError("curve resolution must be >= 1")
+    if not y0 < y1:
+        raise ValueError("y_range must be increasing")
+    horizon = _check_count("horizon", horizon)
+    _check_count("curve_resolution", curve_resolution)  # all checked before the flux runs
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,
         flux=fl,
         grid=(nx, ny),
         y_range=(y0, y1),
-        horizon=int(horizon),
+        horizon=horizon,
     )
     if abs(fl) > FLUX_TOL:
         return report
     gx = (np.arange(nx) + 0.5) / nx
     gy = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
     X, Y = np.meshgrid(gx, gy)
-    scan = cocycle_scan(map, X.ravel(), Y.ravel(), int(horizon), stop_at_overconjugate=True)
+    scan = cocycle_scan(map, X.ravel(), Y.ravel(), horizon, stop_at_overconjugate=True)
     times = scan.overconj_time
     hit = times > 0
     if np.any(hit):

@@ -35,16 +35,19 @@ map) gets _single_harmonic's, with _kick's loop body written in.  An
 inverted map swaps the images, and its step is the forward step at the
 preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
 adjugate.  Floats and arrays agree bit for bit.  The scalar orbit loops
-step block kernels, up to a block of steps a call: a tangent walk and an
-orbit each way, _single_harmonic's with its step written in, the other
-maps' one loop over the per-step kernels (_walk_block, _orbit_block).
-Each kernel is bound as _observe(name, kernel), the one way to watch it.
+step block kernels, up to a block of steps a call: a tangent walk and a
+forward orbit, _single_harmonic's with its step written in, the other
+maps' one loop over the per-step kernels (_walk_block, _orbit_block).  A
+backward orbit is the inverted map's forward orbit.  Each kernel is bound
+as _observe(name, kernel), the one way to watch it.  Every orbit loop
+names the step at which it left the float range by one rule, _check_block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -65,7 +68,7 @@ _SPECS = {SHEAR: ("shear", ()), DRIFT: ("drift", ("c",)), STANDARD: ("std", ("k"
 # Default orbit-length guard for iterate().
 ITERATE_CAP = 10_000_000
 
-# Rows per block when scalar walks fill an array (iterate, torsion_trace).
+# Steps per call of a block kernel in the scalar orbit loops.
 BLOCK = 1024
 
 # The most cosine coefficients of a genfun map; every kick loops over all.
@@ -182,7 +185,7 @@ def _kernels(family: str, params, harmonics, arrays: bool):
 def _single_harmonic(p: float, q: float):
     """Float (step, image, inverse) of one first harmonic, _kick's loop body
     written into each, then the walk and orbit blocks with it written into
-    their loops (b is 1.0: no twist test) and the generic inverse orbit."""
+    their loops (b is 1.0: no twist test)."""
     floor, sin, hypot = math.floor, math.sin, math.hypot
 
     def step(x, y):
@@ -241,7 +244,7 @@ def _single_harmonic(p: float, q: float):
         except (ArithmeticError, ValueError) as exc:
             return x, y, i, exc
         return x, y, r, None
-    return step, image, inverse, walk, orbit, _orbit_block(inverse)
+    return step, image, inverse, walk, orbit
 
 
 def _walk_block(step):
@@ -282,7 +285,9 @@ def _orbit_block(image):
     def orbit(x, y, r, xs, ys):
         try:
             for i in range(r):
-                x, y = xs[i], ys[i] = image(x, y)
+                x, y = image(x, y)
+                xs[i] = x
+                ys[i] = y
         except (ArithmeticError, ValueError) as exc:
             return x, y, i, exc
         return x, y, r, None
@@ -300,7 +305,7 @@ def _inverted(step, inverse):
 
 
 _KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_walk_k", "_orbit_k",
-                 "_orbit_inverse_k", "_step_array_k", "_apply_array_k")
+                 "_step_array_k", "_apply_array_k")
 
 
 def _observe(name: str, kernel):
@@ -376,7 +381,7 @@ class LiftedMap:
             floats = _inverted(step, inverse), inverse, image
             step_a, image_a = _inverted(step_a, inverse_a), inverse_a
         if len(floats) == 3:  # the generic blocks over the per-step kernels
-            floats += _walk_block(floats[0]), _orbit_block(floats[1]), _orbit_block(floats[2])
+            floats += _walk_block(floats[0]), _orbit_block(floats[1])
         for name, kernel in zip(_KERNEL_ATTRS, (*floats, step_a, image_a)):
             object.__setattr__(self, name, _observe(name, kernel))
 
@@ -484,43 +489,62 @@ def generating_function(*coeffs: float) -> LiftedMap:
     return LiftedMap(GENFUN, coeffs)
 
 
+def _check_count(name: str, value, least=1) -> int:
+    """value as an int; ValueError unless it is an integer (int or numpy int) >= least."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
     """Orbit segment [p, F(p), ..., F^n(p)] as an (|n|+1, 2) array.
 
-    Negative n walks the inverse map.  Raises IterationCapError when |n|
+    Negative n walks the inverted map.  Raises IterationCapError when |n|
     exceeds cap, and NonFiniteOrbitError when the orbit leaves the float
     range.
     """
-    n = int(n)
+    n = _check_count("n", n, -math.inf)
     if abs(n) > cap:
         raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {cap}")
-    start = x, y = _as_point(p)
-    length = abs(n)
-    out = np.empty((length + 1, 2))
+    start = _as_point(p)
+    out = np.empty((abs(n) + 1, 2))
     out[0] = start
-    orbit = map._orbit_k if n >= 0 else map._orbit_inverse_k
-    xs, ys = [0.0] * min(length, BLOCK), [0.0] * min(length, BLOCK)
-    for i in range(1, length + 1, BLOCK):
-        x0, y0 = x, y
-        x, y, r, exc = orbit(x, y, min(BLOCK, length + 1 - i), xs, ys)
-        if exc is not None:
-            raise NonFiniteOrbitError.at(start, i + r) from exc
-        out[i : i + r, 0], out[i : i + r, 1] = xs[:r], ys[:r]
-        if not (math.isfinite(x) and math.isfinite(y)):  # shear and drift carry inf on
-            step = map._apply_k if n >= 0 else map._apply_inverse_k
-            raise NonFiniteOrbitError.at(start, i - 1 + _first_non_finite(step, x0, y0, r))
+    _orbit(map if n >= 0 else map.inverted(), start, abs(n), out)
     return out
 
 
-def _first_non_finite(step, x: float, y: float, n: int) -> int:
-    """The first of n steps from (x, y) to a non-finite point, or n.  Shear
-    and drift carry inf on without raising: a walk checks its last point,
-    then walks again with step (which may return more) to name the step."""
-    for i in range(1, n):
+def _orbit(map: LiftedMap, start: tuple[float, float], n: int, out=None) -> tuple[float, float]:
+    """The point n steps along the orbit of start, stepped by map's orbit
+    block a block at a time; with out, step i's point goes to out[i].  An
+    orbit that leaves the float range raises NonFiniteOrbitError."""
+    x, y = start
+    xs, ys = [0.0] * min(n, BLOCK), [0.0] * min(n, BLOCK)
+    for n0 in range(0, n, BLOCK):
+        first = x, y
+        x, y, r, exc = map._orbit_k(x, y, min(BLOCK, n - n0), xs, ys)
+        _check_block(map._apply_k, start, n0, first, r, exc, (x, y))
+        if out is not None:
+            out[n0 + 1 : n0 + 1 + r, 0], out[n0 + 1 : n0 + 1 + r, 1] = xs[:r], ys[:r]
+    return x, y
+
+
+def _check_block(step, start, n0: int, first, taken: int, exc, last) -> None:
+    """Raise NonFiniteOrbitError if the orbit of start left the float range
+    in a block that took taken steps, n0+1 to n0+taken, from the point first
+    to the point last: at step n0 + taken + 1, chained from exc, the error
+    that stopped the block, or, as shear and drift carry an inf on, at the
+    first non-finite point, found by walking the block again with step."""
+    if exc is not None:
+        raise NonFiniteOrbitError.at(start, n0 + taken + 1) from exc
+    x, y = last
+    if math.isfinite(x) and math.isfinite(y):
+        return
+    x, y = first
+    for i in range(1, taken):
         x, y = step(x, y)[:2]
         if not (math.isfinite(x) and math.isfinite(y)):
-            return i
-    return n
+            raise NonFiniteOrbitError.at(start, n0 + i)
+    raise NonFiniteOrbitError.at(start, n0 + taken)
 
 
 @dataclass(frozen=True)
@@ -557,8 +581,7 @@ def twist_check(map: LiftedMap, samples: int = 1000, seed: int = 0) -> TwistRepo
     than uniform draws would need.  Violations are reported, not raised:
     the fixture maps are supposed to fail this.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _check_count("samples", samples)
     shift = np.random.default_rng(seed).random(2)
     xs = (_halton(samples, 2) + shift[0]) % 1.0
     ys = (2.0 * ((_halton(samples, 3) + shift[1]) % 1.0) - 1.0) * 3.0

@@ -16,21 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point
+from .maps import LiftedMap, _as_point, _check_count
 from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    """ValueError naming the field unless value is an integer (int or numpy int) >= least."""
-    if not (isinstance(value, Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,13 +173,9 @@ class ScanResult:
 
 
 def _chunks(total: int, chunk_size: int | None) -> Iterator[slice]:
-    if chunk_size is None or chunk_size >= total:
-        yield slice(0, total)
-        return
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    for start in range(0, total, chunk_size):
-        yield slice(start, min(start + chunk_size, total))
+    size = total if chunk_size is None else _check_count("chunk_size", chunk_size)
+    for start in range(0, total, size):
+        yield slice(start, min(start + size, total))
 
 
 def torsion_field(
@@ -322,10 +311,8 @@ def first_return_torsion(
     leaves the float range raises NonFiniteOrbitError.
     """
     window, (px, py) = check_window(window, p)
-    returns = int(returns)
-    cap = int(cap)
-    if returns < 1 or cap < 1:
-        raise ValueError("returns and cap must be >= 1")
+    returns = _check_count("returns", returns)
+    cap = _check_count("cap", cap)
     times, sums, last_t, last_cum = [], [], 0, 0.0
     walk = _Walk(map, px, py, 0.0, 1.0)
     # each return ends a block of the walk

@@ -16,9 +16,10 @@ lists, and lifts a block at once in numpy, with the running sums
 where a consumer must decide, so no walk steps past its stop.
 linking_number subtracts the two orbits' blocks in numpy.  The vectorized
 ensemble kernel, cocycle_scan, lifts the same way per lane, taking an
-angle only where one is read.  A scalar walk whose orbit leaves the
-float range raises NonFiniteOrbitError naming the step; an ensemble lane
-is flagged invalid there, or where the twist fails.
+angle only where one is read.  An orbit that leaves the float range
+raises NonFiniteOrbitError at the step maps._check_block names (in
+linking_number, the first step whose difference is not finite), or
+flags an ensemble lane invalid, as does a failed twist.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CoincidentPointsError, NonFiniteOrbitError
-from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _first_non_finite
+from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_count
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -131,19 +132,16 @@ class _Walk:
         points = None if table is None else [None] * r
         x, y, wx, wy, r, exc = self.block(self.x, self.y, self.wx, self.wy, r, ix, iy, points,
                                           stop, tol)
-        if exc is not None:
-            raise NonFiniteOrbitError.at(self.start, self.n + r + 1) from exc
         iwx, iwy = np.fromiter(ix, float, r), np.fromiter(iy, float, r)
         finite = np.isfinite(iwx) & np.isfinite(iwy)
         if points is not None:
             block = np.fromiter(chain.from_iterable(points[:r]), float, 4 * r).reshape(r, 4)
             finite &= np.isfinite(block).all(axis=1)
-        if not finite.all():
+        # the block's error comes first, then the first non-finite row, then
+        # an inf that shear or drift carried on past the images
+        if exc is None and not finite.all():
             raise NonFiniteOrbitError.at(self.start, self.n + 1 + int(np.argmin(finite)))
-        # the images miss an inf that shear or drift carries on
-        if not (math.isfinite(x) and math.isfinite(y)):
-            i = _first_non_finite(self.step, self.x, self.y, r)
-            raise NonFiniteOrbitError.at(self.start, self.n + i)
+        _check_block(self.step, self.start, self.n, (self.x, self.y), r, exc, (x, y))
         delta = self._steps(iwx, iwy)
         # a sequential sum, equal to the running sum bit for bit
         cum = np.add.accumulate(np.concatenate(([self.cum], delta)))[1:]
@@ -203,9 +201,7 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
     steps[i] equals step_variation at the transported pair, and the
     cumulative array is the plain running sum in the same order.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count("n", n)
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
     # One row per point: x, y, wx, wy, the step into it, the cumulative.
@@ -237,10 +233,8 @@ def asymptotic_torsion(
     only the running sum is kept, so memory does not grow with horizon.
     An orbit that leaves the float range raises NonFiniteOrbitError.
     """
-    horizon = int(horizon)
-    window = int(window)
-    if not 1 <= window <= horizon:
-        raise ValueError("need horizon >= window >= 1")
+    window = _check_count("window", window)
+    horizon = _check_count("horizon", horizon, window)
     walk = _Walk(map, *_as_point(p), *_as_dir(w))
     while walk.n < horizon - window:
         walk.run(horizon - window - walk.n)
@@ -322,9 +316,7 @@ def conjugate_report(
     re-checked to stay below -1/2 (_overconjugate).  An orbit that leaves
     the float range raises NonFiniteOrbitError.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = _check_count("horizon", horizon)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
     over = over_cum = hit = None
@@ -369,13 +361,11 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
     orbit or Jacobi field that leaves the float range raises
     NonFiniteOrbitError.
     """
-    horizon = int(horizon)
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    horizon = _check_count("horizon", horizon, 2)
     if map.twist_sign != 1 or map.family == DRIFT:
         raise ValueError(f"map {map.to_spec()!r} has no generating function")
     start = x, y = _as_point(p)
-    step, xi_prev = map._step_k, 0.0
+    step, xi_prev, taken, error = map._step_k, 0.0, horizon, None
     x, y, _, xi, _, _ = step(x, y)
     try:
         for n in range(2, horizon + 1):
@@ -393,10 +383,10 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
                 xi = xi / scale
             xi_prev, xi = xi, xi_next
     except (ArithmeticError, ValueError) as exc:
-        raise NonFiniteOrbitError.at(start, n) from exc
-    if math.isfinite(x) and math.isfinite(y):  # shear carries inf on, and its V'' is 0
-        return None
-    raise NonFiniteOrbitError.at(start, _first_non_finite(step, *start, horizon))
+        taken, error = n - 1, exc
+    # shear carries inf on, and its V'' is 0
+    _check_block(step, start, 0, start, taken, error, (x, y))
+    return None
 
 
 @dataclass(frozen=True)
@@ -420,9 +410,7 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     block; their differences, checks, angles (_angle's) and sums are then
     taken at once.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count("n", n)
     px, py = _as_point(p)
     qx, qy = _as_point(q)
     if px == qx and py == qy:
@@ -574,9 +562,7 @@ def cocycle_scan(
     (b is 1 throughout the catalogue) only an orbit that later leaves the
     float range can do that.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_count("n", n)
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:

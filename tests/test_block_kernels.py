@@ -56,7 +56,8 @@ def per_step_orbit(kernel, x, y, r):
 @given(m=CATALOGUE, inverted=st.booleans(), p=POINTS, r=st.sampled_from(EDGES))
 def test_orbit_blocks_take_the_per_step_kernels_steps(m, inverted, p, r):
     m = m.inverted() if inverted else m
-    for block, kernel in ((m._orbit_k, m._apply_k), (m._orbit_inverse_k, m._apply_inverse_k)):
+    # a backward orbit is the inverted map's forward orbit
+    for block, kernel in ((m._orbit_k, m._apply_k), (m.inverted()._orbit_k, m._apply_inverse_k)):
         xs, ys = [0.0] * r, [0.0] * r
         x, y, taken, exc = block(*p, r, xs, ys)
         points, error = per_step_orbit(kernel, *p, r)

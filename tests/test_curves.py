@@ -269,7 +269,7 @@ def test_classify_examples():
 def test_curve_resolution_below_one_is_rejected(build, resolution):
     # these returned empty curves that raised on evaluate, or raised
     # numpy's "zero-size array" error
-    with pytest.raises(ValueError, match="resolution must be >= 1"):
+    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         build(resolution)
 
 
@@ -281,7 +281,7 @@ def test_probe_checks_curve_resolution_before_it_scans(kernels, k, verdict):
         return integrability_probe(standard(k), grid=(4, 4), horizon=50, rationals=[0],
                                    curve_resolution=resolution)
 
-    with pytest.raises(ValueError, match="resolution must be >= 1"):
+    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         probe(0)
     assert not kernels.calls
     # the tally sees the scan of a valid probe
@@ -289,7 +289,7 @@ def test_probe_checks_curve_resolution_before_it_scans(kernels, k, verdict):
 
 
 def test_flux_keeps_its_own_resolution_check():
-    with pytest.raises(ValueError, match="resolution must be >= 2"):
+    with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
         flux(shear(), 1)
 
 

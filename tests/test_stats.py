@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,19 +14,34 @@ from twistlab import (
     MeasureEstimate,
     MonteCarloMode,
     ScanConfig,
+    asymptotic_torsion,
+    classify_monotonicity,
+    cocycle_scan,
+    conjugate_report,
     drift_shear,
     first_return_torsion,
+    flux,
+    integrability_probe,
     island_measure,
+    iterate,
+    jacobi_conjugate_oracle,
+    linking_number,
+    periodic_curve,
+    psi1_curve,
+    psi_family,
     read_scan_csv,
+    rotation_number,
     shear,
     standard,
     summarize_csv,
     torsion_field,
     torsion_integral,
+    torsion_trace,
+    twist_check,
     vertical_step_variation,
     write_scan_csv,
 )
-from twistlab.stats import sample_points
+from twistlab.stats import _in_window, sample_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,6 +102,50 @@ def test_config_rejects_non_integral_counts(build, field):
     # samples and counted 5.0; the bad MonteCarloModes failed inside numpy
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         build()
+
+
+P, WINDOW = (0.02, 0.0), (-0.05, 0.05, -0.05, 0.05)
+COUNTS = {  # entry point: (call with the map and the count, its name, least)
+    "iterate": (lambda m, v: iterate(m, P, v), "n", -math.inf),
+    "twist_check": (lambda m, v: twist_check(m, v), "samples", 1),
+    "torsion_trace": (lambda m, v: torsion_trace(m, P, n=v), "n", 1),
+    "asymptotic_torsion.window": (lambda m, v: asymptotic_torsion(m, P, 10, v), "window", 1),
+    "asymptotic_torsion.horizon": (lambda m, v: asymptotic_torsion(m, P, v, 5), "horizon", 5),
+    "conjugate_report": (lambda m, v: conjugate_report(m, P, v), "horizon", 1),
+    "jacobi_conjugate_oracle": (lambda m, v: jacobi_conjugate_oracle(m, P, v), "horizon", 2),
+    "linking_number": (lambda m, v: linking_number(m, P, (0.03, 0.0), v), "n", 1),
+    "cocycle_scan": (lambda m, v: cocycle_scan(m, [0.3], [0.1], v), "n", 1),
+    "rotation_number": (lambda m, v: rotation_number(m, P, v), "horizon", 1),
+    "periodic_curve.p": (lambda m, v: periodic_curve(m, v, 1), "p", -math.inf),
+    "periodic_curve.q": (lambda m, v: periodic_curve(m, 0, v), "q", 1),
+    "periodic_curve.resolution": (lambda m, v: periodic_curve(m, 0, 1, v), "resolution", 1),
+    "psi1_curve": (lambda m, v: psi1_curve(m, v), "resolution", 1),
+    "psi_family": (lambda m, v: psi_family(m, [0, Fraction(1, 2)], v), "resolution", 1),
+    "flux": (lambda m, v: flux(m, v), "resolution", 2),
+    "classify_monotonicity": (lambda m, v: classify_monotonicity(m, P, v), "horizon", 1),
+    "integrability_probe.nx": (lambda m, v: integrability_probe(m, grid=(v, 4)), "grid", 1),
+    "integrability_probe.ny": (lambda m, v: integrability_probe(m, grid=(4, v)), "grid", 1),
+    "integrability_probe.horizon": (lambda m, v: integrability_probe(m, horizon=v), "horizon", 1),
+    "integrability_probe.curve_resolution": (
+        lambda m, v: integrability_probe(m, curve_resolution=v), "curve_resolution", 1),
+    "first_return_torsion.returns": (
+        lambda m, v: first_return_torsion(m, WINDOW, P, returns=v), "returns", 1),
+    "first_return_torsion.cap": (lambda m, v: first_return_torsion(m, WINDOW, P, cap=v), "cap", 1),
+    "torsion_field": (lambda m, v: torsion_field(m, grid_cfg(BOX, 2, 2, 3), chunk_size=v),
+                      "chunk_size", 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_entry_points_reject_counts_before_any_step(kernels, entry):
+    # each took int(count): flux(m, 2.5) divided three nodes by 2.5,
+    # torsion_trace(n=2.5) ran 2 steps, and iterate took '3'
+    call, name, least = COUNTS[entry]
+    for value in [2.5, np.float64(3.0), "3"] + ([least - 1] if least > -math.inf else []):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, "
+                                             f"got {re.escape(repr(value))}$"):
+            call(standard(0.0), value)
+    assert not kernels.calls
 
 
 def test_config_accepts_numpy_integers():
@@ -303,12 +364,19 @@ def test_first_return_capped_reports_partial():
 
 
 def test_first_return_stops_at_last_return(kernels):
-    rep = first_return_torsion(
-        standard(1.0), (-0.05, 0.05, -0.05, 0.05), (0.02, 0.0), returns=5
-    )
+    m = standard(1.0)
+    rep = first_return_torsion(m, WINDOW, P, returns=5)
     assert rep.complete and rep.total_steps < rep.cap
     # one stream up to the fifth return, one fresh trace for the identity
     assert kernels.calls == {"_walk_k": 2 * rep.total_steps}
+    # the returns of a per-step loop: a walk that stepped past a return
+    # would miss it and count later ones
+    times, (x, y), last = [], P, 0
+    for t in range(1, rep.total_steps + 1):
+        x, y = m.apply_scalar(x, y)
+        if _in_window(x, y, WINDOW):
+            times, last = times + [t - last], t
+    assert tuple(times) == rep.return_times
 
 
 def test_first_return_identity_check_raises(monkeypatch):
