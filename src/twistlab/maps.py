@@ -37,10 +37,12 @@ preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
 adjugate.  Floats and arrays agree bit for bit.  The scalar orbit loops
 step block kernels, up to a block of steps a call: a tangent walk and a
 forward orbit, _single_harmonic's with its step written in, the other
-maps' one loop over the per-step kernels (_walk_block, _orbit_block).  A
-backward orbit is the inverted map's forward orbit.  Each kernel is bound
-as _observe(name, kernel), the one way to watch it.  Every orbit loop
-names the step at which it left the float range by one rule, _check_block.
+maps' one loop over the per-step kernels (_walk_block, _orbit_block).
+They record floats in one list per column, which _column moves into
+numpy in one packed copy.  A backward orbit is the inverted map's
+forward orbit.  Each kernel is bound as _observe(name, kernel), the one
+way to watch it.  Every orbit loop names the step at which it left the
+float range by one rule, _check_block.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
+from struct import pack
 
 import numpy as np
 
@@ -210,8 +213,9 @@ def _single_harmonic(p: float, q: float):
             u, turn = u - 0.5, -TWO_PI
         return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
 
-    def walk(x, y, wx, wy, r, ix, iy, points, stop, tol):
+    def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
         side = -1.0 if wx < 0.0 else 1.0
+        xs, ys, norms = trace or (None, None, None)
         try:
             for i in range(r):
                 u, turn = x - floor(x), TWO_PI
@@ -225,8 +229,8 @@ def _single_harmonic(p: float, q: float):
                 iwy = iy[i] = w * wx + wy
                 norm = hypot(iwx, iwy)
                 wx, wy = iwx / norm, iwy / norm
-                if points is not None:
-                    points[i] = (x, y, wx, wy)
+                if xs is not None:
+                    xs[i], ys[i], norms[i] = x, y, norm
                 if side * wx < tol or stop is not None and stop(x, y, wx):
                     return x, y, wx, wy, i + 1, None
         except (ArithmeticError, ValueError) as exc:
@@ -248,18 +252,19 @@ def _single_harmonic(p: float, q: float):
 
 
 def _walk_block(step):
-    """walk(x, y, wx, wy, r, ix, iy, points, stop, tol) transports the unit
+    """walk(x, y, wx, wy, r, ix, iy, trace, stop, tol) transports the unit
     direction (wx, wy) along up to r steps from (x, y): step i's image
-    direction goes to ix[i], iy[i], and with points (x, y, wx, wy) to
-    points[i].  It ends after a step where stop (or None) is true of
-    (x, y, wx), or where wx changed sign or came within tol of 0, and
-    returns (x, y, wx, wy, taken, exc): the steps taken, and the
-    ArithmeticError or ValueError of the step after them, or None.
-    b <= 0 raises TwistViolationError."""
+    direction goes to ix[i], iy[i], and with trace, lists (xs, ys, norms),
+    its point and the image's norm to xs[i], ys[i], norms[i].  It ends after
+    a step where stop (or None) is true of (x, y, wx), or where wx changed
+    sign or came within tol of 0, and returns (x, y, wx, wy, taken, exc):
+    the steps taken, and the ArithmeticError or ValueError of the step after
+    them, or None.  b <= 0 raises TwistViolationError."""
     hypot = math.hypot
 
-    def walk(x, y, wx, wy, r, ix, iy, points, stop, tol):
+    def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
         side = -1.0 if wx < 0.0 else 1.0
+        xs, ys, norms = trace or (None, None, None)
         try:
             for i in range(r):
                 x1, y1, a, b, c, d = step(x, y)
@@ -270,8 +275,8 @@ def _walk_block(step):
                 iwy = iy[i] = c * wx + d * wy
                 norm = hypot(iwx, iwy)
                 x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
-                if points is not None:
-                    points[i] = (x, y, wx, wy)
+                if xs is not None:
+                    xs[i], ys[i], norms[i] = x, y, norm
                 if side * wx < tol or stop is not None and stop(x, y, wx):
                     return x, y, wx, wy, i + 1, None
         except (ArithmeticError, ValueError) as exc:
@@ -385,18 +390,20 @@ class LiftedMap:
         for name, kernel in zip(_KERNEL_ATTRS, (*floats, step_a, image_a)):
             object.__setattr__(self, name, _observe(name, kernel))
 
-    # Closures do not pickle: state leaves the kernels out and loading
-    # rebuilds them.
+    # State leaves out the kernels (closures do not pickle) and the cached inverse.
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in _KERNEL_ATTRS}
+        return {k: v for k, v in self.__dict__.items() if k not in (*_KERNEL_ATTRS, "_inverse")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._bind_kernels()
 
     def inverted(self) -> "LiftedMap":
-        """Swap the map with its inverse (negative-twist test fixture)."""
-        return LiftedMap(self.family, self.params, -self.twist_sign)
+        """Swap the map with its inverse (negative-twist test fixture); built once."""
+        if "_inverse" not in self.__dict__:
+            inverse = LiftedMap(self.family, self.params, -self.twist_sign)
+            object.__setattr__(self, "_inverse", inverse)
+        return self._inverse
 
     def _kick_bound(self) -> float:
         """An upper bound on |V''|; every Jacobian entry is at most 1 + this."""
@@ -490,8 +497,8 @@ def generating_function(*coeffs: float) -> LiftedMap:
 
 
 def _check_count(name: str, value, least=1) -> int:
-    """value as an int; ValueError unless it is an integer (int or numpy int) >= least."""
-    if not (isinstance(value, Integral) and value >= least):
+    """value as an int; ValueError unless it is an int or numpy int (no bool) >= least."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -524,8 +531,14 @@ def _orbit(map: LiftedMap, start: tuple[float, float], n: int, out=None) -> tupl
         x, y, r, exc = map._orbit_k(x, y, min(BLOCK, n - n0), xs, ys)
         _check_block(map._apply_k, start, n0, first, r, exc, (x, y))
         if out is not None:
-            out[n0 + 1 : n0 + 1 + r, 0], out[n0 + 1 : n0 + 1 + r, 1] = xs[:r], ys[:r]
+            rows = out[n0 + 1 : n0 + 1 + r]
+            rows[:, 0], rows[:, 1] = _column(xs, r), _column(ys, r)
     return x, y
+
+
+def _column(values: list, r: int) -> np.ndarray:
+    """The first r floats of a list as a read-only float64 array, in one packed copy."""
+    return np.frombuffer(pack(f"{r}d", *(values if r == len(values) else values[:r])), float)
 
 
 def _check_block(step, start, n0: int, first, taken: int, exc, last) -> None:

@@ -10,14 +10,15 @@ half-turn index by one; the lifted angle is the direction's principal
 angle placed in that half turn.  No angle is anchored or compared.
 
 The scalar walk, _Walk, calls the map's walk block (maps._observe is the
-one way to watch it), which steps and transports in Python into flat
-lists, and lifts a block at once in numpy, with the running sums
-(torsion) and their sign structure (conjugate points); a block ends early
-where a consumer must decide, so no walk steps past its stop.
-linking_number subtracts the two orbits' blocks in numpy.  The vectorized
-ensemble kernel, cocycle_scan, lifts the same way per lane, taking an
-angle only where one is read.  An orbit that leaves the float range
-raises NonFiniteOrbitError at the step maps._check_block names (in
+one way to watch it), which steps and transports in Python into float
+lists, moved into numpy in one packed copy per column (maps._column), and
+lifts a block at once in numpy, with the running sums (torsion) and their
+sign structure (conjugate points); a block ends early where a consumer
+must decide, so no walk steps past its stop.  linking_number subtracts
+the two orbits' blocks in numpy.  The vectorized ensemble kernel,
+cocycle_scan, lifts the same way per lane, taking an angle only where
+one is read.  An orbit that leaves the float range raises
+NonFiniteOrbitError at the step maps._check_block names (in
 linking_number, the first step whose difference is not finite), or
 flags an ensemble lane invalid, as does a failed twist.
 """
@@ -27,12 +28,11 @@ from __future__ import annotations
 import builtins
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import CoincidentPointsError, NonFiniteOrbitError
-from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_count
+from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_count, _column
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -129,24 +129,26 @@ class _Walk:
         """
         r = min(k, BLOCK)
         ix, iy = [0.0] * r, [0.0] * r
-        points = None if table is None else [None] * r
-        x, y, wx, wy, r, exc = self.block(self.x, self.y, self.wx, self.wy, r, ix, iy, points,
+        trace = None if table is None else ([0.0] * r, [0.0] * r, [0.0] * r)
+        x, y, wx, wy, r, exc = self.block(self.x, self.y, self.wx, self.wy, r, ix, iy, trace,
                                           stop, tol)
-        iwx, iwy = np.fromiter(ix, float, r), np.fromiter(iy, float, r)
+        iwx, iwy = _column(ix, r), _column(iy, r)
         finite = np.isfinite(iwx) & np.isfinite(iwy)
-        if points is not None:
-            block = np.fromiter(chain.from_iterable(points[:r]), float, 4 * r).reshape(r, 4)
-            finite &= np.isfinite(block).all(axis=1)
+        if trace is not None:  # a direction is finite where its image is
+            xs, ys, norms = (_column(c, r) for c in trace)
+            finite &= np.isfinite(xs) & np.isfinite(ys)
         # the block's error comes first, then the first non-finite row, then
         # an inf that shear or drift carried on past the images
         if exc is None and not finite.all():
             raise NonFiniteOrbitError.at(self.start, self.n + 1 + int(np.argmin(finite)))
         _check_block(self.step, self.start, self.n, (self.x, self.y), r, exc, (x, y))
-        delta = self._steps(iwx, iwy)
-        # a sequential sum, equal to the running sum bit for bit
-        cum = np.add.accumulate(np.concatenate(([self.cum], delta)))[1:]
-        if table is not None:
-            table[:r, :4], table[:r, 4], table[:r, 5] = block, delta, cum
+        steps = self._steps(iwx, iwy)
+        if table is not None:  # the walk's own division, iwx / norm, bit for bit
+            table[:r, 0], table[:r, 1], table[:r, 4] = xs, ys, steps
+            table[:r, 2], table[:r, 3] = iwx / norms, iwy / norms
+        # a sequential sum from the walk's cumulative, bit for bit the running sum
+        steps[0] += self.cum
+        cum = np.add.accumulate(steps, out=steps if table is None else table[:r, 5])
         self.x, self.y, self.wx, self.wy = x, y, wx, wy
         self.n, self.cum = self.n + r, float(cum[-1])
         return cum
@@ -425,8 +427,8 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
         qx, qy, r, q_error = orbit(qx, qy, r, qxs, qys)
         error = error if q_error is None else q_error
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-            dx = np.fromiter(qxs, float, r) - np.fromiter(pxs, float, r)
-            dy = np.fromiter(qys, float, r) - np.fromiter(pys, float, r)
+            dx = _column(qxs, r) - _column(pxs, r)
+            dy = _column(qys, r) - _column(pys, r)
         # a point that leaves the float range makes the difference
         # non-finite at once; the first bad step raises
         collided = (dx == 0.0) & (dy == 0.0)

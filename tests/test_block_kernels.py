@@ -8,6 +8,7 @@ stop, fail and name the failing step where the per-step loops do.
 import math
 import struct
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_maps import CATALOGUE
@@ -89,13 +90,18 @@ def per_step_walk(step, x, y, wx, wy, r, stop, tol):
 
 
 def block_walk(m, x, y, wx, wy, r, stop, tol):
-    """The walk block, in per_step_walk's terms."""
-    ix, iy, points = [0.0] * r, [0.0] * r, [None] * r
+    """The walk block, in per_step_walk's terms: a trace's records, with the
+    directions derived as the trace derives them, the images over their
+    norms in numpy."""
+    ix, iy, trace = [0.0] * r, [0.0] * r, ([0.0] * r, [0.0] * r, [0.0] * r)
     try:
-        *state, taken, exc = m._walk_k(x, y, wx, wy, r, ix, iy, points, stop, tol)
+        *state, taken, exc = m._walk_k(x, y, wx, wy, r, ix, iy, trace, stop, tol)
     except TwistViolationError:
         return [], TwistViolationError
-    rows = [(ix[i], iy[i], *points[i]) for i in range(taken)]
+    xs, ys, norms = (column[:taken] for column in trace)
+    with np.errstate(all="ignore"):  # rows past the float range hold inf and NaN
+        wxs, wys = np.divide(ix[:taken], norms), np.divide(iy[:taken], norms)
+    rows = list(zip(ix[:taken], iy[:taken], xs, ys, wxs.tolist(), wys.tolist()))
     assert bits(state) == bits(rows[-1][2:] if rows else (x, y, wx, wy))
     return rows, None if exc is None else type(exc)
 

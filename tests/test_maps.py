@@ -1,6 +1,8 @@
 """Map catalogue: evaluation, derivatives, inverses, iteration, parsing."""
 
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from twistlab import (
     twist_check,
 )
 from twistlab.cli import run
-from twistlab.maps import GENFUN_MAX_INDEX
+from twistlab.maps import GENFUN_MAX_INDEX, _column
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,6 +178,17 @@ def test_inverted_twice_is_identity():
     assert again.family == m.family
     assert again.params == m.params
     assert again.twist_sign == m.twist_sign
+
+
+def test_inverted_map_is_built_once_and_left_out_of_state():
+    m = standard(1.0)
+    inv = m.inverted()
+    assert m.inverted() is inv
+    # equality and hash read the fields only; pickling drops the cache
+    assert m == standard(1.0) and hash(m) == hash(standard(1.0))
+    again = pickle.loads(pickle.dumps(m))
+    assert "_inverse" not in again.__dict__ and again == m and hash(again) == hash(m)
+    assert again.inverted() == inv and again.inverted() is not inv
 
 
 def test_inverted_inverse_consistency():
@@ -338,6 +351,22 @@ def test_to_spec_round_trips_every_family(m, flips, depth):
     assert again.to_spec() == spec
     nested = parse_map_spec("inverted(" * depth + spec + ")" * depth)
     assert nested == _inverted(m, depth) and nested.to_spec() == _inverted(m, depth).to_spec()
+
+
+# signed zeros and infinities, NaN, the extreme subnormals and normals
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                  2.225073858507201e-308, -2.225073858507201e-308,
+                                  1e308, -1e308])
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(st.lists(SPECIAL_FLOATS | st.floats(), max_size=40))
+def test_column_is_the_packed_floats(values):
+    for r in (0, len(values) // 2, len(values)):
+        column = _column(values, r)
+        assert column.dtype == np.float64 and column.shape == (r,)
+        assert column.tobytes() == struct.pack(f"{r}d", *values[:r])
+        assert not column.flags.writeable
 
 
 def test_constructor_validation():

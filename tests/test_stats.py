@@ -139,9 +139,10 @@ COUNTS = {  # entry point: (call with the map and the count, its name, least)
 @pytest.mark.parametrize("entry", sorted(COUNTS))
 def test_entry_points_reject_counts_before_any_step(kernels, entry):
     # each took int(count): flux(m, 2.5) divided three nodes by 2.5,
-    # torsion_trace(n=2.5) ran 2 steps, and iterate took '3'
+    # torsion_trace(n=2.5) ran 2 steps, and iterate took '3'; a bool is an
+    # Integral, and torsion_trace(n=True) ran one step
     call, name, least = COUNTS[entry]
-    for value in [2.5, np.float64(3.0), "3"] + ([least - 1] if least > -math.inf else []):
+    for value in [2.5, np.float64(3.0), "3", True] + ([least - 1] if least > -math.inf else []):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, "
                                              f"got {re.escape(repr(value))}$"):
             call(standard(0.0), value)
