@@ -372,9 +372,9 @@ def _linking(a) -> tuple[Fields, Writer]:
     return [("linking", est.value), ("near_half_turn", est.near_half_turn)], None
 
 
-def _distinct_points(a) -> None:
-    if a.point == a.point2:
-        raise ValueError("--point and --point2 must be distinct points")
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
 def _return_check(a) -> tuple[Fields, Writer]:
@@ -433,6 +433,7 @@ _COMMANDS = {
         {"--res": "256"},
         lambda a: ([("flux", _curves.flux(a.map, resolution=a.res))], None),
         echo=(),
+        check=lambda a: _require(a.res >= 2, "--res: must be >= 2"),  # two trapezoid nodes
     ),
     "psi": _Command(
         "periodic-orbit curve family",
@@ -465,7 +466,8 @@ _COMMANDS = {
         {"--point": None, "--point2": None, "--n": None},
         _linking,
         echo=("--map", "--point", "--point2", "--n"),
-        check=_distinct_points,
+        check=lambda a: _require(a.point != a.point2,
+                                 "--point and --point2 must be distinct points"),
     ),
     "return-check": _Command(
         "first-return torsion identity",

@@ -33,9 +33,12 @@ from .stats import write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
 ROOT_TOL = 1e-10
+FLUX_ROOT_TOL = 1e-12  # flux's root tolerance, tighter than ROOT_TOL
 FIX_RESIDUAL_TOL = 1e-8
 FLUX_TOL = 1e-8
 BRACKET_LIMIT = float(2**16)
+BRACKET_SAMPLES = 9  # samples of each periodic_curve bracket
+PROBE_CURVE_RESOLUTION = 256  # resolution of the probe's curve family
 
 VERDICT_NOT_APPLICABLE = "NOT_APPLICABLE"
 VERDICT_CONJUGATE = "CONJUGATE_POINTS_FOUND"
@@ -257,23 +260,21 @@ def _sections(
     return ys, xq, yq
 
 
-def psi1(map: LiftedMap, x: float, tol: float = ROOT_TOL) -> float:
-    """The unique y with p1(F(x, y)) = x, by bracketed bisection."""
-    return float(_sections(map, np.array([float(x)]), 0, 1, tol)[0][0])
+def psi1(map: LiftedMap, x: float) -> float:
+    """The unique y with p1(F(x, y)) = x, by bracketed bisection to ROOT_TOL."""
+    return float(_sections(map, np.array([float(x)]), 0, 1, ROOT_TOL)[0][0])
 
 
-def psi_minus1(map: LiftedMap, x: float, tol: float = ROOT_TOL) -> float:
+def psi_minus1(map: LiftedMap, x: float) -> float:
     """Second coordinate of F at (x, psi1(x)): the inverse-map curve."""
-    return float(_sections(map, np.array([float(x)]), 0, 1, tol)[2][0])
+    return float(_sections(map, np.array([float(x)]), 0, 1, ROOT_TOL)[2][0])
 
 
-def _characteristic_curves(
-    map: LiftedMap, resolution: int, tol: float
-) -> tuple[PeriodicCurve, PeriodicCurve]:
+def _characteristic_curves(map: LiftedMap, resolution: int) -> tuple[PeriodicCurve, PeriodicCurve]:
     """Psi1 and PsiMinus1 on the uniform grid j/resolution, from one solve."""
     resolution = _check_count("resolution", resolution)
     xs = np.arange(resolution) / resolution
-    ys, x1, y1 = _sections(map, xs, 0, 1, tol)
+    ys, x1, y1 = _sections(map, xs, 0, 1, ROOT_TOL)
     res = np.abs(x1 - xs)
     return (
         PeriodicCurve(xs=xs, ys=ys, label="Psi1", residuals=res),
@@ -281,36 +282,35 @@ def _characteristic_curves(
     )
 
 
-def psi1_curve(map: LiftedMap, resolution: int = 256, tol: float = ROOT_TOL) -> PeriodicCurve:
+def psi1_curve(map: LiftedMap, resolution: int = 256) -> PeriodicCurve:
     """Sample Psi1 on the uniform grid j/resolution."""
-    return _characteristic_curves(map, resolution, tol)[0]
+    return _characteristic_curves(map, resolution)[0]
 
 
-def psi_minus1_curve(
-    map: LiftedMap, resolution: int = 256, tol: float = ROOT_TOL
-) -> PeriodicCurve:
+def psi_minus1_curve(map: LiftedMap, resolution: int = 256) -> PeriodicCurve:
     """Sample PsiMinus1 on the uniform grid j/resolution."""
-    return _characteristic_curves(map, resolution, tol)[1]
+    return _characteristic_curves(map, resolution)[1]
 
 
-def region_x(map: LiftedMap, sign: str, resolution: int = 256, tol: float = ROOT_TOL) -> RegionX:
+def region_x(map: LiftedMap, sign: str, resolution: int = 256) -> RegionX:
     """Build the region between the characteristic curves for one sign."""
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
-    lower, upper = _characteristic_curves(map, resolution, tol)
+    lower, upper = _characteristic_curves(map, resolution)
     if sign == "plus":
         lower, upper = upper, lower
     return RegionX(sign=sign, lower=lower, upper=upper)
 
 
-def flux(map: LiftedMap, resolution: int = 256, tol: float = 1e-12) -> float:
+def flux(map: LiftedMap, resolution: int = 256) -> float:
     """Integral of PsiMinus1 - Psi1 over the circle (trapezoid rule).
 
-    Zero (within quadrature and root error) exactly when the map is exact
-    symplectic; the drift map returns its drift c.
+    The roots are solved to FLUX_ROOT_TOL.  Zero (within quadrature and
+    root error) exactly when the map is exact symplectic; the drift map
+    returns its drift c.
     """
     resolution = _check_count("resolution", resolution, 2)
-    ys, _, y1 = _sections(map, np.arange(resolution) / resolution, 0, 1, tol)
+    ys, _, y1 = _sections(map, np.arange(resolution) / resolution, 0, 1, FLUX_ROOT_TOL)
     # left to right from 0.0: np.sum's pairwise order moves the last bits
     total = float(np.add.accumulate(np.concatenate(([0.0], y1 - ys)))[-1])
     # Periodic trapezoid: endpoints coincide, so the rule is the mean.
@@ -337,11 +337,10 @@ def periodic_curve(
     q: int,
     resolution: int = 256,
     tol: float = ROOT_TOL,
-    bracket_samples: int = 9,
 ) -> PeriodicCurve:
     """Graph of the rotation-p/q section: roots of p1(F^q(x, y)) = x + p.
 
-    Each bracket is sampled `bracket_samples` times and must be strictly
+    Each bracket is sampled BRACKET_SAMPLES times and must be strictly
     increasing (F^q keeps tilting verticals rightward only in the absence
     of conjugate points); a decrease raises NonMonotoneBracketError.  The
     second-coordinate residual |p2(F^q(x, y)) - y| certifies that the
@@ -354,11 +353,11 @@ def periodic_curve(
     q = _check_count("q", q)
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
-    return _rotation_curves(map, (Fraction(p, q),), resolution, tol, bracket_samples)[0]
+    return _rotation_curves(map, (Fraction(p, q),), resolution, tol)[0]
 
 
 def _rotation_curves(
-    map: LiftedMap, rhos: Sequence[Fraction], resolution: int, tol: float, bracket_samples: int = 9
+    map: LiftedMap, rhos: Sequence[Fraction], resolution: int, tol: float
 ) -> tuple[PeriodicCurve, ...]:
     """periodic_curve for each of the sorted rhos, one root solve per denominator.
 
@@ -374,7 +373,7 @@ def _rotation_curves(
     for q in dict.fromkeys(r.denominator for r in rhos):
         group, failed = [r for r in rhos if r.denominator == q], {}
         ps = np.repeat([float(r.numerator) for r in group], len(xs))
-        solved = _sections(map, np.tile(xs, len(group)), ps, q, tol, bracket_samples, failed)
+        solved = _sections(map, np.tile(xs, len(group)), ps, q, tol, BRACKET_SAMPLES, failed)
         if failed:
             errors[group[min(failed) // len(xs)]] = failed[min(failed)]
             continue
@@ -468,16 +467,8 @@ def integrability_probe(
     grid: tuple[int, int] = (64, 64),
     y_range: tuple[float, float] = (-2.0, 2.0),
     horizon: int = 10_000,
-    rationals: Sequence = (
-        Fraction(-1),
-        Fraction(-1, 2),
-        Fraction(-1, 3),
-        Fraction(0),
-        Fraction(1, 3),
-        Fraction(1, 2),
-        Fraction(1),
-    ),
-    curve_resolution: int = 256,
+    rationals: Sequence = (Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0),
+                           Fraction(1, 3), Fraction(1, 2), Fraction(1)),
 ) -> ProbeReport:
     """One-sided test for a phase space foliated by invariant circles.
 
@@ -485,15 +476,15 @@ def integrability_probe(
     NOT_APPLICABLE; an over-conjugate point anywhere on the grid within
     the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness
     (the grid scan stops at the step it appears, lowest index first);
-    otherwise the rational family is built and certified and the verdict
-    is NO_OBSTRUCTION_FOUND.  Absence of detection is evidence, not proof.
+    otherwise the rational family is built at PROBE_CURVE_RESOLUTION and
+    certified and the verdict is NO_OBSTRUCTION_FOUND.  Absence of
+    detection is evidence, not proof.
     """
     nx, ny = _check_count("grid", grid[0]), _check_count("grid", grid[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     if not y0 < y1:
         raise ValueError("y_range must be increasing")
     horizon = _check_count("horizon", horizon)
-    _check_count("curve_resolution", curve_resolution)  # all checked before the flux runs
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,
@@ -518,7 +509,7 @@ def integrability_probe(
         report.witness_time = t_min
         return report
     report.verdict = VERDICT_NO_OBSTRUCTION
-    report.family = psi_family(map, rationals, curve_resolution)
+    report.family = psi_family(map, rationals, PROBE_CURVE_RESOLUTION)
     return report
 
 

@@ -68,8 +68,11 @@ GENFUN = "genfun"
 _SPECS = {SHEAR: ("shear", ()), DRIFT: ("drift", ("c",)), STANDARD: ("std", ("k",)),
           GENFUN: ("genfun", None)}
 
-# Default orbit-length guard for iterate().
+# The orbit-length guard of iterate().
 ITERATE_CAP = 10_000_000
+
+# twist_check's Halton sample count and the seed of its shift.
+TWIST_SAMPLES, TWIST_SEED = 1000, 0
 
 # Steps per call of a block kernel in the scalar orbit loops.
 BLOCK = 1024
@@ -503,16 +506,16 @@ def _check_count(name: str, value, least=1) -> int:
     return int(value)
 
 
-def iterate(map: LiftedMap, p, n: int, cap: int = ITERATE_CAP) -> np.ndarray:
+def iterate(map: LiftedMap, p, n: int) -> np.ndarray:
     """Orbit segment [p, F(p), ..., F^n(p)] as an (|n|+1, 2) array.
 
     Negative n walks the inverted map.  Raises IterationCapError when |n|
-    exceeds cap, and NonFiniteOrbitError when the orbit leaves the float
-    range.
+    exceeds ITERATE_CAP, before any allocation, and NonFiniteOrbitError
+    when the orbit leaves the float range.
     """
     n = _check_count("n", n, -math.inf)
-    if abs(n) > cap:
-        raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {cap}")
+    if abs(n) > ITERATE_CAP:
+        raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {ITERATE_CAP}")
     start = _as_point(p)
     out = np.empty((abs(n) + 1, 2))
     out[0] = start
@@ -586,18 +589,18 @@ def _halton(samples: int, base: int) -> np.ndarray:
     return out
 
 
-def twist_check(map: LiftedMap, samples: int = 1000, seed: int = 0) -> TwistReport:
+def twist_check(map: LiftedMap) -> TwistReport:
     """Sample the (1,2) Jacobian entry over [0,1] x [-3, 3].
 
-    Uses a Halton set in bases 2 and 3, shifted mod 1 by a seeded uniform
-    offset, so low-probability sign regions are hit with far fewer samples
-    than uniform draws would need.  Violations are reported, not raised:
-    the fixture maps are supposed to fail this.
+    Uses TWIST_SAMPLES points of a Halton set in bases 2 and 3, shifted
+    mod 1 by a uniform offset seeded with TWIST_SEED, so low-probability
+    sign regions are hit with far fewer samples than uniform draws would
+    need.  Violations are reported, not raised: the fixture maps are
+    supposed to fail this.
     """
-    samples = _check_count("samples", samples)
-    shift = np.random.default_rng(seed).random(2)
-    xs = (_halton(samples, 2) + shift[0]) % 1.0
-    ys = (2.0 * ((_halton(samples, 3) + shift[1]) % 1.0) - 1.0) * 3.0
+    shift = np.random.default_rng(TWIST_SEED).random(2)
+    xs = (_halton(TWIST_SAMPLES, 2) + shift[0]) % 1.0
+    ys = (2.0 * ((_halton(TWIST_SAMPLES, 3) + shift[1]) % 1.0) - 1.0) * 3.0
     _, b, _, _ = map.jacobian_array(xs, ys)
     i_min = int(np.argmin(b))
     bad = np.flatnonzero(b <= 0.0)
@@ -606,7 +609,7 @@ def twist_check(map: LiftedMap, samples: int = 1000, seed: int = 0) -> TwistRepo
         min_twist=float(b[i_min]),
         argmin=(float(xs[i_min]), float(ys[i_min])),
         violations=violations,
-        samples=samples,
+        samples=TWIST_SAMPLES,
     )
 
 

@@ -77,10 +77,11 @@ class ScanConfig:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("box must satisfy x0 < x1 and y0 < y1")
         _check_count("horizon", self.horizon)
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+        if isinstance(self.eps, bool) or not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")
         _check_count("period", self.period)
         object.__setattr__(self, "box", (x0, x1, y0, y1))
+        object.__setattr__(self, "eps", float(self.eps))
 
     @property
     def area(self) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import twistlab.curves
 import twistlab.stats
 from twistlab import GridMode, ScanConfig, detect_overconjugate, parse_map_spec
 from twistlab.cli import run
@@ -233,8 +234,9 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
 
 
 def test_scan_config_rejects_non_finite_eps():
-    for eps in (math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="eps"):
+    # eps=True was kept, and the scan CSV recorded "# eps=True"
+    for eps in (math.inf, math.nan, 0.0, -1.0, True, False):
+        with pytest.raises(ValueError, match="^eps must be positive and finite$"):
             ScanConfig(box=(0, 1, 0, 1), mode=GridMode(2, 2), horizon=5, eps=eps)
 
 
@@ -266,6 +268,18 @@ def test_coincident_linking_points_are_usage_error(capsys):
         code, out, err = run_capture(capsys, argv)
         assert code == 2
         assert out == "" and "usage error: --point and --point2" in err
+
+
+def test_flux_resolution_below_two_is_usage_error(capsys, monkeypatch, tmp_path):
+    # exited 1 from inside flux ("resolution must be an integer >= 2")
+    calls = []
+    monkeypatch.setattr(twistlab.curves, "flux", lambda *a, **k: calls.append(a))
+    out_path = tmp_path / "flux.txt"
+    code, out, err = run_capture(capsys, ["flux", "--map", "shear", "--res", "1",
+                                          "--out", str(out_path)])
+    assert code == 2
+    assert out == "" and err == "twistlab: usage error: --res: must be >= 2\n"
+    assert calls == [] and not out_path.exists()
 
 
 # ------------------------------------------------------ trace walks once

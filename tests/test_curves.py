@@ -260,32 +260,14 @@ def test_classify_examples():
         lambda r: region_x(standard(0.5), "minus", r),
         lambda r: periodic_curve(standard(0.5), 0, 1, r),
         lambda r: psi_family(shear(), [Fraction(0), Fraction(1, 2)], resolution=r),
-        lambda r: integrability_probe(standard(0.0), grid=(4, 4), horizon=20,
-                                      rationals=[0], curve_resolution=r),
     ],
-    ids=["psi1_curve", "psi_minus1_curve", "region_x", "periodic_curve", "psi_family",
-         "integrability_probe"],
+    ids=["psi1_curve", "psi_minus1_curve", "region_x", "periodic_curve", "psi_family"],
 )
 def test_curve_resolution_below_one_is_rejected(build, resolution):
     # these returned empty curves that raised on evaluate, or raised
     # numpy's "zero-size array" error
     with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
         build(resolution)
-
-
-@pytest.mark.parametrize("k, verdict", [(0.0, VERDICT_NO_OBSTRUCTION), (1.5, VERDICT_CONJUGATE)])
-def test_probe_checks_curve_resolution_before_it_scans(kernels, k, verdict):
-    # the flux and the grid scan ran before the check, and a probe that
-    # found conjugate points never checked at all
-    def probe(resolution):
-        return integrability_probe(standard(k), grid=(4, 4), horizon=50, rationals=[0],
-                                   curve_resolution=resolution)
-
-    with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
-        probe(0)
-    assert not kernels.calls
-    # the tally sees the scan of a valid probe
-    assert probe(8).verdict == verdict and kernels.calls["_step_array_k"] > 0
 
 
 def test_flux_keeps_its_own_resolution_check():
@@ -304,7 +286,6 @@ def test_probe_integrable():
         y_range=(-2.0, 2.0),
         horizon=500,
         rationals=[Fraction(-1, 2), Fraction(0), Fraction(1, 2)],
-        curve_resolution=64,
     )
     assert report.verdict == VERDICT_NO_OBSTRUCTION
     assert report.witness is None
@@ -370,8 +351,7 @@ def test_probe_scan_stops_at_witness(kernels):
 
 def test_probe_scan_without_witness_runs_horizon(kernels):
     report = integrability_probe(
-        standard(0.0), grid=(32, 32), horizon=1000, rationals=[Fraction(0)],
-        curve_resolution=16,
+        standard(0.0), grid=(32, 32), horizon=1000, rationals=[Fraction(0)]
     )
     assert report.verdict == VERDICT_NO_OBSTRUCTION
     assert kernels.calls["_step_array_k"] == 1000

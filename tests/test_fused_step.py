@@ -20,6 +20,8 @@ from twistlab import (
 )
 from twistlab.maps import _fold_arr, _kick, _kick_arr
 
+from test_maps import CATALOGUE as DRAWN_MAPS
+
 # Deterministic example streams keep the suite reproducible run to run.
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -162,3 +164,19 @@ def test_scan_invalid_lanes_match_a_raising_trace():
     ys = np.array([0.2, 0.0, -0.3, 0.0, 0.45, 0.0])
     scan = assert_scan_matches_trace(standard(1e308), xs, ys, 50)
     assert scan.valid.tolist() == [False] * 5 + [True]
+
+
+drawn_lanes = st.lists(
+    st.tuples(st.floats(-(2.0**52), 2.0**52), st.floats(-1e300, 1e300)), min_size=1, max_size=4
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(DRAWN_MAPS, drawn_lanes, st.sampled_from([1, 2, 7, 60]))
+def test_scan_matches_scalar_trace_on_drawn_maps(m, pts, n):
+    """Every family at edge parameters (std k and genfun coefficients up to
+    1e308), lifted |x| up to 2^52 and |y| up to 1e300: on finite orbits the
+    scan and the walk agree on values, and on the others on the outcome."""
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    assert_scan_matches_trace(m, xs, ys, n)

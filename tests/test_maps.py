@@ -20,7 +20,7 @@ from twistlab import (
     twist_check,
 )
 from twistlab.cli import run
-from twistlab.maps import GENFUN_MAX_INDEX, _column
+from twistlab.maps import GENFUN_MAX_INDEX, ITERATE_CAP, _column
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,23 +152,24 @@ def test_iterate_composition_and_negative(m):
 
 
 def test_iterate_cap():
+    # raises before the (|n| + 1, 2) array is allocated
     with pytest.raises(IterationCapError):
-        iterate(shear(), (0.0, 0.0), 10, cap=5)
+        iterate(shear(), (0.0, 0.0), ITERATE_CAP + 1)
 
 
 def test_twist_check_examples():
-    rep = twist_check(shear(), samples=1000, seed=0)
+    rep = twist_check(shear())
     assert rep.min_twist == 1.0
     assert rep.violations == ()
     assert rep.ok
 
-    rep = twist_check(standard(1.0), samples=1000, seed=0)
+    rep = twist_check(standard(1.0))
     assert rep.min_twist == 1.0
     assert rep.violations == ()
 
-    rep = twist_check(shear().inverted(), samples=1000, seed=0)
+    rep = twist_check(shear().inverted())
     assert rep.min_twist == -1.0
-    assert len(rep.violations) == 1000
+    assert len(rep.violations) == rep.samples == 1000
     assert not rep.ok
 
 

@@ -22,7 +22,7 @@ from twistlab import (
     shear,
     standard,
 )
-from twistlab.curves import FIX_RESIDUAL_TOL, ROOT_TOL, _solve_roots
+from twistlab.curves import FIX_RESIDUAL_TOL, PROBE_CURVE_RESOLUTION, ROOT_TOL, _solve_roots
 
 DEFAULT = [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0),
            Fraction(1, 3), Fraction(1, 2), Fraction(1)]
@@ -116,8 +116,10 @@ def test_grouped_family_raises_the_first_failing_rational(m, rhos):
 
 
 def test_probe_family_matches_per_curve():
-    report = integrability_probe(standard(0.0), grid=(4, 4), horizon=50, curve_resolution=16)
-    for curve, ref in zip(report.family.curves, ref_psi_family(standard(0.0), DEFAULT, 16)):
+    report = integrability_probe(standard(0.0), grid=(4, 4), horizon=50)
+    curves = report.family.curves
+    assert len(curves) == len(DEFAULT)
+    for curve, ref in zip(curves, ref_psi_family(standard(0.0), DEFAULT, PROBE_CURVE_RESOLUTION)):
         same(fields(curve), ref)
 
 

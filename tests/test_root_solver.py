@@ -21,7 +21,7 @@ from twistlab import (
     shear,
     standard,
 )
-from twistlab.curves import BRACKET_LIMIT, ROOT_TOL, _solve_roots
+from twistlab.curves import BRACKET_LIMIT, ROOT_TOL, _sections, _solve_roots
 from twistlab.errors import BracketExpansionError, NonMonotoneBracketError
 
 # -- reference: one scalar bisection per node ------------------------------
@@ -193,18 +193,21 @@ def test_periodic_curve_matches_reference(m):
     ],
 )
 def test_solver_errors_match_reference(m, tol, samples):
+    # the public curves fix tol and the bracket samples, so the shared
+    # solve is called at these values directly
     for r in (2, 5, 16):
+        xs = np.arange(r) / r
         for p, q in ((0, 1), (1, 2), (-1, 3)):
             want = outcome(lambda: ref_periodic(m, p, q, r, tol, samples))
 
             def got():
-                c = periodic_curve(m, p, q, r, tol, bracket_samples=samples)
-                return c.xs, c.ys, c.residuals, c.fix_residuals
+                ys, xq, yq = _sections(m, xs, p, q, tol, samples)
+                return xs, ys, np.abs(xq - xs - p), np.abs(yq - ys)
 
             assert same(outcome(got), want), (p, q, r)
-        want = outcome(lambda: ref_characteristic(m, r, tol)[1])
-        assert same(outcome(lambda: psi1_curve(m, r, tol).ys), want)
-        assert same(outcome(lambda: flux(m, r, tol)), outcome(lambda: ref_flux(m, r, tol)))
+        # Psi1 and PsiMinus1, whose difference flux sums
+        want = outcome(lambda: ref_characteristic(m, r, tol)[1:3])
+        assert same(outcome(lambda: _sections(m, xs, 0, 1, tol)[::2]), want)
 
 
 def test_lowest_failing_node_raises():
@@ -276,10 +279,10 @@ def test_solver_rejects_a_bad_tol(tol):
     # -1 failed later with a bracket error naming the tolerance
     calls = [
         lambda: psi_family(standard(0.5), [Fraction(0), Fraction(1, 2)], resolution=16, tol=tol),
-        lambda: psi1(standard(0.5), 0.25, tol),
-        lambda: flux(drift_shear(0.25), 16, tol),
         lambda: periodic_curve(standard(0.5), 1, 2, 8, tol),
-        lambda: region_x(standard(0.5), "plus", 8, tol),
+        # the solves behind psi1 and flux, whose tol is fixed
+        lambda: _sections(standard(0.5), np.array([0.25]), 0, 1, tol),
+        lambda: _sections(drift_shear(0.25), np.arange(16) / 16, 0, 1, tol),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be finite"):
@@ -290,6 +293,6 @@ def test_solver_tol_zero_collapses_every_bracket():
     # no residual is below 0, so bisection ends on the collapsed bracket,
     # as the per-node reference does (test_solver_errors_match_reference)
     with pytest.raises(BracketExpansionError, match="bracket collapsed"):
-        psi1(standard(0.5), 0.25, 0.0)
+        _sections(standard(0.5), np.array([0.25]), 0, 1, 0.0)
     with pytest.raises(BracketExpansionError, match="bracket collapsed"):
         _solve_roots(lambda x, y: y - x, np.array([0.1, 0.3]), 0.0)

@@ -37,7 +37,6 @@ from twistlab import (
     torsion_field,
     torsion_integral,
     torsion_trace,
-    twist_check,
     vertical_step_variation,
     write_scan_csv,
 )
@@ -81,6 +80,18 @@ def test_config_validation():
         MonteCarloMode(0, 1)
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 20), np.float32(0.05), 1])
+def test_config_stores_eps_as_a_float(eps):
+    # eps=Fraction(1, 20) was written as "# eps=1/20", which summarize_csv
+    # could not read back
+    cfg = grid_cfg((0.0, 1.0, 0.2, 0.4), 3, 1, 10, eps=eps)
+    assert type(cfg.eps) is float and cfg.eps == float(eps)
+    buf = io.StringIO()
+    write_scan_csv(torsion_field(shear(), cfg), buf)
+    assert f"# eps={float(eps)!r}\n" in buf.getvalue()
+    assert summarize_csv(io.StringIO(buf.getvalue())).eps == cfg.eps
+
+
 BOX = (0.0, 1.0, -0.5, 0.5)
 
 
@@ -107,7 +118,6 @@ def test_config_rejects_non_integral_counts(build, field):
 P, WINDOW = (0.02, 0.0), (-0.05, 0.05, -0.05, 0.05)
 COUNTS = {  # entry point: (call with the map and the count, its name, least)
     "iterate": (lambda m, v: iterate(m, P, v), "n", -math.inf),
-    "twist_check": (lambda m, v: twist_check(m, v), "samples", 1),
     "torsion_trace": (lambda m, v: torsion_trace(m, P, n=v), "n", 1),
     "asymptotic_torsion.window": (lambda m, v: asymptotic_torsion(m, P, 10, v), "window", 1),
     "asymptotic_torsion.horizon": (lambda m, v: asymptotic_torsion(m, P, v, 5), "horizon", 5),
@@ -126,8 +136,6 @@ COUNTS = {  # entry point: (call with the map and the count, its name, least)
     "integrability_probe.nx": (lambda m, v: integrability_probe(m, grid=(v, 4)), "grid", 1),
     "integrability_probe.ny": (lambda m, v: integrability_probe(m, grid=(4, v)), "grid", 1),
     "integrability_probe.horizon": (lambda m, v: integrability_probe(m, horizon=v), "horizon", 1),
-    "integrability_probe.curve_resolution": (
-        lambda m, v: integrability_probe(m, curve_resolution=v), "curve_resolution", 1),
     "first_return_torsion.returns": (
         lambda m, v: first_return_torsion(m, WINDOW, P, returns=v), "returns", 1),
     "first_return_torsion.cap": (lambda m, v: first_return_torsion(m, WINDOW, P, cap=v), "cap", 1),
