@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
 from .maps import LiftedMap, _as_point, _check_count, _orbit, iterate
-from .stats import write_table
+from .stats import GridMode, ScanConfig, sample_points, write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
 ROOT_TOL = 1e-10
@@ -37,7 +37,7 @@ FLUX_ROOT_TOL = 1e-12  # flux's root tolerance, tighter than ROOT_TOL
 FIX_RESIDUAL_TOL = 1e-8
 FLUX_TOL = 1e-8
 BRACKET_LIMIT = float(2**16)
-BRACKET_SAMPLES = 9  # samples of each periodic_curve bracket
+BRACKET_SAMPLES = 9  # samples of each bracket of a psi_family curve
 PROBE_CURVE_RESOLUTION = 256  # resolution of the probe's curve family
 
 VERDICT_NOT_APPLICABLE = "NOT_APPLICABLE"
@@ -83,11 +83,6 @@ class PeriodicCurve:
         y0 = self.ys[i]
         y1 = self.ys[(i + 1) % r]
         return float(y0 + frac * (y1 - y0))
-
-    def lipschitz(self) -> float:
-        """Max divided difference over adjacent nodes (wrap included)."""
-        dy = np.abs(np.diff(self.ys, append=self.ys[0]))
-        return float(np.max(dy) * self.resolution)
 
 
 @dataclass(frozen=True)
@@ -270,33 +265,16 @@ def psi_minus1(map: LiftedMap, x: float) -> float:
     return float(_sections(map, np.array([float(x)]), 0, 1, ROOT_TOL)[2][0])
 
 
-def _characteristic_curves(map: LiftedMap, resolution: int) -> tuple[PeriodicCurve, PeriodicCurve]:
-    """Psi1 and PsiMinus1 on the uniform grid j/resolution, from one solve."""
+def region_x(map: LiftedMap, sign: str, resolution: int = 256) -> RegionX:
+    """The region between Psi1 and PsiMinus1, both sampled on j/resolution by one solve."""
+    if sign not in ("minus", "plus"):
+        raise ValueError("sign must be 'minus' or 'plus'")
     resolution = _check_count("resolution", resolution)
     xs = np.arange(resolution) / resolution
     ys, x1, y1 = _sections(map, xs, 0, 1, ROOT_TOL)
     res = np.abs(x1 - xs)
-    return (
-        PeriodicCurve(xs=xs, ys=ys, label="Psi1", residuals=res),
-        PeriodicCurve(xs=xs.copy(), ys=y1, label="PsiMinus1", residuals=res.copy()),
-    )
-
-
-def psi1_curve(map: LiftedMap, resolution: int = 256) -> PeriodicCurve:
-    """Sample Psi1 on the uniform grid j/resolution."""
-    return _characteristic_curves(map, resolution)[0]
-
-
-def psi_minus1_curve(map: LiftedMap, resolution: int = 256) -> PeriodicCurve:
-    """Sample PsiMinus1 on the uniform grid j/resolution."""
-    return _characteristic_curves(map, resolution)[1]
-
-
-def region_x(map: LiftedMap, sign: str, resolution: int = 256) -> RegionX:
-    """Build the region between the characteristic curves for one sign."""
-    if sign not in ("minus", "plus"):
-        raise ValueError("sign must be 'minus' or 'plus'")
-    lower, upper = _characteristic_curves(map, resolution)
+    lower = PeriodicCurve(xs=xs, ys=ys, label="Psi1", residuals=res)
+    upper = PeriodicCurve(xs=xs.copy(), ys=y1, label="PsiMinus1", residuals=res.copy())
     if sign == "plus":
         lower, upper = upper, lower
     return RegionX(sign=sign, lower=lower, upper=upper)
@@ -331,67 +309,15 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
     return RotationEstimate(value=(x - x0) / horizon, horizon=horizon)
 
 
-def periodic_curve(
-    map: LiftedMap,
-    p: int,
-    q: int,
-    resolution: int = 256,
-    tol: float = ROOT_TOL,
-) -> PeriodicCurve:
-    """Graph of the rotation-p/q section: roots of p1(F^q(x, y)) = x + p.
-
-    Each bracket is sampled BRACKET_SAMPLES times and must be strictly
-    increasing (F^q keeps tilting verticals rightward only in the absence
-    of conjugate points); a decrease raises NonMonotoneBracketError.  The
-    second-coordinate residual |p2(F^q(x, y)) - y| certifies that the
-    section is actually fixed by F^q - (p, 0); when it exceeds
-    FIX_RESIDUAL_TOL the curve is returned with fixed_ok = False rather
-    than raised, since a non-exact map legitimately produces a non-fixed
-    section.
-    """
-    p = _check_count("p", p, -math.inf)
-    q = _check_count("q", q)
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p/q must be in lowest terms, got {p}/{q}")
-    return _rotation_curves(map, (Fraction(p, q),), resolution, tol)[0]
-
-
-def _rotation_curves(
-    map: LiftedMap, rhos: Sequence[Fraction], resolution: int, tol: float
-) -> tuple[PeriodicCurve, ...]:
-    """periodic_curve for each of the sorted rhos, one root solve per denominator.
-
-    The rationals p/q of one q share F^q, so their nodes are solved
-    together, each with its offset p.  Every node takes the steps it
-    would alone, so each curve is bit for bit its own solve's, and a
-    failure raises the error that one solve per rational in order would:
-    the first failing rational's, at its lowest failing node.
-    """
-    resolution = _check_count("resolution", resolution)
-    xs = np.arange(resolution) / resolution
-    curves, errors = {}, {}
-    for q in dict.fromkeys(r.denominator for r in rhos):
-        group, failed = [r for r in rhos if r.denominator == q], {}
-        ps = np.repeat([float(r.numerator) for r in group], len(xs))
-        solved = _sections(map, np.tile(xs, len(group)), ps, q, tol, BRACKET_SAMPLES, failed)
-        if failed:
-            errors[group[min(failed) // len(xs)]] = failed[min(failed)]
-            continue
-        for r, ys, xq, yq in zip(group, *(a.reshape(len(group), -1) for a in solved)):
-            fix_res = np.abs(yq - ys)
-            curves[r] = PeriodicCurve(xs.copy(), ys, f"PsiRho({r.numerator}/{q})",
-                                      np.abs(xq - xs - r.numerator), rho=r, fix_residuals=fix_res,
-                                      fixed_ok=bool(np.max(fix_res) <= FIX_RESIDUAL_TOL))
-    if errors:
-        raise errors[min(errors)]
-    return tuple(curves[r] for r in rhos)
-
-
 def _as_fraction(rho) -> Fraction:
-    if isinstance(rho, tuple):
-        return Fraction(rho[0], rho[1])
-    if isinstance(rho, (Fraction, int, str)):
-        return Fraction(rho)
+    """A Fraction, an int, a "p/q" string or a (p, q) pair; no bool, no zero q."""
+    args = rho if isinstance(rho, tuple) else (rho,)
+    known = isinstance(rho, (Fraction, int, str)) or (isinstance(rho, tuple) and len(rho) == 2)
+    if known and not any(isinstance(a, bool) for a in args):
+        try:
+            return Fraction(*args)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
     raise ValueError(f"cannot interpret {rho!r} as a rational rotation number")
 
 
@@ -401,19 +327,45 @@ def psi_family(
     resolution: int = 256,
     tol: float = ROOT_TOL,
 ) -> PsiFamily:
-    """Build periodic curves for a sorted list of rationals and check order.
+    """Periodic curves for a sorted list of rationals, and their order.
 
-    The curves take one root solve per denominator (_rotation_curves).
-    monotone_ok requires strict pointwise ordering between consecutive
-    curves at every shared node; violations are recorded per pair with
-    the number of offending nodes, not raised.
+    The curve of p/q holds the roots of p1(F^q(x, y)) = x + p on the grid
+    j/resolution.  Each bracket is sampled BRACKET_SAMPLES times and must
+    be strictly increasing (F^q tilts verticals rightward only without
+    conjugate points), else NonMonotoneBracketError.  fixed_ok is False,
+    not raised, when |p2(F^q(x, y)) - y| exceeds FIX_RESIDUAL_TOL: a
+    non-exact map has non-fixed sections.  monotone_ok requires strict
+    pointwise order of consecutive curves; violations are recorded per
+    pair with the number of offending nodes, not raised.
     """
     rhos = tuple(_as_fraction(r) for r in rationals)
     if len(rhos) < 1:
         raise ValueError("need at least one rotation number")
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rotation numbers must be sorted and pairwise distinct")
-    curves = _rotation_curves(map, rhos, resolution, tol)
+    resolution = _check_count("resolution", resolution)
+    xs = np.arange(resolution) / resolution
+    # The rationals p/q of one q share F^q, so their nodes are solved
+    # together, each with its offset p.  Every node takes the steps it
+    # would alone, so each curve is bit for bit its own solve's, and a
+    # failure raises the error that one solve per rational in order would:
+    # the first failing rational's, at its lowest failing node.
+    solved, errors = {}, {}
+    for q in dict.fromkeys(r.denominator for r in rhos):
+        group, failed = [r for r in rhos if r.denominator == q], {}
+        ps = np.repeat([float(r.numerator) for r in group], len(xs))
+        sections = _sections(map, np.tile(xs, len(group)), ps, q, tol, BRACKET_SAMPLES, failed)
+        if failed:
+            errors[group[min(failed) // len(xs)]] = failed[min(failed)]
+            continue
+        for r, ys, xq, yq in zip(group, *(a.reshape(len(group), -1) for a in sections)):
+            fix_res = np.abs(yq - ys)
+            solved[r] = PeriodicCurve(xs.copy(), ys, f"PsiRho({r.numerator}/{q})",
+                                      np.abs(xq - xs - r.numerator), rho=r, fix_residuals=fix_res,
+                                      fixed_ok=bool(np.max(fix_res) <= FIX_RESIDUAL_TOL))
+    if errors:
+        raise errors[min(errors)]
+    curves = tuple(solved[r] for r in rhos)
     violations = []
     for (ra, ca), (rb, cb) in zip(zip(rhos, curves), zip(rhos[1:], curves[1:])):
         bad = int(np.count_nonzero(ca.ys >= cb.ys))
@@ -477,37 +429,39 @@ def integrability_probe(
     the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness
     (the grid scan stops at the step it appears, lowest index first);
     otherwise the rational family is built at PROBE_CURVE_RESOLUTION and
-    certified and the verdict is NO_OBSTRUCTION_FOUND.  Absence of
-    detection is evidence, not proof.
+    certified and the verdict is NO_OBSTRUCTION_FOUND, but only if every
+    grid orbit stayed valid to the horizon: else NonFiniteOrbitError names
+    the first invalid lane's start.  The grid is a scan's, over the box
+    (0, 1) x y_range.  Absence of detection is evidence, not proof.
     """
     nx, ny = _check_count("grid", grid[0]), _check_count("grid", grid[1])
-    y0, y1 = float(y_range[0]), float(y_range[1])
-    if not y0 < y1:
-        raise ValueError("y_range must be increasing")
     horizon = _check_count("horizon", horizon)
+    cfg = ScanConfig(box=(0.0, 1.0, y_range[0], y_range[1]), mode=GridMode(nx, ny),
+                     horizon=horizon)
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,
         flux=fl,
         grid=(nx, ny),
-        y_range=(y0, y1),
+        y_range=cfg.box[2:],
         horizon=horizon,
     )
     if abs(fl) > FLUX_TOL:
         return report
-    gx = (np.arange(nx) + 0.5) / nx
-    gy = y0 + (np.arange(ny) + 0.5) * ((y1 - y0) / ny)
-    X, Y = np.meshgrid(gx, gy)
-    scan = cocycle_scan(map, X.ravel(), Y.ravel(), horizon, stop_at_overconjugate=True)
-    times = scan.overconj_time
+    xs, ys = sample_points(cfg)
+    scan = cocycle_scan(map, xs, ys, horizon, stop_at_overconjugate=True)
+    times = scan.overconj_time  # -2 on invalid lanes
     hit = times > 0
     if np.any(hit):
         t_min = int(times[hit].min())
         idx = int(np.flatnonzero(times == t_min)[0])
         report.verdict = VERDICT_CONJUGATE
-        report.witness = (float(X.ravel()[idx]), float(Y.ravel()[idx]))
+        report.witness = (float(xs[idx]), float(ys[idx]))
         report.witness_time = t_min
         return report
+    if not scan.valid.all():
+        idx = int(np.argmin(scan.valid))
+        raise NonFiniteOrbitError.at((float(xs[idx]), float(ys[idx])), horizon)
     report.verdict = VERDICT_NO_OBSTRUCTION
     report.family = psi_family(map, rationals, PROBE_CURVE_RESOLUTION)
     return report

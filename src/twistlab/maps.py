@@ -456,24 +456,6 @@ class LiftedMap:
         entries = self.step_array(x, y)[2:]
         return tuple(np.full(np.shape(x), e) if isinstance(e, float) else e for e in entries)
 
-    # -- public point API ---------------------------------------------------
-
-    def eval(self, p) -> np.ndarray:
-        """F(p) as a length-2 array."""
-        x, y = _as_point(p)
-        return np.array(self.apply_scalar(x, y))
-
-    def eval_inverse(self, p) -> np.ndarray:
-        """F^{-1}(p); eval(eval_inverse(p)) round-trips to machine noise."""
-        x, y = _as_point(p)
-        return np.array(self.apply_inverse_scalar(x, y))
-
-    def derivative(self, p) -> np.ndarray:
-        """The 2x2 derivative of the lift at p (exact, det = 1)."""
-        x, y = _as_point(p)
-        a, b, c, d = self.jacobian_scalar(x, y)
-        return np.array([[a, b], [c, d]])
-
     def to_spec(self) -> str:
         """The CLI spec string for this map (see parse_map_spec)."""
         head, names = _SPECS[self.family]

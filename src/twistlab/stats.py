@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,6 +55,14 @@ class MonteCarloMode:
         return self.samples
 
 
+def _real(value) -> float:
+    """float(value) for a real number that is not a bool; nan, which ScanConfig rejects, else."""
+    try:
+        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        return math.nan
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Where and how long to scan.
@@ -71,17 +80,19 @@ class ScanConfig:
     period: int = 1
 
     def __post_init__(self) -> None:
-        x0, x1, y0, y1 = (float(v) for v in self.box)
-        if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
-            raise ValueError("box coordinates must be finite")
+        x0, x1, y0, y1 = (_real(v) for v in self.box)
+        # a finite area has a finite width and height
+        if not all(math.isfinite(v) for v in (x0, x1, y0, y1, (x1 - x0) * (y1 - y0))):
+            raise ValueError("box coordinates, width, height and area must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("box must satisfy x0 < x1 and y0 < y1")
         _check_count("horizon", self.horizon)
-        if isinstance(self.eps, bool) or not (self.eps > 0.0 and math.isfinite(self.eps)):
+        eps = _real(self.eps)
+        if not (eps > 0.0 and math.isfinite(eps)):
             raise ValueError("eps must be positive and finite")
         _check_count("period", self.period)
         object.__setattr__(self, "box", (x0, x1, y0, y1))
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", eps)
 
     @property
     def area(self) -> float:

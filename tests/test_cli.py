@@ -351,6 +351,25 @@ def test_probe_not_applicable(capsys):
     assert "flux = 0.25" in out
 
 
+@pytest.mark.parametrize(
+    "yrange, err",
+    [
+        ("-1.7e308,1.7e308", "box coordinates, width, height and area must be finite"),
+        ("1e308,1.5e308", "orbit of (0.0625, 1.03125e+308) left the float range"),
+    ],
+    ids=["height-overflows", "orbits-overflow"],
+)
+def test_probe_from_invalid_lanes_exits_one(capsys, yrange, err):
+    # both printed verdict = NO_OBSTRUCTION_FOUND and exited 0
+    code, out, stderr = run_capture(
+        capsys,
+        ["probe", "--map", "std:k=1.5", "--grid", "8x8", f"--yrange={yrange}",
+         "--horizon", "200", "--rho", "0,1/2"],
+    )
+    assert code == 1 and out == ""
+    assert stderr.startswith(f"twistlab: error: {err}")
+
+
 def test_return_check_output(capsys):
     code, out, _ = run_capture(
         capsys,

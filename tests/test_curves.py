@@ -1,12 +1,14 @@
 """Characteristic curves, flux, periodic families, probes."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from twistlab import (
+    NonFiniteOrbitError,
     NonMonotoneBracketError,
     VERDICT_CONJUGATE,
     VERDICT_NO_OBSTRUCTION,
@@ -17,12 +19,9 @@ from twistlab import (
     flux,
     generating_function,
     integrability_probe,
-    periodic_curve,
     psi1,
-    psi1_curve,
     psi_family,
     psi_minus1,
-    psi_minus1_curve,
     region_x,
     rotation_number,
     shear,
@@ -69,18 +68,17 @@ def test_psi_minus1_is_image_second_coordinate(m):
 
 
 def test_curve_sampling_grid():
-    c = psi1_curve(standard(1.0), resolution=128)
+    c = region_x(standard(1.0), "minus", resolution=128).lower
     assert c.resolution == 128
     assert np.array_equal(c.xs, np.arange(128) / 128.0)
     assert c.label == "Psi1"
     assert np.max(c.residuals) < 1e-10
-    assert math.isfinite(c.lipschitz())
-    c2 = psi_minus1_curve(standard(1.0), resolution=64)
+    c2 = region_x(standard(1.0), "minus", resolution=64).upper
     assert c2.label == "PsiMinus1"
 
 
 def test_curve_evaluate_wraps():
-    c = psi1_curve(standard(1.0), resolution=256)
+    c = region_x(standard(1.0), "minus", resolution=256).lower
     assert c.evaluate(0.25) == pytest.approx(1.0 / TWO_PI, abs=1e-6)
     assert c.evaluate(1.25) == pytest.approx(c.evaluate(0.25), abs=1e-12)
     assert c.evaluate(-0.75) == pytest.approx(c.evaluate(0.25), abs=1e-12)
@@ -90,8 +88,8 @@ def test_curve_evaluate_wraps():
 def test_characteristic_curves_coincide_for_integrable(m):
     """Exact maps without conjugate points have matching curves: the
     first-coordinate fixed set consists of genuine fixed points."""
-    up = psi1_curve(m, resolution=256)
-    dn = psi_minus1_curve(m, resolution=256)
+    region = region_x(m, "minus", resolution=256)
+    up, dn = region.lower, region.upper
     assert np.max(np.abs(dn.ys - up.ys)) < 1e-9
     for x, y in zip(up.xs, up.ys):
         fx, fy = m.apply_scalar(float(x), float(y))
@@ -147,7 +145,7 @@ def test_rotation_number_examples():
 
 
 def test_periodic_curve_shear_thirds():
-    c = periodic_curve(shear(), 1, 3, resolution=64)
+    c = psi_family(shear(), [Fraction(1, 3)], resolution=64).curves[0]
     assert c.label == "PsiRho(1/3)"
     assert c.rho == Fraction(1, 3)
     assert c.ys == pytest.approx(np.full(64, 1.0 / 3.0), abs=1e-9)
@@ -157,30 +155,23 @@ def test_periodic_curve_shear_thirds():
 
 
 def test_periodic_curve_shear_zero():
-    c = periodic_curve(shear(), 0, 1, resolution=32)
+    c = psi_family(shear(), [Fraction(0)], resolution=32).curves[0]
     assert c.ys == pytest.approx(np.zeros(32), abs=1e-9)
     assert c.fixed_ok
 
 
 def test_periodic_curve_drift_flagged_not_fixed():
-    c = periodic_curve(drift_shear(0.25), 0, 1, resolution=32)
+    c = psi_family(drift_shear(0.25), [Fraction(0)], resolution=32).curves[0]
     assert c.ys == pytest.approx(np.zeros(32), abs=1e-9)
     assert np.max(c.residuals) < 1e-10
     assert c.fix_residuals == pytest.approx(np.full(32, 0.25), abs=1e-9)
     assert c.fixed_ok is False
 
 
-def test_periodic_curve_gcd_validation():
-    with pytest.raises(ValueError):
-        periodic_curve(shear(), 2, 4)
-    with pytest.raises(ValueError):
-        periodic_curve(shear(), 1, 0)
-
-
 def test_periodic_curve_nonmonotone_bracket():
     # strong kick: F^2 is no longer a twist map along part of the circle
     with pytest.raises(NonMonotoneBracketError):
-        periodic_curve(standard(3.0), 1, 2, resolution=64)
+        psi_family(standard(3.0), [Fraction(1, 2)], resolution=64)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 10])
@@ -236,6 +227,14 @@ def test_psi_family_requires_sorted_distinct():
         psi_family(shear(), [Fraction(0), Fraction(0)])
 
 
+@pytest.mark.parametrize("rho", [(1, 0), "1/0", True, (True, 2), (1, 2, 3)])
+def test_psi_family_rejects_what_is_not_a_rational(rho):
+    # a zero denominator raised ZeroDivisionError, True was taken as 1,
+    # (True, 2) as 1/2 and (1, 2, 3) as 1/2
+    with pytest.raises(ValueError, match="^cannot interpret .* as a rational rotation number$"):
+        psi_family(shear(), [rho], resolution=4)
+
+
 def test_psi_family_standard_island_not_fixed():
     # k=1 has conjugate points; the rho=0 section exists but is not
     # fixed, so the certificate must flag it
@@ -255,12 +254,13 @@ def test_classify_examples():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda r: psi1_curve(standard(0.5), r),
-        lambda r: psi_minus1_curve(standard(0.5), r),
+        lambda r: region_x(standard(0.5), "minus", r).lower,
+        lambda r: region_x(standard(0.5), "minus", r).upper,
         lambda r: region_x(standard(0.5), "minus", r),
-        lambda r: periodic_curve(standard(0.5), 0, 1, r),
+        lambda r: psi_family(standard(0.5), [Fraction(0)], r).curves[0],
         lambda r: psi_family(shear(), [Fraction(0), Fraction(1, 2)], resolution=r),
     ],
+    # each id names the curve or object its call builds
     ids=["psi1_curve", "psi_minus1_curve", "region_x", "periodic_curve", "psi_family"],
 )
 def test_curve_resolution_below_one_is_rejected(build, resolution):
@@ -315,6 +315,25 @@ def test_probe_not_applicable_for_nonexact():
     assert report.flux == pytest.approx(0.25, abs=1e-12)
     assert report.witness is None
     assert report.family is None
+
+
+@pytest.mark.parametrize(
+    "m, y_range, horizon, start",
+    [
+        # every orbit overflows by step 2
+        (standard(1.5), (1e308, 1.5e308), 200, (0.125, 1.0625e308)),
+        (generating_function(0.02), (1e308, 1.5e308), 200, (0.125, 1.0625e308)),
+        # the upper half of the grid overflows, the lower half stays valid
+        (standard(0.0), (-2.0, 1e306), 400, (0.125, -2.0 + 2.5 * ((1e306 + 2.0) / 4))),
+    ],
+    ids=["std:k=1.5", "genfun:a1=0.02", "std:k=0-upper-half"],
+)
+def test_probe_without_witness_and_with_invalid_lanes_raises(m, y_range, horizon, start):
+    # these returned NO_OBSTRUCTION_FOUND: an invalid lane counted as one
+    # without an over-conjugate point
+    with pytest.raises(NonFiniteOrbitError, match=re.escape(f"orbit of {start} left")):
+        integrability_probe(m, grid=(4, 4), y_range=y_range, horizon=horizon,
+                            rationals=[Fraction(0), Fraction(1, 2)])
 
 
 def test_write_curves_csv(tmp_path):

@@ -1,8 +1,8 @@
 """psi_family's one root solve per denominator against one solve per curve.
 
 The reference below is psi_family as it was before the rationals were
-grouped: one periodic_curve per rational, in order, each a solve of its
-own nodes with a scalar offset p.  The grouped solve must give the same
+grouped: one curve per rational, in order, each a solve of its own nodes
+with a scalar offset p.  The grouped solve must give the same
 curves bit for bit, and on failure the same error: that of the first
 failing rational, at its lowest failing node.
 """
@@ -17,7 +17,6 @@ from twistlab import (
     drift_shear,
     generating_function,
     integrability_probe,
-    periodic_curve,
     psi_family,
     shear,
     standard,
@@ -87,7 +86,7 @@ def test_grouped_family_matches_per_curve(m, rhos):
         same(fields(curve), ref)
     assert fam.all_fixed_ok == all(ref[5] for ref in want)
     for r, ref in zip(rhos, want):
-        same(fields(periodic_curve(m, r.numerator, r.denominator, 32)), ref)
+        same(fields(psi_family(m, [r], 32).curves[0]), ref)
 
 
 # std:k=3 solves the integers and +-5/2 but no other p/q with q <= 3 in

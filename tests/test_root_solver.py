@@ -11,12 +11,9 @@ from twistlab import (
     drift_shear,
     flux,
     generating_function,
-    periodic_curve,
     psi1,
-    psi1_curve,
     psi_family,
     psi_minus1,
-    psi_minus1_curve,
     region_x,
     shear,
     standard,
@@ -151,7 +148,8 @@ RATIONALS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (2, 3))
 def test_characteristic_curves_match_reference(m):
     for r in RESOLUTIONS:
         xs, ys, ys_minus, res = ref_characteristic(m, r)
-        lower, upper = psi1_curve(m, r), psi_minus1_curve(m, r)
+        minus = region_x(m, "minus", r)
+        lower, upper = minus.lower, minus.upper
         assert same((lower.xs, lower.ys, lower.residuals), (xs, ys, res))
         assert same((upper.xs, upper.ys, upper.residuals), (xs, ys_minus, res))
         plus = region_x(m, "plus", r)
@@ -171,7 +169,7 @@ def test_periodic_curve_matches_reference(m):
             want = outcome(lambda: ref_periodic(m, p, q, r))
 
             def got():
-                c = periodic_curve(m, p, q, r)
+                c = psi_family(m, [Fraction(p, q)], r).curves[0]
                 return c.xs, c.ys, c.residuals, c.fix_residuals
 
             assert same(outcome(got), want), (p, q, r)
@@ -216,7 +214,7 @@ def test_lowest_failing_node_raises():
     # downward, before node 1 fails upward; node 1's error is raised.
     m = standard(1e6)
     with pytest.raises(BracketExpansionError, match="^no sign change up to 131072.0$"):
-        psi1_curve(m, 8)
+        region_x(m, "minus", 8)
     with pytest.raises(BracketExpansionError, match="^no sign change down to -131072.0$"):
         psi1(m, 5 / 8)
 
@@ -267,7 +265,8 @@ def kick_force(m, xs):
 
 @pytest.mark.parametrize("m", SOLVER_MAPS, ids=lambda m: m.to_spec())
 def test_characteristic_curves_closed_form(m):
-    lower, upper = psi1_curve(m, 64), psi_minus1_curve(m, 64)
+    minus = region_x(m, "minus", 64)
+    lower, upper = minus.lower, minus.upper
     assert np.max(np.abs(lower.ys - kick_force(m, lower.xs))) < 2 * ROOT_TOL
     drift = m.params[0] if m.family == "drift" else 0.0
     assert np.max(np.abs(upper.ys - drift)) < 2 * ROOT_TOL
@@ -279,7 +278,7 @@ def test_solver_rejects_a_bad_tol(tol):
     # -1 failed later with a bracket error naming the tolerance
     calls = [
         lambda: psi_family(standard(0.5), [Fraction(0), Fraction(1, 2)], resolution=16, tol=tol),
-        lambda: periodic_curve(standard(0.5), 1, 2, 8, tol),
+        lambda: psi_family(standard(0.5), [Fraction(1, 2)], 8, tol),
         # the solves behind psi1 and flux, whose tol is fixed
         lambda: _sections(standard(0.5), np.array([0.25]), 0, 1, tol),
         lambda: _sections(drift_shear(0.25), np.arange(16) / 16, 0, 1, tol),

@@ -26,10 +26,9 @@ from twistlab import (
     iterate,
     jacobi_conjugate_oracle,
     linking_number,
-    periodic_curve,
-    psi1_curve,
     psi_family,
     read_scan_csv,
+    region_x,
     rotation_number,
     shear,
     standard,
@@ -55,10 +54,13 @@ def mc_cfg(box, samples, seed, n, eps=0.05):
 
 @pytest.mark.parametrize(
     "box",
-    [(0, math.inf, 0, 1), (-math.inf, 1, 0, 1), (0, 1, math.nan, 1), (0, 1, 0, math.nan)],
+    [(0, math.inf, 0, 1), (-math.inf, 1, 0, 1), (0, 1, math.nan, 1), (0, 1, 0, math.nan),
+     (0, 1, 0, True), (0, 10**400, 0, 1), (0, 1, -1.7e308, 1.7e308), (0, 1e200, 0, 1e200)],
 )
 def test_config_rejects_non_finite_box(box):
-    # an infinite box used to scan nan lanes and summarize them as nan
+    # an infinite box used to scan nan lanes and summarize them as nan; a
+    # bool was taken as 0 or 1, 10**400 raised OverflowError, and a box
+    # whose height or area overflows was kept with area inf
     with pytest.raises(ValueError, match="finite"):
         ScanConfig(box=box, mode=GridMode(2, 2), horizon=10)
 
@@ -126,10 +128,7 @@ COUNTS = {  # entry point: (call with the map and the count, its name, least)
     "linking_number": (lambda m, v: linking_number(m, P, (0.03, 0.0), v), "n", 1),
     "cocycle_scan": (lambda m, v: cocycle_scan(m, [0.3], [0.1], v), "n", 1),
     "rotation_number": (lambda m, v: rotation_number(m, P, v), "horizon", 1),
-    "periodic_curve.p": (lambda m, v: periodic_curve(m, v, 1), "p", -math.inf),
-    "periodic_curve.q": (lambda m, v: periodic_curve(m, 0, v), "q", 1),
-    "periodic_curve.resolution": (lambda m, v: periodic_curve(m, 0, 1, v), "resolution", 1),
-    "psi1_curve": (lambda m, v: psi1_curve(m, v), "resolution", 1),
+    "region_x": (lambda m, v: region_x(m, "minus", v), "resolution", 1),
     "psi_family": (lambda m, v: psi_family(m, [0, Fraction(1, 2)], v), "resolution", 1),
     "flux": (lambda m, v: flux(m, v), "resolution", 2),
     "classify_monotonicity": (lambda m, v: classify_monotonicity(m, P, v), "horizon", 1),
