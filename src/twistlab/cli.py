@@ -81,8 +81,8 @@ def _direction(text: str) -> tuple[float, float]:
 
 def _yrange(text: str) -> tuple[float, float]:
     lo, hi = _parse_floats(text, 2)
-    if not lo < hi:
-        raise ValueError("must satisfy lo < hi")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError("must satisfy lo < hi with a finite width hi - lo")
     return lo, hi
 
 

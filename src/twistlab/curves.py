@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
-from .maps import LiftedMap, _as_point, _check_count, _orbit, iterate
+from .maps import LiftedMap, _as_point, _check_count, _check_real, _orbit, iterate
 from .stats import GridMode, ScanConfig, sample_points, write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -77,7 +77,7 @@ class PeriodicCurve:
     def evaluate(self, x: float) -> float:
         """Periodic linear interpolation of the sampled graph."""
         r = self.resolution
-        t = (float(x) % 1.0) * r
+        t = (_check_real("x", x) % 1.0) * r
         i = int(t) % r
         frac = t - int(t)
         y0 = self.ys[i]
@@ -160,8 +160,7 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, error
     """
     # tol = 0 is allowed: no residual beats it, so every bracket collapses
     # and the solver's own error says so.
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tol must be finite and >= 0")
+    tol = _check_real("tol", tol, 0)
     m = xs.shape[0]
     raise_first = errors is None
     errors = {} if raise_first else errors
@@ -257,12 +256,12 @@ def _sections(
 
 def psi1(map: LiftedMap, x: float) -> float:
     """The unique y with p1(F(x, y)) = x, by bracketed bisection to ROOT_TOL."""
-    return float(_sections(map, np.array([float(x)]), 0, 1, ROOT_TOL)[0][0])
+    return float(_sections(map, np.array([_check_real("x", x)]), 0, 1, ROOT_TOL)[0][0])
 
 
 def psi_minus1(map: LiftedMap, x: float) -> float:
     """Second coordinate of F at (x, psi1(x)): the inverse-map curve."""
-    return float(_sections(map, np.array([float(x)]), 0, 1, ROOT_TOL)[2][0])
+    return float(_sections(map, np.array([_check_real("x", x)]), 0, 1, ROOT_TOL)[2][0])
 
 
 def region_x(map: LiftedMap, sign: str, resolution: int = 256) -> RegionX:
@@ -436,8 +435,8 @@ def integrability_probe(
     """
     nx, ny = _check_count("grid", grid[0]), _check_count("grid", grid[1])
     horizon = _check_count("horizon", horizon)
-    cfg = ScanConfig(box=(0.0, 1.0, y_range[0], y_range[1]), mode=GridMode(nx, ny),
-                     horizon=horizon)
+    y0, y1 = (_check_real("y_range", y) for y in y_range)
+    cfg = ScanConfig(box=(0.0, 1.0, y0, y1), mode=GridMode(nx, ny), horizon=horizon)
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,

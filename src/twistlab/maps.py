@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from struct import pack
 
 import numpy as np
@@ -321,11 +321,8 @@ def _observe(name: str, kernel):
     return kernel
 
 
-def _as_point(p) -> tuple[float, float]:
-    x, y = float(p[0]), float(p[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"point coordinates must be finite, got {(x, y)}")
-    return x, y
+def _as_point(p, name: str = "p") -> tuple[float, float]:
+    return _check_real(name, p[0]), _check_real(name, p[1])
 
 
 @dataclass(frozen=True)
@@ -353,16 +350,14 @@ class LiftedMap:
             raise ValueError(f"unknown map family {self.family!r}")
         if self.twist_sign not in (1, -1):
             raise ValueError("twist_sign must be +1 or -1")
-        params = tuple(float(v) for v in self.params)
-        if not all(math.isfinite(v) for v in params):
-            raise ValueError("map parameters must be finite")
         names = _SPECS[self.family][1]
-        if names is None and not 1 <= len(params) <= GENFUN_MAX_INDEX:
+        if names is None and not 1 <= len(self.params) <= GENFUN_MAX_INDEX:
             raise ValueError(f"{self.family} takes 1 to {GENFUN_MAX_INDEX} cosine coefficients")
-        if names is not None and len(params) != len(names):
+        if names is not None and len(self.params) != len(names):
             raise ValueError(f"{self.family} takes the parameters ({', '.join(names)})")
-        if self.family == STANDARD and params[0] < 0.0:
-            raise ValueError("standard-map kick strength k must be >= 0")
+        names = names or [f"a{i}" for i in range(1, len(self.params) + 1)]
+        least = 0 if self.family == STANDARD else -math.inf  # the kick strength k is >= 0
+        params = tuple(_check_real(name, v, least) for name, v in zip(names, self.params))
         object.__setattr__(self, "params", params)
         # Kick harmonics (i, p_i, q_i): V'(x) = -sum p_i sin(2 pi i x) and
         # V''(x) = -sum q_i cos(2 pi i x).
@@ -486,6 +481,20 @@ def _check_count(name: str, value, least=1) -> int:
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value, least=-math.inf, strict=False) -> float:
+    """value as a float; ValueError unless it is a real number, numpy's
+    included (no bool), that is finite and >= least (> least if strict)."""
+    try:
+        x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and (x > least if strict else x >= least)):
+        rule = ("" if least == -math.inf else " and positive" if strict and least == 0
+                else f" and {'>' if strict else '>='} {least}")
+        raise ValueError(f"{name} must be finite{rule}, got {value!r}")
+    return x
 
 
 def iterate(map: LiftedMap, p, n: int) -> np.ndarray:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point, _check_count
+from .maps import LiftedMap, _as_point, _check_count, _check_real
 from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
@@ -55,14 +54,6 @@ class MonteCarloMode:
         return self.samples
 
 
-def _real(value) -> float:
-    """float(value) for a real number that is not a bool; nan, which ScanConfig rejects, else."""
-    try:
-        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an int or Fraction beyond the float range
-        return math.nan
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Where and how long to scan.
@@ -80,16 +71,14 @@ class ScanConfig:
     period: int = 1
 
     def __post_init__(self) -> None:
-        x0, x1, y0, y1 = (_real(v) for v in self.box)
+        x0, x1, y0, y1 = (_check_real("box", v) for v in self.box)
         # a finite area has a finite width and height
-        if not all(math.isfinite(v) for v in (x0, x1, y0, y1, (x1 - x0) * (y1 - y0))):
-            raise ValueError("box coordinates, width, height and area must be finite")
+        if not math.isfinite((x1 - x0) * (y1 - y0)):
+            raise ValueError("box width, height and area must be finite")
         if not (x0 < x1 and y0 < y1):
             raise ValueError("box must satisfy x0 < x1 and y0 < y1")
         _check_count("horizon", self.horizon)
-        eps = _real(self.eps)
-        if not (eps > 0.0 and math.isfinite(eps)):
-            raise ValueError("eps must be positive and finite")
+        eps = _check_real("eps", self.eps, 0, strict=True)
         _check_count("period", self.period)
         object.__setattr__(self, "box", (x0, x1, y0, y1))
         object.__setattr__(self, "eps", eps)
@@ -294,7 +283,7 @@ def check_window(window, p) -> tuple[tuple[float, float, float, float], tuple[fl
     The window's x-width must lie in (0, 1], its y-range must be
     increasing, and the start point must lie in it.
     """
-    x0, x1, y0, y1 = (float(v) for v in window)
+    x0, x1, y0, y1 = (_check_real("window", v) for v in window)
     if not (0.0 < x1 - x0 <= 1.0):
         raise ValueError("window width in x must be in (0, 1]")
     if not y0 < y1:

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError, NonFiniteOrbitError
-from .maps import BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_count, _column
+from .maps import (BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_count,
+                   _check_real, _column)
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -45,7 +46,7 @@ VERTICAL = (0.0, 1.0)
 
 def _as_dir(w) -> tuple[float, float]:
     """Coerce a direction argument to a unit vector of floats."""
-    wx, wy = float(w[0]), float(w[1])
+    wx, wy = _as_point(w, "direction")
     norm = math.hypot(wx, wy)
     if not math.isfinite(norm) or norm == 0.0:
         raise ValueError("direction must be a nonzero finite vector")
@@ -58,11 +59,9 @@ def angle_from_vertical(w) -> float:
     Counterclockwise positive, principal representative in (-1/2, 1/2].
     The vector need not be normalized; the zero vector is rejected.
     """
-    wx, wy = float(w[0]), float(w[1])
+    wx, wy = _as_point(w, "direction")
     if wx == 0.0 and wy == 0.0:
         raise ValueError("angle of the zero vector is undefined")
-    if not (math.isfinite(wx) and math.isfinite(wy)):
-        raise ValueError("direction coordinates must be finite")
     return _angle(wx, wy)
 
 
@@ -319,8 +318,7 @@ def conjugate_report(
     the float range raises NonFiniteOrbitError.
     """
     horizon = _check_count("horizon", horizon)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+    tol = _check_real("tol", tol, 0, strict=True)
     over = over_cum = hit = None
     until = horizon
     walk = _Walk(map, *_as_point(p), 0.0, 1.0)
@@ -414,7 +412,7 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     """
     n = _check_count("n", n)
     px, py = _as_point(p)
-    qx, qy = _as_point(q)
+    qx, qy = _as_point(q, "q")
     if px == qx and py == qy:
         raise CoincidentPointsError("linking needs two distinct points")
     th_prev = angle_from_vertical((qx - px, qy - py))

@@ -237,7 +237,7 @@ def test_scan_config_rejects_non_finite_eps():
     # eps=True was kept, and the scan CSV recorded "# eps=True"; "0.1"
     # raised TypeError and 10**400 OverflowError
     for eps in (math.inf, math.nan, 0.0, -1.0, True, False, "0.1", 10**400):
-        with pytest.raises(ValueError, match="^eps must be positive and finite$"):
+        with pytest.raises(ValueError, match=f"^eps must be finite and positive, got {re.escape(repr(eps))}$"):
             ScanConfig(box=(0, 1, 0, 1), mode=GridMode(2, 2), horizon=5, eps=eps)
 
 

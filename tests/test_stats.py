@@ -13,7 +13,10 @@ from twistlab import (
     GridMode,
     MeasureEstimate,
     MonteCarloMode,
+    PeriodicCurve,
     ScanConfig,
+    TwistLabError,
+    angle_from_vertical,
     asymptotic_torsion,
     classify_monotonicity,
     cocycle_scan,
@@ -21,11 +24,13 @@ from twistlab import (
     drift_shear,
     first_return_torsion,
     flux,
+    generating_function,
     integrability_probe,
     island_measure,
     iterate,
     jacobi_conjugate_oracle,
     linking_number,
+    psi1,
     psi_family,
     read_scan_csv,
     region_x,
@@ -39,7 +44,7 @@ from twistlab import (
     vertical_step_variation,
     write_scan_csv,
 )
-from twistlab.stats import _in_window, sample_points
+from twistlab.stats import _in_window, check_window, sample_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,6 +159,48 @@ def test_entry_points_reject_counts_before_any_step(kernels, entry):
                                              f"got {re.escape(repr(value))}$"):
             call(standard(0.0), value)
     assert not kernels.calls
+
+
+FLAT = PeriodicCurve(np.arange(4) / 4, np.zeros(4), "flat", np.zeros(4))
+REALS = {  # entry point: (call with the map and the real, its name)
+    "standard": (lambda m, v: standard(v), "k"),
+    "generating_function": (lambda m, v: generating_function(v), "a1"),
+    "drift_shear": (lambda m, v: drift_shear(v), "c"),
+    "iterate": (lambda m, v: iterate(m, (0.3, v), 3), "p"),
+    "torsion_trace": (lambda m, v: torsion_trace(m, P, (v, 1.0), 5), "direction"),
+    "angle_from_vertical": (lambda m, v: angle_from_vertical((v, 1.0)), "direction"),
+    "conjugate_report": (lambda m, v: conjugate_report(m, P, 10, v), "tol"),
+    "psi_family": (lambda m, v: psi_family(m, [Fraction(1, 2)], 4, v), "tol"),
+    "psi1": (lambda m, v: psi1(m, v), "x"),
+    "integrability_probe": (lambda m, v: integrability_probe(m, (4, 4), (v, 1.0), 10), "y_range"),
+    "PeriodicCurve.evaluate": (lambda m, v: FLAT.evaluate(v), "x"),
+    "check_window": (lambda m, v: check_window((-0.05, 0.05, v, 0.05), P), "window"),
+    "ScanConfig.box": (lambda m, v: ScanConfig((0, 1, v, 1), GridMode(2, 2), 5), "box"),
+    "ScanConfig.eps": (lambda m, v: ScanConfig(BOX, GridMode(2, 2), 5, v), "eps"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REALS))
+def test_entry_points_reject_non_reals_before_any_step(kernels, entry):
+    # psi1(standard(1), nan) returned -0.9999999999999996, psi_family(tol=True)
+    # solved to tol 1, conjugate_report(tol=True) stored tol=True, and
+    # check_window((0, 1, -inf, inf), p) was accepted; a bool or str point,
+    # direction or map parameter was taken as a number, and 10**400 raised
+    # OverflowError
+    call, name = REALS[entry]
+    m = standard(1.0)
+    for value in (True, "0.3", 10**400, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^{name} must be finite( and [^,]+)?, "
+                                             f"got {re.escape(repr(value))}$"):
+            call(m, value)
+    assert not kernels.calls
+    # a real in range gives a result or twistlab's own error (a RuntimeWarning
+    # is an error in this suite, see pyproject.toml)
+    for value in (Fraction(1, 3), np.float32(0.3), 1e308, -1e308):
+        try:
+            call(m, value)
+        except (ValueError, TwistLabError):
+            pass
 
 
 def test_config_accepts_numpy_integers():
