@@ -166,6 +166,18 @@ def _color_hex(u: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _svg(path, width: int, height: int, body: Sequence[str]) -> None:
+    """Write an SVG file: a width x height frame on white around body's lines."""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        *body,
+        "</svg>",
+    ]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def render_heatmap(field: _stats.ScanResult, path) -> None:
     """Write a self-contained SVG heatmap of a grid-mode torsion field.
 
@@ -183,42 +195,23 @@ def render_heatmap(field: _stats.ScanResult, path) -> None:
     tmax = float(np.max(finite)) if finite.size else float("nan")
 
     cell, pad = HEATMAP_CELL_PX, HEATMAP_PAD_PX
-    legend_h = 40
     width = nx * cell + 2 * pad
-    height = ny * cell + 2 * pad + legend_h
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+    ly = ny * cell + 2 * pad  # the top of the legend, 40 px tall
     # row j holds the j-th y sample; larger y is drawn nearer the top
-    for j in range(ny):
-        ypx = pad + (ny - 1 - j) * cell
-        for i in range(nx):
-            color = _color_hex(float(t[j, i]) / scale)
-            lines.append(
-                f'<rect x="{pad + i * cell}" y="{ypx}" width="{cell}" '
-                f'height="{cell}" fill="{color}"/>'
-            )
-    ly = ny * cell + 2 * pad
-    lines.append(
-        f'<rect x="{pad}" y="{ly}" width="12" height="12" '
-        f'fill="{_color_hex(-1.0)}"/>'
-    )
-    lines.append(
+    body = [
+        f'<rect x="{pad + i * cell}" y="{pad + (ny - 1 - j) * cell}" width="{cell}" '
+        f'height="{cell}" fill="{_color_hex(float(t[j, i]) / scale)}"/>'
+        for j in range(ny) for i in range(nx)
+    ]
+    body += [
+        f'<rect x="{pad}" y="{ly}" width="12" height="12" fill="{_color_hex(-1.0)}"/>',
         f'<text x="{pad + 16}" y="{ly + 10}" font-family="monospace" '
-        f'font-size="10">min = {tmin!r}</text>'
-    )
-    lines.append(
-        f'<rect x="{pad}" y="{ly + 16}" width="12" height="12" '
-        f'fill="{_color_hex(1.0)}"/>'
-    )
-    lines.append(
+        f'font-size="10">min = {tmin!r}</text>',
+        f'<rect x="{pad}" y="{ly + 16}" width="12" height="12" fill="{_color_hex(1.0)}"/>',
         f'<text x="{pad + 16}" y="{ly + 26}" font-family="monospace" '
-        f'font-size="10">max = {tmax!r}</text>'
-    )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+        f'font-size="10">max = {tmax!r}</text>',
+    ]
+    _svg(path, width, ly + 40, body)
 
 
 _CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -241,9 +234,6 @@ def render_curves(curves: Sequence[_curves.PeriodicCurve], path) -> None:
         return px, py
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" '
         f'height="{height - 2 * pad}" fill="none" stroke="#000000"/>',
     ]
@@ -268,8 +258,7 @@ def render_curves(curves: Sequence[_curves.PeriodicCurve], path) -> None:
         f'<text x="{pad}" y="{height - 8}" font-family="monospace" '
         f'font-size="10">y in [{lo!r}, {hi!r}]</text>'
     )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _svg(path, width, height, lines)
 
 
 # -- file writers -------------------------------------------------------------
@@ -289,10 +278,13 @@ def _curves_writer(curves: Sequence[_curves.PeriodicCurve], meta: Fields) -> Wri
 
 
 def _write_trace_csv(head: Fields, trace, path: Path) -> None:
-    deltas = [""] + [repr(d) for d in trace.steps.tolist()]
-    records = zip(trace.points.tolist(), deltas, trace.cumulative.tolist())
-    rows = [f"{k},{x!r},{y!r},{d},{c!r}" for k, ((x, y), d, c) in enumerate(records)]
-    write_table(path, head, "step,x,y,delta,cumulative", rows)
+    write_table(path, head, {
+        "step": range(trace.n + 1),
+        "x": trace.points[:, 0],
+        "y": trace.points[:, 1],
+        "delta": ["", *trace.steps.tolist()],  # no step into point 0
+        "cumulative": trace.cumulative,
+    })
 
 
 # -- engine calls -------------------------------------------------------------
@@ -357,12 +349,12 @@ def _probe(a) -> tuple[Fields, Writer]:
         ]
         return fields, _curves_writer(family.curves, meta)
     witness = report.witness
-    rows = [] if witness is None else [f"{format_value(witness)},{report.witness_time}"]
+    cells = [[]] * 3 if witness is None else [[v] for v in (*witness, report.witness_time)]
 
     def write(path: Path) -> None:
         if _is_svg(path):
             raise ValueError("no curve family to render for this verdict")
-        write_table(path, meta, "x,y,overconj_time", rows)
+        write_table(path, meta, dict(zip(("x", "y", "overconj_time"), cells)))
 
     return fields, write
 
@@ -542,10 +534,8 @@ def _validate(args: argparse.Namespace, cmd: _Command) -> None:
         cmd.check(args)
 
 
-def run(argv: Sequence[str] | None = None) -> int:
+def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, and return the process exit status."""
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args = _build_parser().parse_args(_merge_negative_values(argv))
     except SystemExit as exc:

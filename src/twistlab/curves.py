@@ -466,16 +466,17 @@ def integrability_probe(
     return report
 
 
-def write_curves_csv(curves: Sequence[PeriodicCurve], path, metadata: dict | None = None) -> None:
+def write_curves_csv(curves: Sequence[PeriodicCurve], path, metadata: dict) -> None:
     """Serialize curves as CSV: columns x, y, residual, label.
 
     Metadata pairs go into the # key=value lines ahead of the header
     (stats.write_table) so the file is self-describing.  Floats are
     written with repr so parsing the file back reproduces them bit for bit.
     """
-    rows = [
-        f"{x!r},{y!r},{r!r},{curve.label}"
-        for curve in curves
-        for x, y, r in zip(curve.xs.tolist(), curve.ys.tolist(), curve.residuals.tolist())
-    ]
-    write_table(path, (metadata or {}).items(), "x,y,residual,label", rows)
+    columns = {
+        "x": [x for c in curves for x in c.xs.tolist()],
+        "y": [y for c in curves for y in c.ys.tolist()],
+        "residual": [r for c in curves for r in c.residuals.tolist()],
+        "label": [c.label for c in curves for _ in c.xs],
+    }
+    write_table(path, metadata.items(), columns)

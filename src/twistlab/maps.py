@@ -68,7 +68,7 @@ GENFUN = "genfun"
 _SPECS = {SHEAR: ("shear", ()), DRIFT: ("drift", ("c",)), STANDARD: ("std", ("k",)),
           GENFUN: ("genfun", None)}
 
-# The orbit-length guard of iterate().
+# The length guard of the loops that keep every step: iterate, torsion_trace.
 ITERATE_CAP = 10_000_000
 
 # twist_check's Halton sample count and the seed of its shift.
@@ -497,6 +497,14 @@ def _check_real(name: str, value, least=-math.inf, strict=False) -> float:
     return x
 
 
+def _check_cap(n: int) -> int:
+    """n, or IterationCapError when |n| exceeds ITERATE_CAP; a loop that
+    keeps a row per step checks this before it allocates the rows."""
+    if abs(n) > ITERATE_CAP:
+        raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {ITERATE_CAP}")
+    return n
+
+
 def iterate(map: LiftedMap, p, n: int) -> np.ndarray:
     """Orbit segment [p, F(p), ..., F^n(p)] as an (|n|+1, 2) array.
 
@@ -504,9 +512,7 @@ def iterate(map: LiftedMap, p, n: int) -> np.ndarray:
     exceeds ITERATE_CAP, before any allocation, and NonFiniteOrbitError
     when the orbit leaves the float range.
     """
-    n = _check_count("n", n, -math.inf)
-    if abs(n) > ITERATE_CAP:
-        raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {ITERATE_CAP}")
+    n = _check_cap(_check_count("n", n, -math.inf))
     start = _as_point(p)
     out = np.empty((abs(n) + 1, 2))
     out[0] = start

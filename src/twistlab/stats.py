@@ -8,8 +8,8 @@ makes chunked and whole-array executions bit-identical, and summaries are
 reduced in fixed index order.
 
 Every file twistlab writes has one record format, owned here: ``# key=value``
-lines, a header, then the rows.  ``format_value`` prints each value (floats
-by repr, so they round-trip bit for bit) and ``write_table`` writes the file.
+lines, a header, then rows.  ``format_value`` prints each value (floats by
+repr, so they round-trip bit for bit); ``write_table`` writes named columns.
 """
 
 from __future__ import annotations
@@ -362,17 +362,20 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_table(
-    path, meta: Iterable[tuple[str, object]], header: str, rows: Iterable[str]
-) -> None:
+def write_table(path, meta: Iterable[tuple[str, object]], columns: dict) -> None:
     """Write a record file: a # key=value line per pair, the header, the rows.
 
-    path is a file path or an open text file.  rows are whole lines,
-    already formatted.
+    path is a file path or an open text file.  columns maps each column's
+    name, in order, to its cells; row i joins the i-th cell of each.  A
+    numpy array's cells are written by repr of its .tolist() items (floats
+    round-trip bit for bit), any other column's by str of its items, so a
+    missing value is a "" put in the column.
     """
     lines = [f"# {key}={format_value(value)}" for key, value in meta]
-    lines.append(header)
-    lines.extend(rows)
+    lines.append(",".join(columns))
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else map(str, c)
+             for c in columns.values()]
+    lines.extend(map(",".join, zip(*cells)))
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)
@@ -381,20 +384,20 @@ def write_table(
             fh.write(text)
 
 
+SCAN_COLUMNS = ("x", "y", "torsion", "overconj_time", "rotation")
+
+
 def write_scan_csv(result: ScanResult, path) -> None:
     """Serialize a scan: map, config and summary as # lines, then records.
 
-    Columns are x, y, torsion, overconj_time (empty when not detected, -2
-    on invalid lanes), rotation.  Floats are written with repr so a parse
-    round-trips bit for bit.  A scan with no valid lane is written with nan
+    Columns are SCAN_COLUMNS; overconj_time is empty when not detected and
+    -2 on invalid lanes.  A scan with no valid lane is written with nan
     estimates and count=0.
     """
     meta = [("map", result.map_spec), *result.config.fields(), *result.summary_fields()]
-    oc = ["" if t == -1 else str(t) for t in result.overconj_time.tolist()]
-    columns = (result.x.tolist(), result.y.tolist(), result.torsion.tolist(), oc,
-               result.rotation.tolist())
-    rows = [f"{x!r},{y!r},{t!r},{o},{r!r}" for x, y, t, o, r in zip(*columns)]
-    write_table(path, meta, "x,y,torsion,overconj_time,rotation", rows)
+    oc = ["" if t == -1 else t for t in result.overconj_time.tolist()]
+    columns = (result.x, result.y, result.torsion, oc, result.rotation)
+    write_table(path, meta, dict(zip(SCAN_COLUMNS, columns)))
 
 
 def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -420,21 +423,19 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 meta[key.strip()] = val
             continue
         if not header_seen:
-            if line != "x,y,torsion,overconj_time,rotation":
+            if line != ",".join(SCAN_COLUMNS):
                 raise ValueError(f"unexpected CSV header {line!r}")
             header_seen = True
             continue
         fx, fy, ft, foc, fr = line.split(",")
-        rows.append(
-            (float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr))
-        )
-    arr = np.array(rows, dtype=float).reshape(-1, 5)
-    return dict(zip(("x", "y", "torsion", "overconj_time", "rotation"), arr.T)), meta
+        rows.append((float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr)))
+    arr = np.array(rows, dtype=float).reshape(-1, len(SCAN_COLUMNS))
+    return dict(zip(SCAN_COLUMNS, arr.T)), meta
 
 
 def summarize_csv(path) -> MeasureEstimate:
     """Recompute the summary of a written scan from its records."""
     cols, meta = read_scan_csv(path)
-    eps = float(meta.get("eps", DEFAULT_EPS))
+    eps = _check_real("eps", float(meta.get("eps", DEFAULT_EPS)), 0, strict=True)
     t = cols["torsion"]
     return MeasureEstimate.from_torsion(t[~np.isnan(t)], eps)

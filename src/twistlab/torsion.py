@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError, NonFiniteOrbitError
-from .maps import (BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_count,
-                   _check_real, _column)
+from .maps import (BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_cap,
+                   _check_count, _check_real, _column)
 
 # Default tolerances; every op taking them accepts overrides.
 VERTICAL_TOL = 1e-9
@@ -200,9 +200,10 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
 
     The direction is transported by DF and renormalized every step; each
     steps[i] equals step_variation at the transported pair, and the
-    cumulative array is the plain running sum in the same order.
+    cumulative array is the plain running sum in the same order.  Raises
+    IterationCapError when n exceeds ITERATE_CAP, before any allocation.
     """
-    n = _check_count("n", n)
+    n = _check_cap(_check_count("n", n))
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
     # One row per point: x, y, wx, wy, the step into it, the cumulative.

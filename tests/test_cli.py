@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import twistlab.maps
 from twistlab import (
     GridMode,
     MonteCarloMode,
@@ -95,6 +96,15 @@ def test_unallocatable_trace_exits_one(capsys):
     code, out, err = run_capture(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("twistlab: error: ") and err.count("\n") == 1
+
+
+def test_trace_over_the_cap_exits_one(capsys, monkeypatch):
+    # torsion_trace checks iterate's cap before it allocates its table
+    monkeypatch.setattr(twistlab.maps, "ITERATE_CAP", 10)
+    argv = ["trace", "--map", "shear", "--point", "0,0", "--n", "11"]
+    assert run_capture(capsys, argv) == (1, "", "twistlab: error: |n| = 11 exceeds the cap 10\n")
+    code, out, _ = run_capture(capsys, argv[:-1] + ["10"])
+    assert code == 0 and out.startswith("map = shear\n")
 
 
 def test_computation_failure_exits_one(capsys):

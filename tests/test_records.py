@@ -106,11 +106,32 @@ def test_format_value():
 
 def test_write_table_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, [("a", 0.1), ("b", (1, 2.0))], "u,v", iter(["1,2", "3,4"]))
+    write_table(path, [("a", 0.1), ("b", (1, 2.0))], {"u": [1, 3], "v": iter([2, 4])})
     assert path.read_bytes() == b"# a=0.1\n# b=1,2.0\nu,v\n1,2\n3,4\n"
     buf = io.StringIO()
-    write_table(buf, [], "u,v", [])
+    write_table(buf, [], {"u": [], "v": []})
     assert buf.getvalue() == "u,v\n"
+
+
+def test_write_table_cells():
+    # an array's cells are repr of its Python items, any other column's str
+    # of its items; a missing value is the "" in the column
+    buf = io.StringIO()
+    write_table(buf, [], {
+        "f": np.array([0.1, 1e-17, -0.0, np.nan, 1e300]),
+        "f32": np.array([0.1, 1, 2, 3, 4], dtype=np.float32),
+        "i": np.array([-2, -1, 0, 7, 2**40]),
+        "o": ["", 5, 2.5, "s", True],
+        "r": range(5),
+    })
+    assert buf.getvalue().splitlines() == [
+        "f,f32,i,o,r",
+        f"0.1,{float(np.float32(0.1))!r},-2,,0",
+        "1e-17,1.0,-1,5,1",
+        "-0.0,2.0,0,2.5,2",
+        "nan,3.0,7,s,3",
+        f"1e+300,4.0,{2**40},True,4",
+    ]
 
 
 def test_curves_csv_metadata_through_the_formatter(tmp_path):

@@ -485,6 +485,19 @@ def test_scan_csv_header_and_empty_overconj(tmp_path):
     assert row[3] == ""  # shear never over-conjugates
 
 
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+def test_summarize_csv_checks_eps(eps):
+    # a header edited to a nan or negative eps summarized with it
+    result = torsion_field(shear(), grid_cfg((0.0, 1.0, 0.2, 0.4), 3, 1, 10))
+    buf = io.StringIO()
+    write_scan_csv(result, buf)
+    text = buf.getvalue()
+    assert "\n# eps=0.05\n" in text
+    edited = text.replace("\n# eps=0.05\n", f"\n# eps={eps}\n")
+    with pytest.raises(ValueError, match=f"^eps must be finite and positive, got {eps}"):
+        summarize_csv(io.StringIO(edited))
+
+
 def test_scan_csv_all_invalid_round_trip():
     # An all-invalid scan has nothing to summarize; writing it used to
     # raise "cannot summarize an empty sample".

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_maps import CATALOGUE
 
+import twistlab.maps
 import twistlab.torsion
 from twistlab import (
     CoincidentPointsError,
+    IterationCapError,
     NonFiniteOrbitError,
     TwistViolationError,
     angle_from_vertical,
@@ -30,7 +33,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
-from twistlab.maps import BLOCK, LiftedMap, _kick, _orbit_block
+from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, _orbit_block
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -445,6 +448,24 @@ def test_jacobi_agrees_with_detector(k):
             assert abs(det[0] - jac) <= 1
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(m=CATALOGUE.filter(lambda m: m.family != DRIFT),
+       p=st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)))
+def test_jacobi_agrees_with_detector_on_drawn_maps(m, p):
+    """The oracle and the detector agree within one index on drawn exact
+    maps (every family with a generating function), unless the orbit
+    leaves the float range first."""
+    try:
+        jac = jacobi_conjugate_oracle(m, p, 200)
+        det = detect_conjugate(m, p, 200)
+    except NonFiniteOrbitError:
+        return
+    if jac is None:
+        assert det is None
+    else:
+        assert det is not None and abs(det[0] - jac) <= 1
+
+
 def test_conjugate_implies_overconjugate_within_two():
     m = standard(1.0)
     rng = np.random.default_rng(43)
@@ -697,6 +718,15 @@ def test_trace_validation():
         torsion_trace(shear(), (0, 0), (0, 1), 0)
     with pytest.raises(TwistViolationError):
         torsion_trace(shear().inverted(), (0, 0), (0, 1), 3)
+
+
+def test_trace_cap(monkeypatch):
+    # iterate's cap, checked before the trace's (n + 1)-row table exists
+    monkeypatch.setattr(twistlab.maps, "ITERATE_CAP", 10)
+    assert torsion_trace(shear(), (0, 0), n=10).n == 10
+    monkeypatch.setattr(np, "empty", None)
+    with pytest.raises(IterationCapError, match=r"^\|n\| = 11 exceeds the cap 10$"):
+        torsion_trace(shear(), (0, 0), n=11)
 
 
 def test_cocycle_scan_stop_at_overconjugate():
