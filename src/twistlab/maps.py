@@ -541,14 +541,20 @@ def _column(values: list, r: int) -> np.ndarray:
     return np.frombuffer(pack(f"{r}d", *(values if r == len(values) else values[:r])), float)
 
 
-def _check_block(step, start, n0: int, first, taken: int, exc, last) -> None:
+def _check_block(step, start, n0: int, first, taken: int, exc, last, rows=()) -> None:
     """Raise NonFiniteOrbitError if the orbit of start left the float range
     in a block that took taken steps, n0+1 to n0+taken, from the point first
-    to the point last: at step n0 + taken + 1, chained from exc, the error
-    that stopped the block, or, as shear and drift carry an inf on, at the
+    to the point last, with rows, two packed columns of a float per step.
+    The block's error comes first: at step n0 + taken + 1, chained from
+    exc, the error that stopped it.  Then the first step whose row is not
+    finite; then, as shear and drift carry an inf on past the rows, the
     first non-finite point, found by walking the block again with step."""
     if exc is not None:
         raise NonFiniteOrbitError.at(start, n0 + taken + 1) from exc
+    if rows:
+        finite = np.isfinite(rows[0]) & np.isfinite(rows[1])
+        if not finite.all():
+            raise NonFiniteOrbitError.at(start, n0 + 1 + int(np.argmin(finite)))
     x, y = last
     if math.isfinite(x) and math.isfinite(y):
         return

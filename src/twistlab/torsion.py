@@ -18,9 +18,8 @@ must decide, so no walk steps past its stop.  linking_number subtracts
 the two orbits' blocks in numpy.  The vectorized ensemble kernel,
 cocycle_scan, lifts the same way per lane, taking an angle only where
 one is read.  An orbit that leaves the float range raises
-NonFiniteOrbitError at the step maps._check_block names (in
-linking_number, the first step whose difference is not finite), or
-flags an ensemble lane invalid, as does a failed twist.
+NonFiniteOrbitError at the step maps._check_block names, or flags an
+ensemble lane invalid, as does a failed twist.
 """
 
 from __future__ import annotations
@@ -132,17 +131,11 @@ class _Walk:
         x, y, wx, wy, r, exc = self.block(self.x, self.y, self.wx, self.wy, r, ix, iy, trace,
                                           stop, tol)
         iwx, iwy = _column(ix, r), _column(iy, r)
-        finite = np.isfinite(iwx) & np.isfinite(iwy)
-        if trace is not None:  # a direction is finite where its image is
-            xs, ys, norms = (_column(c, r) for c in trace)
-            finite &= np.isfinite(xs) & np.isfinite(ys)
-        # the block's error comes first, then the first non-finite row, then
-        # an inf that shear or drift carried on past the images
-        if exc is None and not finite.all():
-            raise NonFiniteOrbitError.at(self.start, self.n + 1 + int(np.argmin(finite)))
-        _check_block(self.step, self.start, self.n, (self.x, self.y), r, exc, (x, y))
+        # a direction is finite where its image is
+        _check_block(self.step, self.start, self.n, (self.x, self.y), r, exc, (x, y), (iwx, iwy))
         steps = self._steps(iwx, iwy)
         if table is not None:  # the walk's own division, iwx / norm, bit for bit
+            xs, ys, norms = (_column(c, r) for c in trace)
             table[:r, 0], table[:r, 1], table[:r, 4] = xs, ys, steps
             table[:r, 2], table[:r, 3] = iwx / norms, iwy / norms
         # a sequential sum from the walk's cumulative, bit for bit the running sum
@@ -405,40 +398,39 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     Each per-step angle class takes its representative in (-1/2, 1/2);
     that is only faithful while the difference vector turns less than
     half a turn per step, so any step landing within HALF_TURN_WARN_TOL
-    of the boundary sets near_half_turn.  Coincident points are rejected,
-    and orbits that leave the float range raise NonFiniteOrbitError.
-    Each block steps the orbit of p, then that of q, with the map's orbit
-    block; their differences, checks, angles (_angle's) and sums are then
-    taken at once.
+    of the boundary sets near_half_turn.  Coincident points are rejected;
+    a q - p that overflows raises NonFiniteOrbitError by step 0, and then
+    the first orbit to leave the float range raises it at the step
+    maps._check_block names.  Each block steps the orbit of p, then that
+    of q, with the map's orbit block; their differences, checks, angles
+    (_angle's) and sums are then taken at once.
     """
     n = _check_count("n", n)
     px, py = _as_point(p)
     qx, qy = _as_point(q, "q")
     if px == qx and py == qy:
         raise CoincidentPointsError("linking needs two distinct points")
-    th_prev = angle_from_vertical((qx - px, qy - py))
     start, orbit, total, flagged = ((px, py), (qx, qy)), map._orbit_k, 0.0, False
+    dx, dy = qx - px, qy - py
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise NonFiniteOrbitError.at(start, 0)
+    th_prev = _angle(dx, dy)
     pxs, pys, qxs, qys = ([0.0] * min(n, BLOCK) for _ in range(4))
     for n0 in range(0, n, BLOCK):
-        # q takes the steps p took; the error of the first failing step
-        # (p's before q's) is raised below, unless an earlier step fails a check
+        # q takes the steps p took; the first failing step's error, p's
+        # before q's, is the block's
         px, py, r, error = orbit(px, py, min(BLOCK, n - n0), pxs, pys)
         qx, qy, r, q_error = orbit(qx, qy, r, qxs, qys)
-        error = error if q_error is None else q_error
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
             dx = _column(qxs, r) - _column(pxs, r)
             dy = _column(qys, r) - _column(pys, r)
-        # a point that leaves the float range makes the difference
-        # non-finite at once; the first bad step raises
-        collided = (dx == 0.0) & (dy == 0.0)
-        bad = collided | ~(np.isfinite(dx) & np.isfinite(dy))
-        if bad.any():
-            i = int(np.argmax(bad))
-            if collided[i]:
-                raise CoincidentPointsError("orbits collided to machine precision")
-            raise NonFiniteOrbitError.at(start, n0 + i + 1)
-        if error is not None:
-            raise error
+        # a collision precedes any step _check_block names: a difference that
+        # left the float range is never 0 again; rows hold every point, so
+        # step and first go unread
+        if ((dx == 0.0) & (dy == 0.0)).any():
+            raise CoincidentPointsError("orbits collided to machine precision")
+        _check_block(None, start, n0, None, r, error if q_error is None else q_error,
+                     (qx - px, qy - py), (dx, dy))
         # -dx as _angle negates it: -(+0.0) is -0.0
         th = np.fromiter(builtins.map(math.atan2, (-dx).tolist(), dy.tolist()), float, r)
         th *= _INV_TWO_PI

@@ -107,6 +107,24 @@ def test_trace_over_the_cap_exits_one(capsys, monkeypatch):
     assert code == 0 and out.startswith("map = shear\n")
 
 
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        # the genfun kernel's own OverflowError was printed
+        (["linking", "--map", "genfun:a1=0.02,a2=-0.007", "--point", "0.1,0.2",
+          "--point2", "0.3,1e307", "--n", "10"], 10),
+        # "direction must be finite" was printed, of a direction never given
+        (["linking", "--map", "shear", "--point", "-1e308,0", "--point2", "1e308,0",
+          "--n", "5"], 0),
+    ],
+)
+def test_linking_off_the_float_range_exits_one(capsys, argv, step):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("twistlab: error: orbit of ")
+    assert f"left the float range by step {step}: " in err
+
+
 def test_computation_failure_exits_one(capsys):
     # strongly kicked map breaks the bracketing the curve builder needs
     code, _, err = run_capture(

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_block_kernels import HIGH, named
 from test_maps import CATALOGUE
+from test_walk_blocks import EDGES
 
 import twistlab.maps
 import twistlab.torsion
@@ -33,7 +35,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
-from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, _orbit_block
+from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, _orbit_block, parse_map_spec
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -550,21 +552,37 @@ def test_linking_non_finite_difference_raises():
 
 
 def linking_per_step(map, p, q, n):
-    """linking_number as a per-step loop, errors included: each step is
-    checked for a collision, then for a non-finite difference, before the
-    next step is taken."""
+    """linking_number as a per-step loop, errors included, by the rule of
+    maps._check_block: an overflowing q - p is named at step 0; a step
+    whose kernel raises (p's before q's) is named, chained from its error;
+    else a step is checked for a collision, then for a non-finite
+    difference, which yields to a kernel that raises later in its block,
+    as test_block_kernels.first_failure names a raise one step past a
+    non-finite point."""
+    start = ((p[0], p[1]), (q[0], q[1]))
     px, py = p
     qx, qy = q
     total, flagged = 0.0, False
-    th_prev = angle_from_vertical((qx - px, qy - py))
+    if not (math.isfinite(qx - px) and math.isfinite(qy - py)):
+        raise NonFiniteOrbitError.at(start, 0)
+    th_prev = twistlab.torsion._angle(qx - px, qy - py)
     for i in range(1, n + 1):
-        px, py = map.apply_scalar(px, py)
-        qx, qy = map.apply_scalar(qx, qy)
+        try:
+            px, py = map.apply_scalar(px, py)
+            qx, qy = map.apply_scalar(qx, qy)
+        except (ArithmeticError, ValueError) as exc:
+            raise NonFiniteOrbitError.at(start, i) from exc
         dx, dy = qx - px, qy - py
         if dx == 0.0 and dy == 0.0:
             raise CoincidentPointsError("orbits collided to machine precision")
         if not (math.isfinite(dx) and math.isfinite(dy)):
-            raise NonFiniteOrbitError.at(((p[0], p[1]), (q[0], q[1])), i)
+            for j in range(i + 1, min(n, (i - 1) // BLOCK * BLOCK + BLOCK) + 1):
+                try:
+                    px, py = map.apply_scalar(px, py)
+                    qx, qy = map.apply_scalar(qx, qy)
+                except (ArithmeticError, ValueError) as exc:
+                    raise NonFiniteOrbitError.at(start, j) from exc
+            raise NonFiniteOrbitError.at(start, i)
         th = twistlab.torsion._angle(dx, dy)
         rep = (th - th_prev) - round(th - th_prev)
         flagged |= abs(abs(rep) - 0.5) <= twistlab.torsion.HALF_TURN_WARN_TOL
@@ -578,7 +596,7 @@ def linking_outcome(f, *args):
     try:
         value, flag = f(*args)
     except Exception as exc:  # the exception is the outcome
-        return type(exc), str(exc)
+        return type(exc), str(exc), type(exc.__cause__)
     return struct.pack("<d", value), flag
 
 
@@ -650,6 +668,54 @@ def test_linking_edge_cases_fail_in_a_later_block():
             linking_per_step(m, p, q, 3 * BLOCK)
         if not isinstance(m, _Blowup):
             linking_per_step(m, p, q, BLOCK)
+
+
+# (map, p, q, n, step): linking names the step iterate names for the
+# orbit that fails first, a kernel's raise one step past its non-finite
+# point included; the last two fail in a block that took no step.
+LINKING_ITERATE_STEPS = [
+    ("std:k=1", (0.1, 0.2), (0.3, 1e307), 50, 19),
+    ("genfun:a1=0.02,a2=-0.007", (0.1, 0.2), (0.3, 1e307), 10, 10),
+    ("std:k=0.5", (0.0, 1e305), (0.25, 1.0001e305), 3 * BLOCK, 1799),
+    ("genfun:a1=0.02,a2=0.001", (0.0, 5e304), (0.0, 5.0001e304), 3 * BLOCK, 1799),
+    ("genfun:a1=0.02,a2=-0.007", (1e308, 0.0), (0.0, 0.0), 5, 1),
+    ("genfun:a1=0.02,a2=-0.007", (0.0, 0.0), (1e308, 0.0), 5, 1),
+]
+
+
+def first_orbit_failure(m, p, q, n):
+    """The (step, cause) iterate names for the orbit of p or q that fails
+    first, p's on a tie, or None."""
+    named_steps = (named(lambda: iterate(m, p, n)), named(lambda: iterate(m, q, n)))
+    return min((s for s in named_steps if s is not None), key=lambda s: s[0], default=None)
+
+
+@pytest.mark.parametrize("spec, p, q, n, step", LINKING_ITERATE_STEPS)
+def test_linking_names_the_step_iterate_names(spec, p, q, n, step):
+    m = parse_map_spec(spec)
+    want = first_orbit_failure(m, p, q, n)
+    assert want[0] == step
+    assert named(lambda: linking_number(m, p, q, n)) == want
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(m=st.sampled_from([standard(0.5), standard(1.5), generating_function(0.02, -0.007),
+                          generating_function(0.02, 0.001)]),
+       x=st.floats(-1.0, 1.0), y=HIGH, d=st.floats(-1.0, 1.0), e=st.floats(1e-12, 1e-3),
+       n=st.sampled_from(EDGES))
+def test_linking_fails_at_the_earlier_orbits_iterate_step(m, x, y, d, e, n):
+    # q's y is a relative e nearer 0, so the first step cannot absorb the offset
+    p, q = (x, y), (x + d, y - e * y)
+    assert named(lambda: linking_number(m, p, q, n)) == first_orbit_failure(m, p, q, n)
+
+
+def test_linking_overflowing_first_difference_is_step_0():
+    # q - p is inf though p and q are finite: no direction to start from
+    with pytest.raises(NonFiniteOrbitError, match="by step 0: ") as info:
+        linking_number(shear(), (-1e308, 0.0), (1e308, 0.0), 5)
+    assert info.value.__cause__ is None
+    with pytest.raises(NonFiniteOrbitError, match="by step 0: "):
+        linking_number(shear(), (0.0, 1e308), (0.0, -1e308), 5)
 
 
 def test_cocycle_scan_matches_scalar_trace():
