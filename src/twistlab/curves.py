@@ -143,7 +143,7 @@ class ProbeReport:
     horizon: int | None = None
 
 
-def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, errors=None):
+def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
     """Roots y_j of increasing functions y -> g(xs[j], y), all nodes at once.
 
     g takes equally shaped arrays of nodes and trial values; a node is
@@ -153,25 +153,21 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, error
     the bracket is then sampled that many times and must be strictly
     increasing, since bisection could otherwise land on any of several
     roots (NonMonotoneBracketError); bisection stops once |g| < tol, when
-    the bracket has collapsed to 4 ulp, or after 200 halvings.  Nodes
-    that fail drop out with a NaN root.  Their errors go into errors, by
-    node index, when it is given; otherwise, once all nodes are done, the
-    error of the lowest-index failing node is raised.
+    the bracket has collapsed to 4 ulp, or after 200 halvings.  A node
+    that fails drops out; once every node is done, the error of the
+    lowest-index failing node is raised.
     """
     # tol = 0 is allowed: no residual beats it, so every bracket collapses
     # and the solver's own error says so.
     tol = _check_real("tol", tol, 0)
-    m = xs.shape[0]
-    raise_first = errors is None
-    errors = {} if raise_first else errors
-    failed = np.zeros(m, dtype=bool)
+    errors, failed = {}, np.zeros(len(xs), dtype=bool)
 
     def fail(j, error: Exception) -> None:
         failed[j] = True
         errors[int(j)] = error
 
-    lo = np.full(m, -1.0)
-    hi = np.full(m, 1.0)
+    lo = np.full(len(xs), -1.0)
+    hi = np.full(len(xs), 1.0)
     g_lo, g_hi = g(xs, lo), g(xs, hi)
     for side, edge, g_edge, word in ((-1, lo, g_lo, "down"), (1, hi, g_hi, "up")):
         # Double outward while g still has the sign of the bracket's inside.
@@ -194,7 +190,7 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, error
                 "increasing (conjugate points present)"
             ))
         act = act[~bad]
-    roots = np.full(m, np.nan)
+    roots = np.full(len(xs), np.nan)
     # The nodes still bisecting, with their brackets, compacted as they finish.
     x, lo, hi = xs[act], lo[act], hi[act]
     for _ in range(200):
@@ -226,31 +222,41 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, error
             act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
     for j in act:
         fail(j, BracketExpansionError("bisection failed to meet tolerance"))
-    if raise_first and errors:
+    if errors:
         raise errors[min(errors)]
     return roots
 
 
 def _sections(
-    map: LiftedMap, xs: np.ndarray, p, q: int, tol: float, monotone_samples: int = 0, errors=None
+    map: LiftedMap, xs: np.ndarray, p, q, tol: float, monotone_samples: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots ys of p1(F^q(x, y)) = x + p at every node x, and F^q(xs, ys).
 
-    p is one offset or one per node: the solver's nodes index xs and p.
+    p is one offset or one per node, and q one count or one per node: the
+    solver's nodes index xs, p and q, and each node steps its own q times.
     """
     p = np.broadcast_to(np.asarray(p, dtype=float), xs.shape)
+    lo, hi = (q, q) if isinstance(q, int) else (int(q.min()), int(q.max()))
 
-    def forward_q(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        for _ in range(q):
+    def forward_q(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Every node takes the first lo steps; each later step maps only the
+        # nodes whose q is larger, so each node's arithmetic is its own.
+        for _ in range(lo):
             x, y = map.apply_array(x, y)
+        if hi > lo:
+            qj, x, y = q[j], x.copy(), y.copy()
+        for s in range(lo, hi):
+            more = qj > s
+            x[more], y[more] = map.apply_array(x[more], y[more])
         return x, y
 
     def g(j: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = xs[j]
-        return forward_q(x, y)[0] - x - p[j]
+        return forward_q(j, x, y)[0] - x - p[j]
 
-    ys = _solve_roots(g, np.arange(len(xs)), tol, monotone_samples, errors)
-    xq, yq = forward_q(xs, ys)
+    nodes = np.arange(len(xs))
+    ys = _solve_roots(g, nodes, tol, monotone_samples)
+    xq, yq = forward_q(nodes, xs, ys)
     return ys, xq, yq
 
 
@@ -335,7 +341,10 @@ def psi_family(
     not raised, when |p2(F^q(x, y)) - y| exceeds FIX_RESIDUAL_TOL: a
     non-exact map has non-fixed sections.  monotone_ok requires strict
     pointwise order of consecutive curves; violations are recorded per
-    pair with the number of offending nodes, not raised.
+    pair with the number of offending nodes, not raised.  The family is
+    one root solve, each node stepping its own q with its own offset p, so
+    each curve is bit for bit its own solve's, and a failure raises the
+    first failing rational's error, at its lowest failing node.
     """
     rhos = tuple(_as_fraction(r) for r in rationals)
     if len(rhos) < 1:
@@ -344,27 +353,17 @@ def psi_family(
         raise ValueError("rotation numbers must be sorted and pairwise distinct")
     resolution = _check_count("resolution", resolution)
     xs = np.arange(resolution) / resolution
-    # The rationals p/q of one q share F^q, so their nodes are solved
-    # together, each with its offset p.  Every node takes the steps it
-    # would alone, so each curve is bit for bit its own solve's, and a
-    # failure raises the error that one solve per rational in order would:
-    # the first failing rational's, at its lowest failing node.
-    solved, errors = {}, {}
-    for q in dict.fromkeys(r.denominator for r in rhos):
-        group, failed = [r for r in rhos if r.denominator == q], {}
-        ps = np.repeat([float(r.numerator) for r in group], len(xs))
-        sections = _sections(map, np.tile(xs, len(group)), ps, q, tol, BRACKET_SAMPLES, failed)
-        if failed:
-            errors[group[min(failed) // len(xs)]] = failed[min(failed)]
-            continue
-        for r, ys, xq, yq in zip(group, *(a.reshape(len(group), -1) for a in sections)):
-            fix_res = np.abs(yq - ys)
-            solved[r] = PeriodicCurve(xs.copy(), ys, f"PsiRho({r.numerator}/{q})",
-                                      np.abs(xq - xs - r.numerator), rho=r, fix_residuals=fix_res,
-                                      fixed_ok=bool(np.max(fix_res) <= FIX_RESIDUAL_TOL))
-    if errors:
-        raise errors[min(errors)]
-    curves = tuple(solved[r] for r in rhos)
+    ps = np.repeat([float(r.numerator) for r in rhos], resolution)
+    qs = np.repeat([r.denominator for r in rhos], resolution)
+    nodes = np.tile(xs, len(rhos))
+    ys, xq, yq = _sections(map, nodes, ps, qs, tol, BRACKET_SAMPLES)
+    res, fix = np.abs(xq - nodes - ps), np.abs(yq - ys)
+    ys, res, fix = (a.reshape(len(rhos), -1) for a in (ys, res, fix))
+    curves = tuple(
+        PeriodicCurve(xs.copy(), ys[i], f"PsiRho({r.numerator}/{r.denominator})", res[i], rho=r,
+                      fix_residuals=fix[i], fixed_ok=bool(np.max(fix[i]) <= FIX_RESIDUAL_TOL))
+        for i, r in enumerate(rhos)
+    )
     violations = []
     for (ra, ca), (rb, cb) in zip(zip(rhos, curves), zip(rhos[1:], curves[1:])):
         bad = int(np.count_nonzero(ca.ys >= cb.ys))

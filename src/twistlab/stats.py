@@ -406,13 +406,12 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     An empty overconj_time field reads as -1 (not detected).
     """
     meta: dict[str, str] = {}
-    rows: list[tuple[float, float, float, float, float]] = []
+    rows: list[tuple[float, ...]] | None = None  # a list once the header is read
     if hasattr(path, "read"):
         content = path.read()
     else:
         with open(path) as fh:
             content = fh.read()
-    header_seen = False
     for line in content.splitlines():
         line = line.strip()
         if not line:
@@ -422,13 +421,15 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             if eq:
                 meta[key.strip()] = val
             continue
-        if not header_seen:
+        if rows is None:
             if line != ",".join(SCAN_COLUMNS):
                 raise ValueError(f"unexpected CSV header {line!r}")
-            header_seen = True
+            rows = []
             continue
         fx, fy, ft, foc, fr = line.split(",")
         rows.append((float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr)))
+    if rows is None:  # an empty file, or a write cut off after its metadata
+        raise ValueError(f"scan CSV has no header line {','.join(SCAN_COLUMNS)}")
     arr = np.array(rows, dtype=float).reshape(-1, len(SCAN_COLUMNS))
     return dict(zip(SCAN_COLUMNS, arr.T)), meta
 

@@ -46,6 +46,8 @@ CASES = {
     "field_inverted": ["field", *INV, *BOX, "--grid", "3x3", "--n", "10"],
     "field_overflow_csv": ["field", "--map", "shear", "--box", "0,1,1e308,1.7e308",
                            "--grid", "2x2", "--n", "4", "--out", "field.csv"],
+    "field_overflow_svg": ["field", "--map", "shear", "--box", "0,1,1e308,1.7e308",
+                           "--grid", "2x2", "--n", "4", "--out", "field.svg"],
     "measure_csv": ["measure", *STD, *BOX, "--samples", "8", "--n", "10", "--seed", "3",
                     "--eps", "1e-9", "--out", "measure.csv"],
     "measure_all_invalid_csv": ["measure", *INV, *BOX, "--samples", "4", "--n", "10",
@@ -54,11 +56,13 @@ CASES = {
     "flux_drift": ["flux", "--map", "drift:c=0.25"],
     "flux_mirror": ["flux", *STD, "--res", "16", "--out", "flux.txt"],
     "flux_inverted_drift": ["flux", "--map", "inverted(drift:c=0.25)"],
-    # psi and probe: curve CSV and SVG, witness CSV, no family to render
+    # psi and probe: curve CSV and SVG, a bracket error, witness CSV, no
+    # family to render
     "psi_csv": ["psi", "--map", "std:k=0.5", "--rho", "1/2,0", "--res", "16",
                 "--out", "psi.csv"],
     "psi_svg": ["psi", "--map", "shear", "--rho", "1/3,0,-1/2", "--res", "8",
                 "--out", "psi.svg"],
+    "psi_bracket_error": ["psi", "--map", "std:k=3", "--rho=-3/2,-1/3,3/2", "--res", "16"],
     "probe_family_csv": ["probe", "--map", "std:k=0", "--grid", "8x8", "--horizon", "50",
                          "--rho", "-1/2,0,1/2", "--out", "probe.csv"],
     "probe_family_svg": ["probe", "--map", "genfun:a1=0.001", "--grid", "8x8",

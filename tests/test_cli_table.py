@@ -1,16 +1,29 @@
 """The CLI's command table: printed keys, --out policy, flag checks, help,
 usage errors found before any computation, and the README's commands."""
 
+import io
 import math
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistlab.curves
 import twistlab.stats
-from twistlab import GridMode, ScanConfig, detect_overconjugate, parse_map_spec
+from twistlab import (
+    GridMode,
+    LiftedMap,
+    ScanConfig,
+    cocycle_scan,
+    detect_overconjugate,
+    parse_map_spec,
+    psi_family,
+    read_scan_csv,
+    region_x,
+    shear,
+)
 from twistlab.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,6 +244,37 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(ARGV["field"][:5] + ["--grid", "8by8", "--n", "20"],
+                     "^twistlab: usage error: --grid: must look like 64x64, got '8by8'\n$",
+                     id="cli-grid"),
+        pytest.param(lambda: region_x(shear(), "up"), "^sign must be 'minus' or 'plus'$",
+                     id="region_x-sign"),
+        pytest.param(lambda: psi_family(shear(), []), "^need at least one rotation number$",
+                     id="psi_family-empty"),
+        pytest.param(lambda: LiftedMap("nope"), "^unknown map family 'nope'$",
+                     id="LiftedMap-family"),
+        pytest.param(lambda: LiftedMap("shear", (), 2), "^twist_sign must be \\+1 or -1$",
+                     id="LiftedMap-twist_sign"),
+        pytest.param(lambda: cocycle_scan(shear(), np.zeros(3), np.zeros(2), 5),
+                     "^x and y must be 1-d arrays of equal length$", id="cocycle_scan-lengths"),
+        pytest.param(lambda: read_scan_csv(io.StringIO("x,y\n")),
+                     "^unexpected CSV header 'x,y'$", id="read_scan_csv-header"),
+    ],
+)
+def test_argument_checks_name_the_argument(capsys, call, message):
+    # no other tier-1 test reaches these raises
+    if callable(call):
+        with pytest.raises(ValueError, match=message):
+            call()
+    else:
+        code, out, err = run_capture(capsys, call)
+        assert (code, out) == (2, "")
+        assert re.search(message, err)
 
 
 def test_scan_config_rejects_non_finite_eps():

@@ -1,4 +1,4 @@
-"""psi_family's one root solve per denominator against one solve per curve.
+"""psi_family's one root solve per family against one solve per curve.
 
 The reference below is psi_family as it was before the rationals were
 grouped: one curve per rational, in order, each a solve of its own nodes
@@ -7,12 +7,14 @@ curves bit for bit, and on failure the same error: that of the first
 failing rational, at its lowest failing node.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import twistlab.curves
 from twistlab import (
     drift_shear,
     generating_function,
@@ -21,7 +23,13 @@ from twistlab import (
     shear,
     standard,
 )
-from twistlab.curves import FIX_RESIDUAL_TOL, PROBE_CURVE_RESOLUTION, ROOT_TOL, _solve_roots
+from twistlab.curves import (
+    FIX_RESIDUAL_TOL,
+    PROBE_CURVE_RESOLUTION,
+    ROOT_TOL,
+    _sections,
+    _solve_roots,
+)
 
 DEFAULT = [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0),
            Fraction(1, 3), Fraction(1, 2), Fraction(1)]
@@ -127,3 +135,25 @@ def test_grouped_curves_own_their_arrays():
     a, b = fam.curves
     a.xs[0] = a.ys[0] = math.pi
     assert b.xs[0] == 0.0 and b.ys[0] != math.pi
+
+
+@pytest.mark.parametrize("m, rhos", [
+    (standard(0.0), DEFAULT),
+    (shear(), MIXED),
+    (standard(0.5), [Fraction(1, 2)]),
+    (standard(3.0), [Fraction(-3, 2), Fraction(-1, 3), Fraction(3, 2)]),  # raises
+], ids=["default", "mixed", "one", "failing"])
+def test_family_is_one_solve(monkeypatch, m, rhos):
+    # a family was one solve per denominator, and the solver then kept the
+    # failing groups' errors in a dict of the caller's
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sections(*args)
+
+    monkeypatch.setattr(twistlab.curves, "_sections", counted)
+    outcome(lambda: psi_family(m, rhos, resolution=16))
+    assert len(calls) == 1 and len(calls[0][1]) == 16 * len(rhos)
+    assert "errors" not in inspect.signature(_sections).parameters
+    assert "errors" not in inspect.signature(_solve_roots).parameters

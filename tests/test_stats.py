@@ -485,6 +485,17 @@ def test_scan_csv_header_and_empty_overconj(tmp_path):
     assert row[3] == ""  # shear never over-conjugates
 
 
+@pytest.mark.parametrize("text", ["", "# map=shear\n# eps=0.05\n"], ids=["empty", "metadata-only"])
+def test_scan_csv_without_header_is_rejected(text):
+    # an empty file or a truncated write read as zero records, and
+    # summarize_csv reported count=0 like an all-invalid scan
+    message = "^scan CSV has no header line x,y,torsion,overconj_time,rotation$"
+    with pytest.raises(ValueError, match=message):
+        read_scan_csv(io.StringIO(text))
+    with pytest.raises(ValueError, match=message):
+        summarize_csv(io.StringIO(text))
+
+
 @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
 def test_summarize_csv_checks_eps(eps):
     # a header edited to a nan or negative eps summarized with it

@@ -420,6 +420,37 @@ def test_half_turn_crossing_lemma(k, x, y, t):
     assert np.all((jumps == 0.0) | (jumps == -1.0))
 
 
+DRAWN_POINTS = st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(m=CATALOGUE, p=DRAWN_POINTS, t=st.floats(min_value=0.0, max_value=TWO_PI))
+def test_half_turn_lemma_on_drawn_maps(m, p, t):
+    """One step turns the vertical into (-1/2, 0) turns and any unit
+    direction into (-1, 1/2), unless the orbit leaves the float range."""
+    try:
+        vertical = vertical_step_variation(m, p)
+        turn = step_variation(m, p, (math.cos(t), math.sin(t)))
+    except NonFiniteOrbitError:
+        return
+    assert -0.5 < vertical < 0.0
+    assert -1.0 < turn < 0.5
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(m=CATALOGUE, p=DRAWN_POINTS)
+def test_conjugate_implies_overconjugate_on_drawn_maps(m, p):
+    """A conjugate point at n is followed by an over-conjugate one by n + 2."""
+    try:
+        hit = detect_conjugate(m, p, 200)
+        if hit is None:
+            return
+        over = detect_overconjugate(m, p, 210)
+    except NonFiniteOrbitError:
+        return
+    assert over is not None and over <= hit[0] + 2
+
+
 def test_jacobi_oracle_examples():
     assert jacobi_conjugate_oracle(shear(), (0.1, 0.5), 1000) is None
     n_jac = jacobi_conjugate_oracle(standard(1.0), (0.02, 0.0), 100)
