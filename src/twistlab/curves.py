@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
-from .maps import LiftedMap, _as_point, _check_count, _check_real, _orbit, iterate
+from .maps import LiftedMap, _as_point, _check_cap, _check_count, _check_real, _orbit, iterate
 from .stats import GridMode, ScanConfig, sample_points, write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -274,7 +274,7 @@ def region_x(map: LiftedMap, sign: str, resolution: int = 256) -> RegionX:
     """The region between Psi1 and PsiMinus1, both sampled on j/resolution by one solve."""
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
-    resolution = _check_count("resolution", resolution)
+    resolution = _check_cap("resolution", _check_count("resolution", resolution))
     xs = np.arange(resolution) / resolution
     ys, x1, y1 = _sections(map, xs, 0, 1, ROOT_TOL)
     res = np.abs(x1 - xs)
@@ -292,7 +292,7 @@ def flux(map: LiftedMap, resolution: int = 256) -> float:
     root error) exactly when the map is exact symplectic; the drift map
     returns its drift c.
     """
-    resolution = _check_count("resolution", resolution, 2)
+    resolution = _check_cap("resolution", _check_count("resolution", resolution, 2))
     ys, _, y1 = _sections(map, np.arange(resolution) / resolution, 0, 1, FLUX_ROOT_TOL)
     # left to right from 0.0: np.sum's pairwise order moves the last bits
     total = float(np.add.accumulate(np.concatenate(([0.0], y1 - ys)))[-1])
@@ -352,8 +352,10 @@ def psi_family(
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValueError("rotation numbers must be sorted and pairwise distinct")
     resolution = _check_count("resolution", resolution)
+    # one solver sweep steps the map resolution * sum(q) times
+    _check_cap("resolution * sum(q)", resolution * sum(r.denominator for r in rhos))
     xs = np.arange(resolution) / resolution
-    ps = np.repeat([float(r.numerator) for r in rhos], resolution)
+    ps = np.repeat([_check_real("rho", r.numerator) for r in rhos], resolution)
     qs = np.repeat([r.denominator for r in rhos], resolution)
     nodes = np.tile(xs, len(rhos))
     ys, xq, yq = _sections(map, nodes, ps, qs, tol, BRACKET_SAMPLES)
@@ -422,7 +424,8 @@ def integrability_probe(
 ) -> ProbeReport:
     """One-sided test for a phase space foliated by invariant circles.
 
-    Order of business: a non-exact map (|flux| > FLUX_TOL) gets
+    Order of business: the grid's lanes are held to ITERATE_CAP first;
+    a non-exact map (|flux| > FLUX_TOL) gets
     NOT_APPLICABLE; an over-conjugate point anywhere on the grid within
     the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness
     (the grid scan stops at the step it appears, lowest index first);
@@ -436,6 +439,7 @@ def integrability_probe(
     horizon = _check_count("horizon", horizon)
     y0, y1 = (_check_real("y_range", y) for y in y_range)
     cfg = ScanConfig(box=(0.0, 1.0, y0, y1), mode=GridMode(nx, ny), horizon=horizon)
+    xs, ys = sample_points(cfg)
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,
@@ -446,7 +450,6 @@ def integrability_probe(
     )
     if abs(fl) > FLUX_TOL:
         return report
-    xs, ys = sample_points(cfg)
     scan = cocycle_scan(map, xs, ys, horizon, stop_at_overconjugate=True)
     times = scan.overconj_time  # -2 on invalid lanes
     hit = times > 0

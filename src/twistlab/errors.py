@@ -40,7 +40,7 @@ class NonMonotoneBracketError(TwistLabError):
 
 
 class IterationCapError(TwistLabError):
-    """An orbit request exceeded the configured horizon cap."""
+    """A request that sizes memory or a solver sweep exceeded ITERATE_CAP."""
 
 
 class CoincidentPointsError(TwistLabError):

@@ -24,9 +24,9 @@ Kicks
 Every kick term is a multiple of sin or cos of 2pi s with s = i x.  Both
 come from one exact range reduction of s, s - floor(s), whose cost does
 not grow with |s| (see _kick).  The sin and cos of a harmonic share that
-reduction, so step_scalar/step_array return the image and the Jacobian of
-one step from it; apply_* leave the cos out, and jacobian_* read the
-Jacobian off the step.
+reduction, so one step kernel returns the image and the Jacobian of a
+step from it (step_array on arrays); apply_* leave the cos out, and
+jacobian_* read the Jacobian off the step.
 
 One builder, _kernels, makes each family's forward step and its two
 images, forward and back, once at construction, for floats (_kick) and
@@ -42,7 +42,8 @@ They record floats in one list per column, which _column moves into
 numpy in one packed copy.  A backward orbit is the inverted map's
 forward orbit.  Each kernel is bound as _observe(name, kernel), the one
 way to watch it.  Every orbit loop names the step at which it left the
-float range by one rule, _check_block.
+float range by one rule, _check_block, and every request that sizes
+memory or a solver sweep is held to ITERATE_CAP by one rule, _check_cap.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ GENFUN = "genfun"
 _SPECS = {SHEAR: ("shear", ()), DRIFT: ("drift", ("c",)), STANDARD: ("std", ("k",)),
           GENFUN: ("genfun", None)}
 
-# The length guard of the loops that keep every step: iterate, torsion_trace.
+# The size rule's bound (_check_cap): rows kept, lanes or map steps per sweep.
 ITERATE_CAP = 10_000_000
 
 # twist_check's Halton sample count and the seed of its shift.
@@ -409,13 +410,6 @@ class LiftedMap:
 
     # -- scalar path ---------------------------------------------------------
 
-    def step_scalar(self, x: float, y: float) -> tuple[float, float, float, float, float, float]:
-        """(x1, y1, a, b, c, d): apply_scalar and jacobian_scalar at (x, y) at once.
-
-        Bit-equal to calling both, with one range reduction per harmonic.
-        """
-        return self._step_k(x, y)
-
     def apply_scalar(self, x: float, y: float) -> tuple[float, float]:
         """One application of the lift, plain floats (hot-loop path)."""
         return self._apply_k(x, y)
@@ -427,14 +421,15 @@ class LiftedMap:
         """Row-major entries (a, b, c, d) of the derivative at (x, y).
 
         Columns are the images of the horizontal and vertical directions.
-        None of the catalogue Jacobians depend on y.
+        None of the catalogue Jacobians depend on y.  With apply_scalar,
+        these are the bits of one fused step, _step_k.
         """
         return self._step_k(x, y)[2:]
 
     # -- array path ----------------------------------------------------------
 
     def step_array(self, x: np.ndarray, y: np.ndarray):
-        """Elementwise step_scalar: (x1, y1, a, b, c, d) in one pass.
+        """The image and the Jacobian entries (x1, y1, a, b, c, d) in one pass.
 
         Entries that are the same at every point (b and d going forward,
         a and b for an inverted map, all four for shear/drift) come back
@@ -497,12 +492,12 @@ def _check_real(name: str, value, least=-math.inf, strict=False) -> float:
     return x
 
 
-def _check_cap(n: int) -> int:
-    """n, or IterationCapError when |n| exceeds ITERATE_CAP; a loop that
-    keeps a row per step checks this before it allocates the rows."""
-    if abs(n) > ITERATE_CAP:
-        raise IterationCapError(f"|n| = {abs(n)} exceeds the cap {ITERATE_CAP}")
-    return n
+def _check_cap(name: str, size: int) -> int:
+    """size, or IterationCapError naming it when it exceeds ITERATE_CAP; each
+    request checks this before it allocates anything or steps the map."""
+    if size > ITERATE_CAP:
+        raise IterationCapError(f"|{name}| = {size} exceeds the cap {ITERATE_CAP}")
+    return size
 
 
 def iterate(map: LiftedMap, p, n: int) -> np.ndarray:
@@ -512,7 +507,8 @@ def iterate(map: LiftedMap, p, n: int) -> np.ndarray:
     exceeds ITERATE_CAP, before any allocation, and NonFiniteOrbitError
     when the orbit leaves the float range.
     """
-    n = _check_cap(_check_count("n", n, -math.inf))
+    n = _check_count("n", n, -math.inf)
+    _check_cap("n", abs(n))
     start = _as_point(p)
     out = np.empty((abs(n) + 1, 2))
     out[0] = start

@@ -15,12 +15,14 @@ repr, so they round-trip bit for bit); ``write_table`` writes named columns.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point, _check_count, _check_real
+from .maps import LiftedMap, _as_point, _check_cap, _check_count, _check_real
 from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
@@ -99,7 +101,9 @@ class ScanConfig:
 
 
 def sample_points(cfg: ScanConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sample coordinates for a config, in the documented record order."""
+    """Sample coordinates for a config, in the documented record order;
+    IterationCapError first when its lanes exceed ITERATE_CAP."""
+    _check_cap("lanes", cfg.mode.count)
     x0, x1, y0, y1 = cfg.box
     if isinstance(cfg.mode, GridMode):
         nx, ny = cfg.mode.nx, cfg.mode.ny
@@ -173,12 +177,6 @@ class ScanResult:
         return [(key, getattr(s, key)) for key in keys]
 
 
-def _chunks(total: int, chunk_size: int | None) -> Iterator[slice]:
-    size = total if chunk_size is None else _check_count("chunk_size", chunk_size)
-    for start in range(0, total, size):
-        yield slice(start, min(start + size, total))
-
-
 def torsion_field(
     map: LiftedMap, cfg: ScanConfig, chunk_size: int | None = None
 ) -> ScanResult:
@@ -195,7 +193,9 @@ def torsion_field(
     overconj = np.empty(total, dtype=np.int64)
     rotation = np.empty(total)
     valid = np.empty(total, dtype=bool)
-    for sl in _chunks(total, chunk_size):
+    size = total if chunk_size is None else _check_count("chunk_size", chunk_size)
+    for start in range(0, total, size):
+        sl = slice(start, start + size)
         scan = cocycle_scan(map, xs[sl], ys[sl], n)
         torsion[sl] = scan.cumulative / n
         overconj[sl] = scan.overconj_time
@@ -380,8 +380,7 @@ def write_table(path, meta: Iterable[tuple[str, object]], columns: dict) -> None
     if hasattr(path, "write"):
         path.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        Path(path).write_text(text, newline="")
 
 
 SCAN_COLUMNS = ("x", "y", "torsion", "overconj_time", "rotation")
@@ -403,16 +402,13 @@ def write_scan_csv(result: ScanResult, path) -> None:
 def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Parse a scan CSV back into column arrays plus its metadata dict.
 
-    An empty overconj_time field reads as -1 (not detected).
+    An empty overconj_time field reads as -1 (not detected); a row that
+    is not five numbers raises ValueError naming its line.
     """
     meta: dict[str, str] = {}
     rows: list[tuple[float, ...]] | None = None  # a list once the header is read
-    if hasattr(path, "read"):
-        content = path.read()
-    else:
-        with open(path) as fh:
-            content = fh.read()
-    for line in content.splitlines():
+    content = path.read() if hasattr(path, "read") else Path(path).read_text()
+    for number, line in enumerate(content.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -426,8 +422,11 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 raise ValueError(f"unexpected CSV header {line!r}")
             rows = []
             continue
-        fx, fy, ft, foc, fr = line.split(",")
-        rows.append((float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr)))
+        try:
+            fx, fy, ft, foc, fr = line.split(",")
+            rows.append((float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr)))
+        except ValueError:
+            raise ValueError(f"scan CSV line {number} is not five numbers: {line!r}") from None
     if rows is None:  # an empty file, or a write cut off after its metadata
         raise ValueError(f"scan CSV has no header line {','.join(SCAN_COLUMNS)}")
     arr = np.array(rows, dtype=float).reshape(-1, len(SCAN_COLUMNS))
@@ -437,6 +436,9 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 def summarize_csv(path) -> MeasureEstimate:
     """Recompute the summary of a written scan from its records."""
     cols, meta = read_scan_csv(path)
-    eps = _check_real("eps", float(meta.get("eps", DEFAULT_EPS)), 0, strict=True)
+    eps = meta.get("eps", DEFAULT_EPS)
+    with suppress(ValueError):  # text that is not a number: _check_real names it
+        eps = float(eps)
+    eps = _check_real("eps", eps, 0, strict=True)
     t = cols["torsion"]
     return MeasureEstimate.from_torsion(t[~np.isnan(t)], eps)

@@ -196,7 +196,7 @@ def torsion_trace(map: LiftedMap, p, w=VERTICAL, n: int = 1) -> TorsionTrace:
     cumulative array is the plain running sum in the same order.  Raises
     IterationCapError when n exceeds ITERATE_CAP, before any allocation.
     """
-    n = _check_cap(_check_count("n", n))
+    n = _check_cap("n", _check_count("n", n))
     x, y = _as_point(p)
     wx, wy = _as_dir(w)
     # One row per point: x, y, wx, wy, the step into it, the cumulative.
@@ -543,9 +543,10 @@ def cocycle_scan(
     Directions default to vertical; custom directions can be passed per
     lane as wx and wy, both shaped like x, each a nonzero finite vector
     (ValueError otherwise).  With custom directions or keep_history the
-    angle is also lifted after every step.  Invalid lanes (a twist
-    violation at some step, or a non-finite final point or direction)
-    are masked out instead of raising.
+    angle is also lifted after every step; keep_history's (n + 1) rows of
+    lanes are held to ITERATE_CAP.  Invalid lanes (a twist violation at
+    some step, or a non-finite final point or direction) are masked out
+    instead of raising.
 
     With stop_at_overconjugate the scan ends after the first step at which
     a valid lane with a finite orbit becomes over-conjugate, and the
@@ -561,6 +562,8 @@ def cocycle_scan(
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     m = x.shape[0]
+    if keep_history:
+        _check_cap("(n + 1) * lanes", (n + 1) * m)
     if wx is None and wy is None:
         wx = np.zeros(m)
         wy = np.ones(m)

@@ -108,6 +108,32 @@ def test_trace_over_the_cap_exits_one(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, name, size",
+    [
+        (["psi", "--map", "shear", "--rho", "0,1/2", "--res", "4"], "resolution * sum(q)", 12),
+        (["field", "--map", "shear", "--box", "0,1,0,1", "--grid", "4x3", "--n", "5"], "lanes", 12),
+        (["measure", "--map", "shear", "--box", "0,1,0,1", "--samples", "11", "--n", "5"],
+         "lanes", 11),
+        (["probe", "--map", "shear", "--grid", "4x3", "--horizon", "5"], "lanes", 12),
+        (["flux", "--map", "shear", "--res", "11"], "resolution", 11),
+    ],
+    ids=["psi", "field", "measure", "probe", "flux"],
+)
+def test_over_the_cap_exits_one(capsys, monkeypatch, argv, name, size):
+    # a huge request failed in numpy's allocator, or never ended (psi's q)
+    monkeypatch.setattr(twistlab.maps, "ITERATE_CAP", 10)
+    err = f"twistlab: error: |{name}| = {size} exceeds the cap 10\n"
+    assert run_capture(capsys, argv) == (1, "", err)
+
+
+def test_psi_offset_past_the_float_range_exits_one(capsys):
+    # float() of the offset raised "int too large to convert to float"
+    rho = "1" + "0" * 400
+    argv = ["psi", "--map", "shear", "--rho", rho, "--res", "4"]
+    assert run_capture(capsys, argv) == (1, "", f"twistlab: error: rho must be finite, got {rho}\n")
+
+
+@pytest.mark.parametrize(
     "argv, step",
     [
         # the genfun kernel's own OverflowError was printed

@@ -235,6 +235,18 @@ def test_psi_family_rejects_what_is_not_a_rational(rho):
         psi_family(shear(), [rho], resolution=4)
 
 
+@pytest.mark.parametrize("rho", [10**400, Fraction(10**309, 7)], ids=["integer", "fraction"])
+def test_psi_family_offset_past_the_float_range_names_rho(rho):
+    # float(r.numerator) raised "int too large to convert to float"; a
+    # finite rho = 10^309/7 has an offset p that is not
+    p = Fraction(rho).numerator
+    with pytest.raises(ValueError, match=f"^rho must be finite, got {p}$"):
+        psi_family(shear(), [rho], resolution=4)
+    # and so does the probe's family
+    with pytest.raises(ValueError, match=f"^rho must be finite, got {p}$"):
+        integrability_probe(shear(), (2, 2), horizon=5, rationals=[rho])
+
+
 def test_psi_family_standard_island_not_fixed():
     # k=1 has conjugate points; the rho=0 section exists but is not
     # fixed, so the certificate must flag it

@@ -2,21 +2,34 @@
 
 import math
 import pickle
+import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistlab.maps
 from twistlab import (
+    GridMode,
     IterationCapError,
+    MonteCarloMode,
+    ScanConfig,
+    cocycle_scan,
     drift_shear,
+    flux,
     generating_function,
+    integrability_probe,
     iterate,
     parse_map_spec,
+    psi_family,
+    region_x,
     shear,
     standard,
+    torsion_field,
+    torsion_trace,
     twist_check,
 )
 from twistlab.cli import run
@@ -151,6 +164,45 @@ def test_iterate_cap():
     # raises before the (|n| + 1, 2) array is allocated
     with pytest.raises(IterationCapError):
         iterate(shear(), (0.0, 0.0), ITERATE_CAP + 1)
+
+
+BOX = (0.0, 1.0, 0.0, 1.0)
+
+# Every capped entry point as a request of size k: (the size's name, the
+# cap under test, the call).  Each call builds its map, so the kernels
+# fixture sees it.  The probe's flux always solves 256 nodes, so its cap is 256.
+CAPPED = {
+    "iterate": ("n", 10, lambda k: iterate(shear(), (0.0, 0.0), -k)),
+    "torsion_trace": ("n", 10, lambda k: torsion_trace(shear(), (0.0, 0.0), n=k)),
+    "psi_family_q": ("resolution * sum(q)", 10,
+                     lambda k: psi_family(shear(), [Fraction(1, k)], resolution=1)),
+    "psi_family_nodes": ("resolution * sum(q)", 10,
+                         lambda k: psi_family(shear(), [Fraction(0)], resolution=k)),
+    "region_x": ("resolution", 10, lambda k: region_x(shear(), "minus", k)),
+    "flux": ("resolution", 10, lambda k: flux(shear(), k)),
+    "grid_torsion_field": ("lanes", 10,
+                           lambda k: torsion_field(shear(), ScanConfig(BOX, GridMode(k, 1), 5))),
+    "montecarlo_torsion_field": (
+        "lanes", 10, lambda k: torsion_field(shear(), ScanConfig(BOX, MonteCarloMode(k, 0), 5))),
+    "probe_grid": (
+        "lanes", 256, lambda k: integrability_probe(shear(), (1, k), horizon=5, rationals=[0])),
+    "cocycle_scan_history": (
+        "(n + 1) * lanes", 10,
+        lambda k: cocycle_scan(shear(), [0.0], [0.0], k - 1, keep_history=True)),
+}
+
+
+@pytest.mark.parametrize("case", CAPPED)
+def test_size_rule(monkeypatch, kernels, case):
+    # past the cap a request is refused before any kernel runs, at it the request runs
+    name, cap, call = CAPPED[case]
+    monkeypatch.setattr(twistlab.maps, "ITERATE_CAP", cap)
+    message = rf"^\|{re.escape(name)}\| = {cap + 1} exceeds the cap {cap}$"
+    with pytest.raises(IterationCapError, match=message):
+        call(cap + 1)
+    assert not kernels.calls
+    call(cap)
+    assert kernels.calls
 
 
 def test_twist_check_examples():

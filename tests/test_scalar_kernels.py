@@ -94,10 +94,17 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
+def step_scalar(m):
+    """The image and the Jacobian entries of a step, as the scalar methods give them."""
+    def step(x, y):
+        return (*m.apply_scalar(x, y), *m.jacobian_scalar(x, y))
+    return step
+
+
 def check_methods(m, x, y):
     fwd = m.twist_sign == 1
     pairs = [
-        (m.step_scalar, (fwd, True, True)),
+        (step_scalar(m), (fwd, True, True)),
         (m.apply_scalar, (fwd, True, False)),
         (m.apply_inverse_scalar, (not fwd, True, False)),
         (m.jacobian_scalar, (fwd, False, True)),
@@ -155,7 +162,7 @@ def test_single_harmonic_kernels_match_kick(m):
     fwd = m.twist_sign == 1
     for x in EDGES:
         for y in (0.0, -0.0, 0.25, -0.5, 2.0**52):
-            for forward, step, image in ((fwd, m.step_scalar, m.apply_scalar),
+            for forward, step, image in ((fwd, step_scalar(m), m.apply_scalar),
                                          (not fwd, None, m.apply_inverse_scalar)):
                 kx = x if forward else x - y
                 vp, w = _kick(kx, m._harmonics, True, True)
@@ -174,7 +181,7 @@ def test_pickle_and_deepcopy_round_trip(m):
     for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
         assert again == m and hash(again) == hash(m) and repr(again) == repr(m)
         for x, y in [(0.3, 0.1), (0.5, -0.0), (-123.25, 7.5), (2.0**40 + 0.125, 0.01)]:
-            for name in ("step_scalar", "apply_scalar", "apply_inverse_scalar", "jacobian_scalar"):
+            for name in ("apply_scalar", "apply_inverse_scalar", "jacobian_scalar"):
                 assert bits(getattr(again, name)(x, y)) == bits(getattr(m, name)(x, y))
         xa, ya = np.array([0.3, -5.75, 1e6]), np.array([0.1, 0.0, -2.0])
         for a, b in zip(again.step_array(xa, ya), m.step_array(xa, ya)):

@@ -509,6 +509,26 @@ def test_summarize_csv_checks_eps(eps):
         summarize_csv(io.StringIO(edited))
 
 
+@pytest.mark.parametrize("row", ["0.5,0.3", "0.5,0.3,0.1,,0.2,7", "0.5,0.3,abc,,0.2"],
+                         ids=["short", "long", "not-a-number"])
+def test_scan_csv_bad_row_names_its_line(row):
+    # Python's own "not enough values to unpack (expected 5, got 2)" or
+    # "could not convert string to float: 'abc'" named no line
+    text = f"# map=shear\n# eps=0.05\nx,y,torsion,overconj_time,rotation\n0.1,0.2,0.0,,0.3\n{row}\n"
+    message = f"^scan CSV line 5 is not five numbers: {re.escape(repr(row))}$"
+    with pytest.raises(ValueError, match=message):
+        read_scan_csv(io.StringIO(text))
+    with pytest.raises(ValueError, match=message):
+        summarize_csv(io.StringIO(text))
+
+
+def test_summarize_csv_names_an_eps_that_is_not_a_number():
+    # float() raised "could not convert string to float: 'abc'", naming no eps
+    text = "# eps=abc\nx,y,torsion,overconj_time,rotation\n0.1,0.2,0.0,,0.3\n"
+    with pytest.raises(ValueError, match=r"^eps must be finite and positive, got 'abc'$"):
+        summarize_csv(io.StringIO(text))
+
+
 def test_scan_csv_all_invalid_round_trip():
     # An all-invalid scan has nothing to summarize; writing it used to
     # raise "cannot summarize an empty sample".

@@ -46,7 +46,9 @@ class DegenerateAnchorError(Exception):
 def anchored_walk(map, x, y, wx, wy):
     """The walk this lift replaced: three atan2 per step, the step anchored
     within half a turn of the vertical's own step."""
-    step = map.step_scalar
+    def step(x, y):  # the fused step's bits, image then Jacobian
+        return (*map.apply_scalar(x, y), *map.jacobian_scalar(x, y))
+
     while True:
         x1, y1, a, b, c, d = step(x, y)
         if b <= 0.0:
