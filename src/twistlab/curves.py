@@ -326,6 +326,19 @@ def _as_fraction(rho) -> Fraction:
     raise ValueError(f"cannot interpret {rho!r} as a rational rotation number")
 
 
+def _family(rationals: Sequence, resolution: int):
+    """A family's Fractions, resolution and float offsets p, checked: sorted and
+    distinct, finite offsets, and one solver sweep's map steps held to the cap."""
+    rhos = tuple(_as_fraction(r) for r in rationals)
+    if len(rhos) < 1:
+        raise ValueError("need at least one rotation number")
+    if any(b <= a for a, b in zip(rhos, rhos[1:])):
+        raise ValueError("rotation numbers must be sorted and pairwise distinct")
+    resolution = _check_count("resolution", resolution)
+    _check_cap("resolution * sum(q)", resolution * sum(r.denominator for r in rhos))
+    return rhos, resolution, [_check_real("rho", r.numerator) for r in rhos]
+
+
 def psi_family(
     map: LiftedMap,
     rationals: Sequence,
@@ -346,16 +359,9 @@ def psi_family(
     each curve is bit for bit its own solve's, and a failure raises the
     first failing rational's error, at its lowest failing node.
     """
-    rhos = tuple(_as_fraction(r) for r in rationals)
-    if len(rhos) < 1:
-        raise ValueError("need at least one rotation number")
-    if any(b <= a for a, b in zip(rhos, rhos[1:])):
-        raise ValueError("rotation numbers must be sorted and pairwise distinct")
-    resolution = _check_count("resolution", resolution)
-    # one solver sweep steps the map resolution * sum(q) times
-    _check_cap("resolution * sum(q)", resolution * sum(r.denominator for r in rhos))
+    rhos, resolution, offsets = _family(rationals, resolution)
     xs = np.arange(resolution) / resolution
-    ps = np.repeat([_check_real("rho", r.numerator) for r in rhos], resolution)
+    ps = np.repeat(offsets, resolution)
     qs = np.repeat([r.denominator for r in rhos], resolution)
     nodes = np.tile(xs, len(rhos))
     ys, xq, yq = _sections(map, nodes, ps, qs, tol, BRACKET_SAMPLES)
@@ -424,8 +430,8 @@ def integrability_probe(
 ) -> ProbeReport:
     """One-sided test for a phase space foliated by invariant circles.
 
-    Order of business: the grid's lanes are held to ITERATE_CAP first;
-    a non-exact map (|flux| > FLUX_TOL) gets
+    Order of business: the grid's lanes and the rationals are checked
+    first (these as psi_family checks them); a non-exact map (|flux| > FLUX_TOL) gets
     NOT_APPLICABLE; an over-conjugate point anywhere on the grid within
     the horizon gives CONJUGATE_POINTS_FOUND with the earliest witness
     (the grid scan stops at the step it appears, lowest index first);
@@ -440,6 +446,7 @@ def integrability_probe(
     y0, y1 = (_check_real("y_range", y) for y in y_range)
     cfg = ScanConfig(box=(0.0, 1.0, y0, y1), mode=GridMode(nx, ny), horizon=horizon)
     xs, ys = sample_points(cfg)
+    rhos = _family(rationals, PROBE_CURVE_RESOLUTION)[0]
     fl = flux(map)
     report = ProbeReport(
         verdict=VERDICT_NOT_APPLICABLE,
@@ -464,7 +471,7 @@ def integrability_probe(
         idx = int(np.argmin(scan.valid))
         raise NonFiniteOrbitError.at((float(xs[idx]), float(ys[idx])), horizon)
     report.verdict = VERDICT_NO_OBSTRUCTION
-    report.family = psi_family(map, rationals, PROBE_CURVE_RESOLUTION)
+    report.family = psi_family(map, rhos, PROBE_CURVE_RESOLUTION)
     return report
 
 

@@ -36,8 +36,9 @@ inverted map swaps the images, and its step is the forward step at the
 preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
 adjugate.  Floats and arrays agree bit for bit.  The scalar orbit loops
 step block kernels, up to a block of steps a call: a tangent walk and a
-forward orbit, _single_harmonic's with its step written in, the other
-maps' one loop over the per-step kernels (_walk_block, _orbit_block).
+forward orbit, with the step written in for a single harmonic and for
+shear and drift (_drift_blocks), else (genfun with two or more harmonics,
+an inverted map) one loop over the per-step kernels (_walk_block, _orbit_block).
 They record floats in one list per column, which _column moves into
 numpy in one packed copy.  A backward orbit is the inverted map's
 forward orbit.  Each kernel is bound as _observe(name, kernel), the one
@@ -150,19 +151,18 @@ def _kernels(family: str, params, harmonics, arrays: bool):
     step returns (x1, y1, a, b, c, d), image (x1, y1) and inverse the
     preimage (x0, y0); all take floats, or arrays when arrays is set.
     Jacobian entries that do not depend on the point are floats.  An
-    inverted map's step is _inverted(step, inverse).
+    inverted map's step is _inverted(step, inverse).  On floats, shear,
+    drift and a single harmonic add their walk and orbit blocks.
     """
     if not harmonics:
         jac = (1.0, 1.0, 0.0, 1.0)
-        if family == DRIFT:
-            c = params[0]
-            return ((lambda x, y: (x + y, y + c, *jac)), (lambda x, y: (x + y, y + c)),
-                    (lambda x, y: (x - y + c, y - c)))
-        if arrays:  # +y copies y, so no output array is an input array
-            image = lambda x, y: (x + y, +y)
-            return (lambda x, y: (*image(x, y), *jac)), image, (lambda x, y: (x - y, +y))
-        return ((lambda x, y: (x + y, y, *jac)), (lambda x, y: (x + y, y)),
-                (lambda x, y: (x - y, y)))
+        # going forward shear is drift with c = -0.0, as y + (-0.0) is y bit
+        # for bit, -0.0 included; back, y - (-0.0) would turn -0.0 into +0.0
+        c = params[0] if family == DRIFT else -0.0
+        inverse = ((lambda x, y: (x - y + c, y - c)) if family == DRIFT
+                   else (lambda x, y: (x - y, +y)))  # +y copies an array y
+        kernels = (lambda x, y: (x + y, y + c, *jac)), (lambda x, y: (x + y, y + c)), inverse
+        return kernels if arrays else (*kernels, *_drift_blocks(c))
 
     if not arrays and len(harmonics) == 1:
         return _single_harmonic(*harmonics[0][1:])
@@ -253,6 +253,38 @@ def _single_harmonic(p: float, q: float):
             return x, y, i, exc
         return x, y, r, None
     return step, image, inverse, walk, orbit
+
+
+def _drift_blocks(c: float):
+    """Float walk and orbit blocks of x <- x + y, y <- y + c, the step and its
+    Jacobian (1, 1, 0, 1) written into their loops (b is 1.0: no twist test).
+    The direction moves before the point, so a failing step leaves both."""
+    hypot = math.hypot
+
+    def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
+        side = -1.0 if wx < 0.0 else 1.0
+        xs, ys, norms = trace or (None, None, None)
+        try:
+            for i in range(r):
+                iwx = ix[i] = wx + wy
+                iwy = iy[i] = 0.0 * wx + wy  # a bare wy keeps -0.0 where this is +0.0
+                norm = hypot(iwx, iwy)
+                wx, wy = iwx / norm, iwy / norm
+                x, y = x + y, y + c
+                if xs is not None:
+                    xs[i], ys[i], norms[i] = x, y, norm
+                if side * wx < tol or stop is not None and stop(x, y, wx):
+                    return x, y, wx, wy, i + 1, None
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, wx, wy, i, exc
+        return x, y, wx, wy, r, None
+
+    def orbit(x, y, r, xs, ys):  # a float sum never raises
+        for i in range(r):
+            x = xs[i] = x + y
+            y = ys[i] = y + c
+        return x, y, r, None
+    return walk, orbit
 
 
 def _walk_block(step):
@@ -376,7 +408,8 @@ class LiftedMap:
         self._bind_kernels()
 
     def _bind_kernels(self) -> None:
-        """Bind the float kernels and blocks, then step and apply on arrays."""
+        """Bind the float kernels and blocks (the generic ones where _kernels
+        brings none), then step and apply on arrays."""
         args = (self.family, self.params, self._harmonics)
         floats = _kernels(*args, False)
         step_a, image_a, inverse_a = _kernels(*args, True)
@@ -471,10 +504,20 @@ def generating_function(*coeffs: float) -> LiftedMap:
     return LiftedMap(GENFUN, coeffs)
 
 
+def _shown(value) -> str:
+    """repr(value), or the digit count of an int past sys.get_int_max_str_digits()."""
+    try:
+        return repr(value)
+    except ValueError:
+        v = abs(int(value))
+        d = int(v.bit_length() * math.log10(2))  # v has d or d + 1 digits
+        return f"a number of {d + (v >= 10**d)} digits"
+
+
 def _check_count(name: str, value, least=1) -> int:
     """value as an int; ValueError unless it is an int or numpy int (no bool) >= least."""
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -488,7 +531,7 @@ def _check_real(name: str, value, least=-math.inf, strict=False) -> float:
     if not (math.isfinite(x) and (x > least if strict else x >= least)):
         rule = ("" if least == -math.inf else " and positive" if strict and least == 0
                 else f" and {'>' if strict else '>='} {least}")
-        raise ValueError(f"{name} must be finite{rule}, got {value!r}")
+        raise ValueError(f"{name} must be finite{rule}, got {_shown(value)}")
     return x
 
 
@@ -496,7 +539,7 @@ def _check_cap(name: str, size: int) -> int:
     """size, or IterationCapError naming it when it exceeds ITERATE_CAP; each
     request checks this before it allocates anything or steps the map."""
     if size > ITERATE_CAP:
-        raise IterationCapError(f"|{name}| = {size} exceeds the cap {ITERATE_CAP}")
+        raise IterationCapError(f"|{name}| = {_shown(size)} exceeds the cap {ITERATE_CAP}")
     return size
 
 

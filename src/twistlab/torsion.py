@@ -34,7 +34,7 @@ from .errors import CoincidentPointsError, NonFiniteOrbitError
 from .maps import (BLOCK, DRIFT, TWO_PI, LiftedMap, _as_point, _check_block, _check_cap,
                    _check_count, _check_real, _column)
 
-# Default tolerances; every op taking them accepts overrides.
+# The detectors' default tol, and linking_number's fixed half-turn margin.
 VERTICAL_TOL = 1e-9
 HALF_TURN_WARN_TOL = 1e-6
 

@@ -2,19 +2,25 @@
 
 A map's orbit blocks take r steps of its per-step image kernels, its walk
 block the steps of a per-step walk over its step kernel, bit for bit, and
-stop, fail and name the failing step where the per-step loops do.
+stop, fail and name the failing step where the per-step loops do.  Forward
+shear and drift write their step into their blocks, which take the steps
+of the generic blocks over their per-step kernels.
 """
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_maps import CATALOGUE
 from test_walk_blocks import EDGES, directions
 
+import twistlab.maps
 from twistlab import (
+    LiftedMap,
     NonFiniteOrbitError,
     TwistViolationError,
     asymptotic_torsion,
@@ -26,7 +32,7 @@ from twistlab import (
     standard,
     torsion_trace,
 )
-from twistlab.maps import BLOCK
+from twistlab.maps import BLOCK, _orbit_block, _walk_block
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=200)
 
@@ -185,3 +191,81 @@ def test_an_orbit_failing_mid_block_is_named_at_the_per_step_loops_step(m, x, y,
         assume(not on_edge)
         for call in calls:
             assert named(call) == want
+
+
+# drift with c = +-0.0 keeps y bit for bit, as shear does with its c = -0.0
+TRANSLATIONS = st.sampled_from([shear(), drift_shear(0.25), drift_shear(0.0), drift_shear(-0.0),
+                                drift_shear(-3.5)])
+ZEROS = st.sampled_from([0.0, -0.0])
+SIGNED_POINTS = st.tuples(ZEROS | FLOATS | st.floats(-2.0, 2.0),
+                          ZEROS | FLOATS | st.floats(-1.0, 1.0) | HIGH)
+UNITS = st.sampled_from([1.0, -1.0])
+# 0.0 * wx + wy, not wy, is the image of (1.0, -0.0)
+SIGNED_DIRECTIONS = st.tuples(ZEROS, UNITS) | st.tuples(UNITS, ZEROS) | directions
+
+
+def generic(m):
+    """A map like m whose blocks are the generic loops over its per-step kernels."""
+    g = LiftedMap(m.family, m.params)
+    object.__setattr__(g, "_walk_k", _walk_block(g._step_k))
+    object.__setattr__(g, "_orbit_k", _orbit_block(g._apply_k))
+    return g
+
+
+def walk_records(walk, p, w, r, stop, tol):
+    """Everything a walk block returns or records, as bytes, and its error's type."""
+    ix, iy, trace = [0.0] * r, [0.0] * r, ([0.0] * r, [0.0] * r, [0.0] * r)
+    *state, taken, exc = walk(*p, *w, r, ix, iy, trace, stop, tol)
+    records = [state, ix[:taken], iy[:taken], *(column[:taken] for column in trace)]
+    return [bits(values) for values in records], taken, None if exc is None else type(exc)
+
+
+@PROPERTY
+@given(m=TRANSLATIONS, p=SIGNED_POINTS, w=SIGNED_DIRECTIONS, r=st.sampled_from(EDGES),
+       stop=st.sampled_from(sorted(STOPS)), tol=st.sampled_from([-math.inf, 1e-9, 0.3, 1.5]))
+def test_shear_and_drift_blocks_take_the_generic_blocks_steps(m, p, w, r, stop, tol):
+    g = generic(m)
+    assert (walk_records(m._walk_k, p, w, r, STOPS[stop](p), tol)
+            == walk_records(g._walk_k, p, w, r, STOPS[stop](p), tol))
+    xs, ys, want_xs, want_ys = [0.0] * r, [0.0] * r, [0.0] * r, [0.0] * r
+    state = m._orbit_k(*p, r, xs, ys)
+    want = g._orbit_k(*p, r, want_xs, want_ys)
+    assert bits(state[:2]) == bits(want[:2]) and state[2:] == want[2:]
+    assert bits(xs + ys) == bits(want_xs + want_ys)
+
+
+@PROPERTY
+@given(m=TRANSLATIONS, x=st.floats(-1.0, 1.0), y=HIGH, n=st.sampled_from(EDGES))
+def test_shear_and_drift_overflow_is_named_at_the_generic_blocks_step(m, x, y, n):
+    # shear and drift carry inf on, so _check_block walks the block again
+    g, p = generic(m), (x, y)
+    for call in [lambda m: iterate(m, p, n), lambda m: rotation_number(m, p, n),
+                 lambda m: torsion_trace(m, p, n=n), lambda m: asymptotic_torsion(m, p, n, n)]:
+        assert named(lambda: call(m)) == named(lambda: call(g))
+
+
+def test_forward_shear_and_drift_blocks_call_no_step_kernel(monkeypatch, kernels):
+    # the generic blocks are built over counted per-step kernels
+    calls = Counter()
+
+    def counted(name, kernel):
+        def call(x, y):
+            calls[name] += 1
+            return kernel(x, y)
+        return call
+
+    walk_block, orbit_block = twistlab.maps._walk_block, twistlab.maps._orbit_block
+    monkeypatch.setattr(twistlab.maps, "_walk_block", lambda step: walk_block(counted("step", step)))
+    monkeypatch.setattr(twistlab.maps, "_orbit_block",
+                        lambda image: orbit_block(counted("image", image)))
+    p, n = (0.3, 0.1), BLOCK + 1
+    for m in (shear(), drift_shear(0.25)):
+        torsion_trace(m, p, n=n)
+        iterate(m, p, n)
+    assert not calls and kernels.calls == {"_walk_k": 2 * n, "_orbit_k": 2 * n}
+    # genfun with two harmonics and the inverted maps keep the generic blocks
+    torsion_trace(generating_function(0.02, -0.007), p, n=n)
+    iterate(shear(), p, -n)
+    with pytest.raises(TwistViolationError):
+        torsion_trace(drift_shear(0.25).inverted(), p, n=n)
+    assert calls == {"step": n + 1, "image": n}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twistlab import (
+    IterationCapError,
     NonFiniteOrbitError,
     NonMonotoneBracketError,
     VERDICT_CONJUGATE,
@@ -245,6 +246,29 @@ def test_psi_family_offset_past_the_float_range_names_rho(rho):
     # and so does the probe's family
     with pytest.raises(ValueError, match=f"^rho must be finite, got {p}$"):
         integrability_probe(shear(), (2, 2), horizon=5, rationals=[rho])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: standard(10**5000), "k must be finite and >= 0, got a number of 5001 digits"),
+    (lambda: psi_family(shear(), [10**5000]), "rho must be finite, got a number of 5001 digits"),
+    (lambda: psi_family(shear(), [Fraction(1, 10**5000)], resolution=1),
+     r"\|resolution \* sum\(q\)\| = a number of 5001 digits exceeds the cap 10000000"),
+], ids=["k", "rho", "q"])
+def test_an_integer_too_long_for_repr_is_named_by_its_digits(call, message):
+    # repr of an int past 4300 digits raised CPython's "Exceeds the limit"
+    with pytest.raises((ValueError, IterationCapError), match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("rationals, message", [
+    ([Fraction(1, 2), Fraction(0)], "rotation numbers must be sorted and pairwise distinct"),
+    ([Fraction(1, 10**20)], rf"\|resolution \* sum\(q\)\| = {256 * 10**20} exceeds the cap"),
+], ids=["unsorted", "past_the_cap"])
+def test_probe_checks_its_rationals_before_any_map_step(kernels, rationals, message):
+    # they were checked only by psi_family, after flux and the grid scan
+    with pytest.raises((ValueError, IterationCapError), match=f"^{message}"):
+        integrability_probe(standard(0.0), (4, 4), horizon=5, rationals=rationals)
+    assert not kernels.calls
 
 
 def test_psi_family_standard_island_not_fixed():
