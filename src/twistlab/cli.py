@@ -538,11 +538,8 @@ def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, and return the process exit status."""
     try:
         args = _build_parser().parse_args(_merge_negative_values(argv))
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits with an int status
+        return exc.code
     cmd = _COMMANDS[args.cmd]
     try:
         _validate(args, cmd)

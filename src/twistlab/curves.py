@@ -23,12 +23,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from numbers import Integral, Rational
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BracketExpansionError, NonFiniteOrbitError, NonMonotoneBracketError
-from .maps import LiftedMap, _as_point, _check_cap, _check_count, _check_real, _orbit, iterate
+from .maps import (LiftedMap, _as_point, _check_cap, _check_count, _check_items, _check_real,
+                   _orbit, iterate)
 from .stats import GridMode, ScanConfig, sample_points, write_table
 from .torsion import cocycle_scan, detect_overconjugate
 
@@ -152,10 +154,11 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
     double outward to +-2^16 before giving up; with monotone_samples > 1
     the bracket is then sampled that many times and must be strictly
     increasing, since bisection could otherwise land on any of several
-    roots (NonMonotoneBracketError); bisection stops once |g| < tol, when
-    the bracket has collapsed to 4 ulp, or after 200 halvings.  A node
-    that fails drops out; once every node is done, the error of the
-    lowest-index failing node is raised.
+    roots (NonMonotoneBracketError); bisection stops once |g| < tol or
+    the bracket has collapsed to 4 ulp, which a bracket of at most 2^17
+    reaches within about 70 halvings.  A node that fails drops out; once
+    every node is done, the error of the lowest-index failing node is
+    raised.
     """
     # tol = 0 is allowed: no residual beats it, so every bracket collapses
     # and the solver's own error says so.
@@ -193,22 +196,19 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
     roots = np.full(len(xs), np.nan)
     # The nodes still bisecting, with their brackets, compacted as they finish.
     x, lo, hi = xs[act], lo[act], hi[act]
-    for _ in range(200):
-        if not act.size:
-            break
+    while act.size:
         mid = 0.5 * (lo + hi)
         g_mid = g(x, mid)
         done = np.abs(g_mid) < tol
-        if done.any():
-            roots[act[done]] = mid[done]
-            keep = ~done
-            act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
-            mid, g_mid = mid[keep], g_mid[keep]
         below = g_mid < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         ulp = np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
         collapsed = hi - lo <= 4.0 * ulp
+        if not (done.any() or collapsed.any()):
+            continue
+        roots[act[done]] = mid[done]
+        collapsed &= ~done
         if collapsed.any():
             last = 0.5 * (lo[collapsed] + hi[collapsed])
             g_abs = np.abs(g(x[collapsed], last))
@@ -218,10 +218,8 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
                     f"bracket collapsed with residual {float(r):.3e} >= tol {tol:.3e}"
                 ))
             roots[act[collapsed][~bad]] = last[~bad]
-            keep = ~collapsed
-            act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
-    for j in act:
-        fail(j, BracketExpansionError("bisection failed to meet tolerance"))
+        keep = ~(done | collapsed)
+        act, x, lo, hi = act[keep], x[keep], lo[keep], hi[keep]
     if errors:
         raise errors[min(errors)]
     return roots
@@ -315,12 +313,13 @@ def rotation_number(map: LiftedMap, p, horizon: int) -> RotationEstimate:
 
 
 def _as_fraction(rho) -> Fraction:
-    """A Fraction, an int, a "p/q" string or a (p, q) pair; no bool, no zero q."""
+    """A rational number (a Fraction, an int, numpy's too), a "p/q" string or a
+    (p, q) pair, as a Fraction of ints; no bool, no zero q."""
     args = rho if isinstance(rho, tuple) else (rho,)
-    known = isinstance(rho, (Fraction, int, str)) or (isinstance(rho, tuple) and len(rho) == 2)
+    known = isinstance(rho, (Rational, str)) or (isinstance(rho, tuple) and len(rho) == 2)
     if known and not any(isinstance(a, bool) for a in args):
         try:
-            return Fraction(*args)
+            return Fraction(*(int(a) if isinstance(a, Integral) else a for a in args))
         except (TypeError, ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"cannot interpret {rho!r} as a rational rotation number")
@@ -441,9 +440,11 @@ def integrability_probe(
     the first invalid lane's start.  The grid is a scan's, over the box
     (0, 1) x y_range.  Absence of detection is evidence, not proof.
     """
-    nx, ny = _check_count("grid", grid[0]), _check_count("grid", grid[1])
+    nx, ny = (_check_count("grid", n) for n in _check_items("grid", grid))
     horizon = _check_count("horizon", horizon)
-    y0, y1 = (_check_real("y_range", y) for y in y_range)
+    y0, y1 = (_check_real("y_range", y) for y in _check_items("y_range", y_range))
+    if not (y0 < y1 and math.isfinite(y1 - y0)):
+        raise ValueError(f"y_range must satisfy y0 < y1 with a finite height, got {(y0, y1)}")
     cfg = ScanConfig(box=(0.0, 1.0, y0, y1), mode=GridMode(nx, ny), horizon=horizon)
     xs, ys = sample_points(cfg)
     rhos = _family(rationals, PROBE_CURVE_RESOLUTION)[0]

@@ -258,28 +258,26 @@ def _single_harmonic(p: float, q: float):
 def _drift_blocks(c: float):
     """Float walk and orbit blocks of x <- x + y, y <- y + c, the step and its
     Jacobian (1, 1, 0, 1) written into their loops (b is 1.0: no twist test).
-    The direction moves before the point, so a failing step leaves both."""
+    Neither block raises: float sums and hypot do not, the image of a unit
+    direction is never 0, and a stop only compares floats."""
     hypot = math.hypot
 
     def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
         side = -1.0 if wx < 0.0 else 1.0
         xs, ys, norms = trace or (None, None, None)
-        try:
-            for i in range(r):
-                iwx = ix[i] = wx + wy
-                iwy = iy[i] = 0.0 * wx + wy  # a bare wy keeps -0.0 where this is +0.0
-                norm = hypot(iwx, iwy)
-                wx, wy = iwx / norm, iwy / norm
-                x, y = x + y, y + c
-                if xs is not None:
-                    xs[i], ys[i], norms[i] = x, y, norm
-                if side * wx < tol or stop is not None and stop(x, y, wx):
-                    return x, y, wx, wy, i + 1, None
-        except (ArithmeticError, ValueError) as exc:
-            return x, y, wx, wy, i, exc
+        for i in range(r):
+            iwx = ix[i] = wx + wy
+            iwy = iy[i] = 0.0 * wx + wy  # a bare wy keeps -0.0 where this is +0.0
+            norm = hypot(iwx, iwy)
+            wx, wy = iwx / norm, iwy / norm
+            x, y = x + y, y + c
+            if xs is not None:
+                xs[i], ys[i], norms[i] = x, y, norm
+            if side * wx < tol or stop is not None and stop(x, y, wx):
+                return x, y, wx, wy, i + 1, None
         return x, y, wx, wy, r, None
 
-    def orbit(x, y, r, xs, ys):  # a float sum never raises
+    def orbit(x, y, r, xs, ys):
         for i in range(r):
             x = xs[i] = x + y
             y = ys[i] = y + c
@@ -355,7 +353,8 @@ def _observe(name: str, kernel):
 
 
 def _as_point(p, name: str = "p") -> tuple[float, float]:
-    return _check_real(name, p[0]), _check_real(name, p[1])
+    x, y = _check_items(name, p)
+    return _check_real(name, x), _check_real(name, y)
 
 
 @dataclass(frozen=True)
@@ -381,7 +380,7 @@ class LiftedMap:
     def __post_init__(self) -> None:
         if self.family not in _SPECS:
             raise ValueError(f"unknown map family {self.family!r}")
-        if self.twist_sign not in (1, -1):
+        if isinstance(self.twist_sign, bool) or self.twist_sign not in (1, -1):
             raise ValueError("twist_sign must be +1 or -1")
         names = _SPECS[self.family][1]
         if names is None and not 1 <= len(self.params) <= GENFUN_MAX_INDEX:
@@ -519,6 +518,16 @@ def _check_count(name: str, value, least=1) -> int:
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
+
+
+def _check_items(name: str, value, count: int = 2) -> tuple:
+    """value's items; ValueError unless it is a sequence of exactly count."""
+    try:
+        if len(value) == count:
+            return tuple(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must hold {count} numbers, got {_shown(value)}")
 
 
 def _check_real(name: str, value, least=-math.inf, strict=False) -> float:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .maps import LiftedMap, _as_point, _check_cap, _check_count, _check_real
+from .maps import LiftedMap, _as_point, _check_cap, _check_count, _check_items, _check_real
 from .torsion import _Walk, asymptotic_torsion, cocycle_scan
 
 DEFAULT_EPS = 0.05
@@ -73,7 +73,7 @@ class ScanConfig:
     period: int = 1
 
     def __post_init__(self) -> None:
-        x0, x1, y0, y1 = (_check_real("box", v) for v in self.box)
+        x0, x1, y0, y1 = (_check_real("box", v) for v in _check_items("box", self.box, 4))
         # a finite area has a finite width and height
         if not math.isfinite((x1 - x0) * (y1 - y0)):
             raise ValueError("box width, height and area must be finite")
@@ -283,7 +283,7 @@ def check_window(window, p) -> tuple[tuple[float, float, float, float], tuple[fl
     The window's x-width must lie in (0, 1], its y-range must be
     increasing, and the start point must lie in it.
     """
-    x0, x1, y0, y1 = (_check_real("window", v) for v in window)
+    x0, x1, y0, y1 = (_check_real("window", v) for v in _check_items("window", window, 4))
     if not (0.0 < x1 - x0 <= 1.0):
         raise ValueError("window width in x must be in (0, 1]")
     if not y0 < y1:
@@ -403,7 +403,8 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Parse a scan CSV back into column arrays plus its metadata dict.
 
     An empty overconj_time field reads as -1 (not detected); a row that
-    is not five numbers raises ValueError naming its line.
+    is not five numbers, or whose overconj_time is not an integer, raises
+    ValueError naming its line.
     """
     meta: dict[str, str] = {}
     rows: list[tuple[float, ...]] | None = None  # a list once the header is read
@@ -424,7 +425,10 @@ def read_scan_csv(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             continue
         try:
             fx, fy, ft, foc, fr = line.split(",")
-            rows.append((float(fx), float(fy), float(ft), float(foc) if foc else -1.0, float(fr)))
+            oc = float(foc) if foc else -1.0
+            if not oc.is_integer():  # a step count, -2 (invalid) or empty
+                raise ValueError
+            rows.append((float(fx), float(fy), float(ft), oc, float(fr)))
         except ValueError:
             raise ValueError(f"scan CSV line {number} is not five numbers: {line!r}") from None
     if rows is None:  # an empty file, or a write cut off after its metadata

@@ -305,38 +305,36 @@ def conjugate_report(
     """Run both detectors; cumulative is reported at the earliest hit.
 
     Both detectors watch one walk of the vertical-start cocycle, which
-    stops once each answer is settled: the conjugate time is found and
-    the walk is 50 steps past the over-conjugate time, or the horizon is
-    reached.  Every step walked from the over-conjugate time on is
-    re-checked to stay below -1/2 (_overconjugate).  An orbit that leaves
-    the float range raises NonFiniteOrbitError.
+    stops once both answers are settled, 50 steps past the over-conjugate
+    time and no sooner than the conjugate time, or at the horizon.  Every
+    step walked from the over-conjugate time on is re-checked to stay
+    below -1/2 (_overconjugate).  An orbit that leaves the float range
+    raises NonFiniteOrbitError.
     """
     horizon = _check_count("horizon", horizon)
     tol = _check_real("tol", tol, 0, strict=True)
-    over = over_cum = hit = None
+    over = hit = cum_at = None
     until = horizon
     walk = _Walk(map, *_as_point(p), 0.0, 1.0)
-    while walk.n < (horizon if hit is None else until):
+    while walk.n < until:
         n0, side = walk.n, -1.0 if walk.wx < 0.0 else 1.0
-        # Until the conjugate time a block ends where its test fires; after
-        # it, a block takes at most 51 steps while the over-conjugate time
-        # is unknown, so that none is taken past that time's re-check.
-        if hit is None:
-            cum = walk.run(horizon - n0, tol=tol)
-        else:
-            cum = walk.run((until if over is not None else min(until, n0 + 51)) - n0)
-        first = over is None
+        # Until the conjugate time a block ends where its sign test fires.
+        # After it, while the over-conjugate time is unknown, a block takes
+        # at most 51 steps, so none passes that time's re-check: the
+        # cumulative may round below -1/2 a step after the sign change.
+        end = until if hit is None or over is not None else min(until, n0 + 51)
+        cum = walk.run(end - n0, tol=tol if hit is None else -math.inf)
         over = _overconjugate(cum, n0, over)
-        if first and over is not None:
-            over_cum, until = float(cum[over - n0 - 1]), min(over + 50, horizon)
+        if cum_at is None and over is not None:  # found in this block
+            cum_at = float(cum[over - n0 - 1])
         if hit is None and side * walk.wx < tol:  # wx changed sign or is near 0
             k = round(-2.0 * walk.cum)
             if k >= 1 and abs(walk.cum + 0.5 * k) < 0.25:
-                hit = (walk.n, k, walk.cum)
-    cum_at = over_cum
-    if hit is not None and (over is None or hit[0] <= over):
-        cum_at = hit[2]
-    return ConjugateReport(over, None if hit is None else hit[:2], cum_at, horizon, tol)
+                hit = (walk.n, k)
+                cum_at = walk.cum if cum_at is None else cum_at
+        if hit is not None and over is not None:
+            until = min(over + 50, horizon)
+    return ConjugateReport(over, hit, cum_at, horizon, tol)
 
 
 def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:

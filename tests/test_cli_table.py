@@ -1,15 +1,18 @@
 """The CLI's command table: printed keys, --out policy, flag checks, help,
-usage errors found before any computation, and the README's commands."""
+usage errors found before any computation, and the README's commands; the
+package's argument checks and its public names."""
 
 import io
 import math
 import re
 import shlex
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistlab
 import twistlab.curves
 import twistlab.stats
 from twistlab import (
@@ -17,12 +20,17 @@ from twistlab import (
     LiftedMap,
     ScanConfig,
     cocycle_scan,
+    conjugate_report,
     detect_overconjugate,
+    first_return_torsion,
+    integrability_probe,
+    linking_number,
     parse_map_spec,
     psi_family,
     read_scan_csv,
     region_x,
     shear,
+    torsion_trace,
 )
 from twistlab.cli import run
 
@@ -260,10 +268,20 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
                      id="LiftedMap-family"),
         pytest.param(lambda: LiftedMap("shear", (), 2), "^twist_sign must be \\+1 or -1$",
                      id="LiftedMap-twist_sign"),
+        pytest.param(lambda: LiftedMap("shear", (), True), "^twist_sign must be \\+1 or -1$",
+                     id="LiftedMap-twist_sign-bool"),
         pytest.param(lambda: cocycle_scan(shear(), np.zeros(3), np.zeros(2), 5),
                      "^x and y must be 1-d arrays of equal length$", id="cocycle_scan-lengths"),
         pytest.param(lambda: read_scan_csv(io.StringIO("x,y\n")),
                      "^unexpected CSV header 'x,y'$", id="read_scan_csv-header"),
+        # these two raised "box must satisfy x0 < x1 and y0 < y1" and "box
+        # width, height and area must be finite", naming no y_range
+        pytest.param(lambda: integrability_probe(shear(), (2, 2), (2, -2), 5),
+                     r"^y_range must satisfy y0 < y1 with a finite height, got \(2.0, -2.0\)$",
+                     id="probe-y_range-reversed"),
+        pytest.param(lambda: integrability_probe(shear(), (2, 2), (-1e308, 1e308), 5),
+                     "^y_range must satisfy y0 < y1 with a finite height",
+                     id="probe-y_range-height"),
     ],
 )
 def test_argument_checks_name_the_argument(capsys, call, message):
@@ -275,6 +293,46 @@ def test_argument_checks_name_the_argument(capsys, call, message):
         code, out, err = run_capture(capsys, call)
         assert (code, out) == (2, "")
         assert re.search(message, err)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(lambda v: conjugate_report(shear(), v, 5), "p", (1, 2, 3), id="point-long"),
+        pytest.param(lambda v: conjugate_report(shear(), v, 5), "p", (1,), id="point-short"),
+        pytest.param(lambda v: torsion_trace(shear(), (0, 0), v, 3), "direction", (1, 0, 0),
+                     id="direction"),
+        pytest.param(lambda v: linking_number(shear(), (0, 0), v, 3), "q", 0.5, id="q-number"),
+        pytest.param(lambda v: integrability_probe(shear(), v, horizon=5), "grid", (8, 8, 8),
+                     id="grid-long"),
+        pytest.param(lambda v: integrability_probe(shear(), v, horizon=5), "grid", (2,),
+                     id="grid-short"),
+        pytest.param(lambda v: integrability_probe(shear(), v, horizon=5), "grid", 2,
+                     id="grid-number"),
+        pytest.param(lambda v: integrability_probe(shear(), (2, 2), v, 5), "y_range", (-1, 0, 1),
+                     id="y_range"),
+        pytest.param(lambda v: ScanConfig(box=v, mode=GridMode(2, 2), horizon=5), "box",
+                     (0, 1, 2), id="box"),
+        pytest.param(lambda v: first_return_torsion(shear(), v, (0.5, 0.5), 5), "window",
+                     (0, 1, 0), id="window"),
+    ],
+)
+def test_fixed_length_arguments_name_themselves(call, name, value):
+    # (1, 2, 3) was read as the point (1, 2) and grid=(8, 8, 8) as 8x8; (1,)
+    # and grid=(2,) raised IndexError, grid=2 TypeError, and a y_range, box
+    # or window of the wrong length Python's unpack text
+    count = 4 if name in ("box", "window") else 2
+    with pytest.raises(ValueError, match=f"^{name} must hold {count} numbers, got "
+                                         f"{re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_all_holds_every_public_name():
+    # vertical_step_variation was imported but left out of __all__
+    public = {name for name, value in vars(twistlab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(twistlab.__all__) == sorted(public)
+    assert len(twistlab.__all__) == len(set(twistlab.__all__))
 
 
 def test_scan_config_rejects_non_finite_eps():

@@ -211,6 +211,15 @@ def test_psi_family_accepts_mixed_rational_inputs():
     fam = psi_family(standard(0.0), ["-1/2", 0, (1, 2)], resolution=32)
     assert fam.rotation_numbers == (Fraction(-1, 2), Fraction(0), Fraction(1, 2))
     assert fam.monotone_ok
+    # numpy integers, as every count takes them, raised "cannot interpret";
+    # a pair of them made a Fraction of numpy integers
+    fam = psi_family(standard(0.0), [np.int64(-1), (np.int64(1), np.int64(2)), np.int64(1)],
+                     resolution=8)
+    assert fam.rotation_numbers == (Fraction(-1), Fraction(1, 2), Fraction(1))
+    assert {type(n) for r in fam.rotation_numbers for n in (r.numerator, r.denominator)} == {int}
+    assert psi_family(shear(), [np.int64(1)], resolution=4).rotation_numbers == (Fraction(1),)
+    report = integrability_probe(standard(0.0), (2, 2), horizon=5, rationals=[np.int64(0)])
+    assert report.family.rotation_numbers == (Fraction(0),)
 
 
 def test_psi_family_ordering_property():

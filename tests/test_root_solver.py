@@ -295,3 +295,23 @@ def test_solver_tol_zero_collapses_every_bracket():
         _sections(standard(0.5), np.array([0.25]), 0, 1, 0.0)
     with pytest.raises(BracketExpansionError, match="bracket collapsed"):
         _solve_roots(lambda x, y: y - x, np.array([0.1, 0.3]), 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300])
+def test_solver_tol_zero_ends_by_the_collapse_test(scale):
+    # No residual is below tol = 0, so every node ends on the 4-ulp collapse
+    # test, which a bracket of at most 2^17 reaches within about 70 halvings:
+    # a solve takes under 100 calls of g, bracketing included, and needs no
+    # cap on its halvings.
+    top = math.nextafter(BRACKET_LIMIT, 0.0)
+    roots = np.array([0.0, 1.0, -1.0, top, -top])
+    for nodes in [[j] for j in range(len(roots))] + [list(range(len(roots)))]:
+        calls = []
+
+        def g(j, y):
+            calls.append(len(j))
+            return scale * (y - roots[j])
+
+        with pytest.raises(BracketExpansionError, match="^bracket collapsed with residual"):
+            _solve_roots(g, np.array(nodes), 0.0)
+        assert len(calls) <= 100, nodes

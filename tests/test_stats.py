@@ -509,11 +509,15 @@ def test_summarize_csv_checks_eps(eps):
         summarize_csv(io.StringIO(edited))
 
 
-@pytest.mark.parametrize("row", ["0.5,0.3", "0.5,0.3,0.1,,0.2,7", "0.5,0.3,abc,,0.2"],
-                         ids=["short", "long", "not-a-number"])
+@pytest.mark.parametrize("row", ["0.5,0.3", "0.5,0.3,0.1,,0.2,7", "0.5,0.3,abc,,0.2",
+                                 "0.5,0.3,0.1,1.5,0.2", "0.5,0.3,0.1,nan,0.2",
+                                 "0.5,0.3,0.1,inf,0.2"],
+                         ids=["short", "long", "not-a-number", "overconj-fraction",
+                              "overconj-nan", "overconj-inf"])
 def test_scan_csv_bad_row_names_its_line(row):
     # Python's own "not enough values to unpack (expected 5, got 2)" or
-    # "could not convert string to float: 'abc'" named no line
+    # "could not convert string to float: 'abc'" named no line; an
+    # overconj_time of 1.5, nan or inf, which no writer writes, was read
     text = f"# map=shear\n# eps=0.05\nx,y,torsion,overconj_time,rotation\n0.1,0.2,0.0,,0.3\n{row}\n"
     message = f"^scan CSV line 5 is not five numbers: {re.escape(repr(row))}$"
     with pytest.raises(ValueError, match=message):

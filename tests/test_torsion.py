@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_block_kernels import HIGH, named
 from test_maps import CATALOGUE
@@ -36,6 +36,7 @@ from twistlab import (
     vertical_step_variation,
 )
 from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, _orbit_block, parse_map_spec
+from twistlab.torsion import VERTICAL_TOL
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -357,6 +358,40 @@ def test_conjugate_report_walks_once(kernels):
     rep = conjugate_report(standard(0.0), (0.3, 0.2), 500)
     assert rep.first_overconjugate is None and rep.first_conjugate is None
     assert kernels.calls == {"_walk_k": 500}
+
+
+def test_conjugate_report_stops_past_a_late_rounding(kernels):
+    # The vertical turns about the elliptic fixed point of this map and
+    # crosses at step 68 with wx = -3e-16, but its cumulative rounds to
+    # -1/2 there: the conjugate time is 68 and the over-conjugate time 69,
+    # inside the block after it.  The next crossing is over 60 steps later,
+    # and the walk still stops 50 steps past 69.
+    rep = conjugate_report(standard(0.002134050395255111), (0.0, 0.0), 2000)
+    assert (rep.first_overconjugate, rep.first_conjugate) == (69, (68, 1))
+    assert rep.cumulative_at_detection == -0.5
+    assert kernels.calls == {"_walk_k": 119}
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=CATALOGUE, p=st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)),
+       horizon=st.sampled_from([1, 2, 50, 51, 52, 300, 1100]),
+       tol=st.sampled_from([VERTICAL_TOL, 1e-4, 0.3]))
+@example(m=standard(1.0), p=(0.02, 0.0), horizon=1100, tol=VERTICAL_TOL)
+@example(m=standard(0.002134050395255111), p=(0.0, 0.0), horizon=1100, tol=0.3)
+def test_conjugate_report_walks_until_both_answers_settle(kernels, m, p, horizon, tol):
+    """The walk takes the horizon's steps unless both times are known, and
+    then 50 past the over-conjugate time, but no fewer than the conjugate
+    time, within the horizon."""
+    m = LiftedMap(m.family, m.params)  # counted: CATALOGUE's shear was built at import
+    kernels.calls.clear()
+    try:
+        rep = conjugate_report(m, p, horizon, tol)
+    except NonFiniteOrbitError:
+        return
+    over, hit = rep.first_overconjugate, rep.first_conjugate
+    want = horizon if over is None or hit is None else max(hit[0], min(over + 50, horizon))
+    assert kernels.calls["_walk_k"] == want
 
 
 def ref_jacobi(m, p, horizon):
