@@ -118,30 +118,38 @@ def _kick(x: float, harmonics, sin: bool, cos: bool) -> tuple[float, float]:
 
 def _fold_arr(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_kick's range reduction, elementwise: u in [0, 1/2] and the signed
-    full turn (-2 pi where the half turn was split off, else 2 pi)."""
-    u = s - np.floor(s)
-    hi = u >= 0.5
-    u -= 0.5 * hi
-    return u, TWO_PI - (2.0 * TWO_PI) * hi
+    full turn (-2 pi where the half turn was split off, else 2 pi), in
+    arrays it owns.  The split u >= 1/2 is cast to float once, as h in
+    {0, 1/2}: u - h and h (-8 pi) + 2 pi are exact, -0.0 + 2 pi being 2 pi."""
+    u = np.floor(s)
+    np.subtract(s, u, out=u)
+    h = (u >= 0.5).astype(float)
+    h *= 0.5
+    u -= h
+    h *= -4.0 * TWO_PI
+    h += TWO_PI
+    return u, h
 
 
 def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
-    """Elementwise _kick: the same arithmetic, with no branches."""
+    """Elementwise _kick: the same arithmetic, with no branches, written
+    into temporaries it owns (never into x)."""
     vp = w = 0.0
     for i, p, q in harmonics:
         u, turn = _fold_arr(x if i == 1 else i * x)
         if sin:
-            v = np.minimum(u, 0.5 - u)
+            v = 0.5 - u
+            np.minimum(u, v, out=v)
             v *= turn
             np.sin(v, out=v)
             v *= p
-            vp = vp - v
-        if cos:
-            v = 0.25 - u
-            v *= turn
-            np.sin(v, out=v)
-            v *= q
-            w = w - v
+            vp = np.subtract(vp, v, out=v)
+        if cos:  # u's last use
+            np.subtract(0.25, u, out=u)
+            u *= turn
+            np.sin(u, out=u)
+            u *= q
+            w = np.subtract(w, u, out=u)
     return vp, w
 
 
@@ -380,8 +388,10 @@ class LiftedMap:
     def __post_init__(self) -> None:
         if self.family not in _SPECS:
             raise ValueError(f"unknown map family {self.family!r}")
-        if isinstance(self.twist_sign, bool) or self.twist_sign not in (1, -1):
+        sign = self.twist_sign
+        if isinstance(sign, bool) or not isinstance(sign, Integral) or sign not in (1, -1):
             raise ValueError("twist_sign must be +1 or -1")
+        object.__setattr__(self, "twist_sign", int(sign))
         names = _SPECS[self.family][1]
         if names is None and not 1 <= len(self.params) <= GENFUN_MAX_INDEX:
             raise ValueError(f"{self.family} takes 1 to {GENFUN_MAX_INDEX} cosine coefficients")

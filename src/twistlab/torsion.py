@@ -600,7 +600,7 @@ def cocycle_scan(
         for step in range(1, n + 1):
             x, y, a, b, c, d = map.step_array(x, y)
             # b comes back as a float where the twist entry is constant
-            if np.ndim(b) or not b > 0.0:
+            if type(b) is not float or not b > 0.0:
                 valid &= b > 0.0
             _combine(a, wx, b, wy, iwx, tmp)
             _combine(c, wx, d, wy, iwy, tmp)

@@ -270,6 +270,12 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
                      id="LiftedMap-twist_sign"),
         pytest.param(lambda: LiftedMap("shear", (), True), "^twist_sign must be \\+1 or -1$",
                      id="LiftedMap-twist_sign-bool"),
+        # a float was kept as given: 1.0 printed twist_sign=1.0, and
+        # np.float64(-1.0) built inverted(shear)
+        pytest.param(lambda: LiftedMap("shear", (), 1.0), "^twist_sign must be \\+1 or -1$",
+                     id="LiftedMap-twist_sign-float"),
+        pytest.param(lambda: LiftedMap("shear", (), np.float64(-1.0)),
+                     "^twist_sign must be \\+1 or -1$", id="LiftedMap-twist_sign-numpy-float"),
         pytest.param(lambda: cocycle_scan(shear(), np.zeros(3), np.zeros(2), 5),
                      "^x and y must be 1-d arrays of equal length$", id="cocycle_scan-lengths"),
         pytest.param(lambda: read_scan_csv(io.StringIO("x,y\n")),
@@ -293,6 +299,13 @@ def test_argument_checks_name_the_argument(capsys, call, message):
         code, out, err = run_capture(capsys, call)
         assert (code, out) == (2, "")
         assert re.search(message, err)
+
+
+def test_twist_sign_is_stored_as_an_int():
+    # a numpy integer was kept as given, and the repr printed np.int64(-1)
+    m = LiftedMap("shear", (), np.int64(-1))
+    assert type(m.twist_sign) is int and repr(m).endswith("twist_sign=-1)")
+    assert m == shear().inverted() and m.to_spec() == "inverted(shear)"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistlab import (
@@ -70,6 +70,8 @@ def sinpi_fmod(t: float) -> float:
 
 @PROPERTY
 @given(turns)
+@example(-8.150773835443794e-268)
+@example(-5e-324)
 def test_floor_reduction_equals_fmod_wrap(s):
     u, turn = _fold_arr(np.array([s]))
     frac = u[0] + 0.5 if turn[0] < 0.0 else u[0]  # undo the half-turn split (exact)
@@ -79,6 +81,8 @@ def test_floor_reduction_equals_fmod_wrap(s):
 
 @PROPERTY
 @given(turns)
+@example(-8.150773835443794e-268)
+@example(-5e-324)
 def test_sin_equals_fmod_reference(s):
     sin_scalar, _ = _kick(s, UNIT, True, False)
     sin_array, _ = _kick_arr(np.array([s]), UNIT, True, False)
@@ -179,3 +183,33 @@ def test_scan_matches_scalar_trace_on_drawn_maps(m, pts, n):
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     assert_scan_matches_trace(m, xs, ys, n)
+
+
+# lanes carry ordinary, huge, signed-zero and non-finite coordinates
+SPECIAL_LANES = np.array([0.0, -0.0, 0.5, -0.25, 1e15, -1e300, math.inf, -math.inf, math.nan])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(DRAWN_MAPS, DRAWN_MAPS.map(lambda m: m.inverted()),
+                 st.just(standard(1.0).inverted()), st.just(generating_function(0.02, -0.007))),
+       st.sampled_from([1, 7, 256]), st.integers(0, 2**32 - 1), st.booleans())
+def test_array_kernels_never_write_into_their_inputs(m, lanes, seed, custom):
+    # the array kernels write into temporaries they own: a kernel that wrote
+    # into an input, or handed one back, would change its caller's arrays
+    rng = np.random.default_rng(seed)
+    inputs = x, y, wx, wy = [rng.uniform(-3.0, 3.0, lanes) for _ in range(4)]
+    for a in (x, y):
+        special = rng.random(lanes) < 0.2
+        a[special] = rng.choice(SPECIAL_LANES, int(special.sum()))
+    before = [a.tobytes() for a in inputs]
+    given_directions = {"wx": wx, "wy": wy} if custom else {}
+    with np.errstate(all="ignore"):
+        outs = [*m.step_array(x, y), *m.apply_array(x, y)]
+        for keep_history in (False, True):
+            scan = cocycle_scan(m, x, y, 5, keep_history=keep_history, **given_directions)
+            outs += [scan.cumulative, scan.overconj_time, scan.final_x, scan.final_y,
+                     scan.displacement, scan.valid, scan.history]
+    assert [a.tobytes() for a in inputs] == before
+    for out in outs:
+        if isinstance(out, np.ndarray):
+            assert not any(np.shares_memory(out, a) for a in inputs)
