@@ -535,6 +535,11 @@ def cocycle_scan(
     torsion_trace's sum to rounding.  The vertical start is over-conjugate
     at its second crossing.  Directions are renormalized every
     _renormalization_period(map) steps, as the angle ignores their length.
+    A lane gets at most one over-conjugate time (the half-turn index only
+    falls, and a lifted scan tests only lanes without one), so the test
+    stops once every lane has one.  From then on a vertical scan without
+    history counts its crossings in one byte per lane, added to the
+    half-turn index within every 127 steps and at the end.
     Each output entry depends only on its own lane's start point, so
     chunked and whole-array executions produce bit-identical results.
 
@@ -594,6 +599,11 @@ def cocycle_scan(
     period = _renormalization_period(map)
     iwx, iwy, tmp = np.empty(m), np.empty(m), np.empty(m)
     odd1, flip, crossed = (np.empty(m, dtype=bool) for _ in range(3))
+    # pending lanes have no over-conjugate time yet; once none is, a scan
+    # that never lifts counts its crossings in count's bytes, folded into
+    # half within every 127 steps.
+    pending = m
+    count = np.zeros(m, dtype=np.int8)
     # Orbits that leave the float range turn to inf and NaN quietly; the
     # finite tests below flag them.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -611,12 +621,20 @@ def cocycle_scan(
                 wy /= norm
             _odd(wx, wy, odd1)
             np.not_equal(odd1, odd, out=flip)
-            half -= flip
+            if pending or lift:
+                half -= flip
+            else:
+                count -= flip.view(np.int8)
+                if step % 127 == 0:
+                    half += count
+                    count.fill(0)
             odd, odd1 = odd1, odd
             if lift:
                 cum = _lifted_angle(wx, wy, half) - th0
                 if keep_history:
                     history[step] = cum
+            if not pending:
+                continue
             if vertical:
                 # the second crossing, when the half-turn index reaches -2
                 np.equal(half, -2, out=crossed)
@@ -625,17 +643,20 @@ def cocycle_scan(
                 np.less(cum, -0.5, out=crossed)
                 crossed &= oc == -1
             np.copyto(oc, step, where=crossed)
-            if stop_at_overconjugate and crossed.any():
+            hits = np.count_nonzero(crossed)
+            pending -= hits
+            if stop_at_overconjugate and hits:
                 hit = np.flatnonzero(crossed & valid)
                 if _finite(x[hit], y[hit], wx[hit], wy[hit]).any():
                     n = step
                     if keep_history:
                         history = history[: n + 1]
                     break
+        half += count
         valid &= _finite(x, y, wx, wy)
         cum = np.where(valid, _lifted_angle(wx, wy, half) - th0, np.nan)
+        displacement = np.where(valid, x - x0, np.nan)
     oc = np.where(valid, oc, -2)
-    displacement = np.where(valid, x - x0, np.nan)
     if keep_history:
         history[:, ~valid] = np.nan
     return CocycleScan(

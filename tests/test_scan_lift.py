@@ -160,6 +160,50 @@ def test_chunked_field_is_bit_identical_across_renormalizations(m):
             assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
 
 
+def test_chunked_field_is_bit_identical_across_counting_phases():
+    # Some lanes of this box never become over-conjugate, so the whole scan
+    # tests for over-conjugate times to the end, while a one-lane chunk whose
+    # lane has one counts its crossings in a byte for over 127 steps.
+    m = standard(0.5)
+    n = 3 * 127 + 5
+    cfg = ScanConfig(box=(0.0, 1.0, -0.5, 0.5), mode=GridMode(16, 16), horizon=n)
+    whole = torsion_field(m, cfg)
+    assert whole.valid.all()
+    assert (whole.overconj_time == -1).any()
+    assert (whole.overconj_time < n - 127).any() and (whole.overconj_time >= 1).any()
+    part = torsion_field(m, cfg, chunk_size=1)
+    for field in ("torsion", "overconj_time", "rotation", "valid"):
+        assert getattr(part, field).tobytes() == getattr(whole, field).tobytes()
+
+
+@pytest.mark.parametrize("n", [126, 127, 128, 200, 254, 255, 381, 1000])
+def test_byte_crossing_count_folds_without_wrapping(n):
+    # The std:k=6 fixed point (0, 0) has negative eigenvalues, so the vertical
+    # crosses itself every step; it is over-conjugate at step 2, after which
+    # the scan counts crossings in a byte that must never wrap.
+    m = standard(6.0)
+    xs, ys = np.array([0.0]), np.array([0.0])
+    scan = cocycle_scan(m, xs, ys, n)
+    kept = cocycle_scan(m, xs, ys, n, keep_history=True)
+    assert np.all(np.diff(np.floor(2.0 * kept.history[:, 0])) <= -1.0)
+    assert scan.overconj_time.tolist() == [2]
+    assert scan.cumulative.tobytes() == kept.cumulative.tobytes()
+    assert_matches_reference(scan, anchored_scan(m, xs, ys, n))
+
+
+def test_a_lane_that_starts_at_inf_is_masked_quietly():
+    m = shear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = cocycle_scan(m, [np.inf, 0.1], [0.0, 0.2], 3)
+    assert scan.valid.tolist() == [False, True]
+    assert np.isnan(scan.displacement[0]) and np.isnan(scan.cumulative[0])
+    assert scan.overconj_time[0] == -2
+    alone = cocycle_scan(m, [0.1], [0.2], 3)
+    for field in ("cumulative", "overconj_time", "final_x", "final_y", "displacement", "valid"):
+        assert getattr(scan, field)[1:].tobytes() == getattr(alone, field).tobytes()
+
+
 def test_renormalization_period_is_the_largest_safe_one():
     # r steps stretch a unit direction by at most g^r with g = 2 (1 + kick bound)
     for m in (shear(), standard(1.0), standard(2.0), standard(1e6), standard(1e149)):
