@@ -300,7 +300,7 @@ def _trace(a) -> tuple[Fields, Writer]:
     trace = torsion_trace(a.map, a.point, a.vector, a.n)
     # A vertical-start trace already holds the over-conjugate time.
     if _as_dir(a.vector) == VERTICAL:
-        oc = _overconjugate(trace.cumulative[1:], 0)
+        oc = _overconjugate(trace.directions)
     else:
         oc = detect_overconjugate(a.map, a.point, a.n)
     fields = [("torsion", trace.torsion), ("first_overconjugate", "none" if oc is None else oc)]

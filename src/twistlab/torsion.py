@@ -17,7 +17,9 @@ sign structure (conjugate points); a block ends early where a consumer
 must decide, so no walk steps past its stop.  linking_number subtracts
 the two orbits' blocks in numpy.  The vectorized ensemble kernel,
 cocycle_scan, lifts the same way per lane, taking an angle only where
-one is read.  An orbit that leaves the float range raises
+one is read.  Both read one over-conjugate rule: the vertical start is
+over-conjugate at its second crossing, where its lifted angle passes
+-1/2.  An orbit that leaves the float range raises
 NonFiniteOrbitError at the step maps._check_block names, or flags an
 ensemble lane invalid, as does a failed twist.
 """
@@ -242,36 +244,21 @@ def asymptotic_torsion(
 
 
 def detect_overconjugate(map: LiftedMap, p, horizon: int) -> int | None:
-    """First n <= horizon with vertical-start cumulative angle < -1/2.
+    """First n <= horizon at which the vertical start crosses the vertical
+    the second time, entering the half turn below -1/2.
 
-    The walk and its re-check of the cumulative staying below -1/2 are
-    conjugate_report's.
+    That second crossing is the one over-conjugate rule, cocycle_scan's
+    too; the walk is conjugate_report's.
     """
     return conjugate_report(map, p, horizon).first_overconjugate
 
 
-def _overconjugate(cum: np.ndarray, n0: int, over: int | None = None) -> int | None:
-    """The over-conjugate time of a vertical-start walk, re-checked.
-
-    cum holds the cumulatives after steps n0+1, n0+2, ...; over is the time
-    an earlier block found, if any.  Returns over, or else the first step
-    whose cumulative is below -1/2.  Once below, the cumulative must stay
-    there: every entry of cum from that step on is re-checked, and a
-    violation raises RuntimeError since it would mean the engine miscounted.
-    """
-    below = cum < -0.5
-    if over is None:
-        if not below.any():
-            return None
-        over = n0 + 1 + int(np.argmax(below))
-    held = below[max(over - n0 - 1, 0) :]
-    if not held.all():
-        i = len(below) - len(held) + int(np.argmin(held))
-        raise RuntimeError(
-            f"over-conjugate persistence violated at step {n0 + 1 + i} "
-            f"(cumulative {float(cum[i])!r}); this indicates an engine bug"
-        )
-    return over
+def _overconjugate(directions: np.ndarray) -> int | None:
+    """The over-conjugate time of a vertical-start trace, read off its
+    directions: the step of their second _odd parity flip, or None."""
+    odd = _odd(directions[:, 0], directions[:, 1], np.empty(len(directions), dtype=bool))
+    flips = np.flatnonzero(odd[1:] != odd[:-1])
+    return int(flips[1]) + 1 if len(flips) > 1 else None
 
 
 def detect_conjugate(
@@ -305,35 +292,27 @@ def conjugate_report(
     """Run both detectors; cumulative is reported at the earliest hit.
 
     Both detectors watch one walk of the vertical-start cocycle, which
-    stops once both answers are settled, 50 steps past the over-conjugate
-    time and no sooner than the conjugate time, or at the horizon.  Every
-    step walked from the over-conjugate time on is re-checked to stay
-    below -1/2 (_overconjugate).  An orbit that leaves the float range
-    raises NonFiniteOrbitError.
+    stops once both answers are known, at the later of the two times, or
+    at the horizon.  The over-conjugate time is the walk's second
+    crossing, where its half-turn middle falls to -3/4.  An orbit that
+    leaves the float range raises NonFiniteOrbitError.
     """
     horizon = _check_count("horizon", horizon)
     tol = _check_real("tol", tol, 0, strict=True)
     over = hit = cum_at = None
-    until = horizon
     walk = _Walk(map, *_as_point(p), 0.0, 1.0)
-    while walk.n < until:
-        n0, side = walk.n, -1.0 if walk.wx < 0.0 else 1.0
-        # Until the conjugate time a block ends where its sign test fires.
-        # After it, while the over-conjugate time is unknown, a block takes
-        # at most 51 steps, so none passes that time's re-check: the
-        # cumulative may round below -1/2 a step after the sign change.
-        end = until if hit is None or over is not None else min(until, n0 + 51)
-        cum = walk.run(end - n0, tol=tol if hit is None else -math.inf)
-        over = _overconjugate(cum, n0, over)
-        if cum_at is None and over is not None:  # found in this block
-            cum_at = float(cum[over - n0 - 1])
+    while walk.n < horizon and (over is None or hit is None):
+        side = -1.0 if walk.wx < 0.0 else 1.0
+        # tol > 0: every crossing ends a block, so over is a block's end
+        walk.run(horizon - walk.n, tol=tol)
+        if over is None and walk.mid < -0.5:
+            over = walk.n
         if hit is None and side * walk.wx < tol:  # wx changed sign or is near 0
             k = round(-2.0 * walk.cum)
             if k >= 1 and abs(walk.cum + 0.5 * k) < 0.25:
                 hit = (walk.n, k)
-                cum_at = walk.cum if cum_at is None else cum_at
-        if hit is not None and over is not None:
-            until = min(over + 50, horizon)
+        if cum_at is None and (over or hit):
+            cum_at = walk.cum
     return ConjugateReport(over, hit, cum_at, horizon, tol)
 
 
@@ -445,9 +424,9 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
 class CocycleScan:
     """Vectorized vertical-start cocycle results over an ensemble.
 
-    overconj_time is -1 where the cumulative never dropped below -1/2 and
-    -2 on lanes flagged invalid (a twist violation, or an orbit or
-    direction that left the float range); cumulative is NaN there.  n is
+    overconj_time is -1 where no over-conjugate time was found and -2 on
+    lanes flagged invalid (a twist violation, or an orbit or direction
+    that left the float range); cumulative is NaN there.  n is
     the number of steps run: the requested horizon, or fewer when the scan
     stopped at its first over-conjugate time.  history, when requested,
     holds the cumulative record of those steps with history[k] =
@@ -533,8 +512,9 @@ def cocycle_scan(
     angle's half-turn index by one.  The cumulative angle is the final
     direction's angle placed in its counted half turn; it matches
     torsion_trace's sum to rounding.  The vertical start is over-conjugate
-    at its second crossing.  Directions are renormalized every
-    _renormalization_period(map) steps, as the angle ignores their length.
+    at its second crossing, the walk's rule too (conjugate_report).
+    Directions are renormalized every _renormalization_period(map) steps,
+    as the angle ignores their length.
     A lane gets at most one over-conjugate time (the half-turn index only
     falls, and a lifted scan tests only lanes without one), so the test
     stops once every lane has one.  From then on a vertical scan without

@@ -35,6 +35,7 @@ from twistlab import (
     torsion_trace,
     vertical_step_variation,
 )
+from twistlab.cli import run
 from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, _orbit_block, parse_map_spec
 from twistlab.torsion import VERTICAL_TOL
 
@@ -327,49 +328,66 @@ def test_conjugate_report_consistency():
     assert rep.first_conjugate is None
 
 
-def test_overconjugate_persistence_check_raises(monkeypatch):
-    """A cumulative that climbs back above -1/2 trips the re-check."""
-
-    def fake_steps(self, iwx, iwy):
-        # the shear's vertical start never turns past vertical: the steps
-        # -0.6 and 0.3, then none
-        return np.array([-0.6, 0.3] + [0.0] * (len(iwx) - 2))
-
-    monkeypatch.setattr(twistlab.torsion._Walk, "_steps", fake_steps)
-    with pytest.raises(RuntimeError, match="persistence violated at step 2"):
-        detect_overconjugate(shear(), (0.0, 0.0), 10)
-
-
-def test_overconjugate_persistence_is_rechecked_across_blocks(monkeypatch):
-    """The re-check carries into the next block of the walk."""
-
-    def fake_steps(self, iwx, iwy):
-        # over-conjugate at step 3 of the first block, then a climb back at
-        # the first step of the second
-        head = [-0.2, -0.2, -0.2] if self.n == 0 else [0.3]
-        return np.array(head + [0.0] * (len(iwx) - len(head)))
-
-    monkeypatch.setattr(twistlab.torsion._Walk, "_steps", fake_steps)
-    with pytest.raises(RuntimeError, match=f"persistence violated at step {BLOCK + 1}"):
-        conjugate_report(shear(), (0.0, 0.0), 2 * BLOCK)
-
-
 def test_conjugate_report_walks_once(kernels):
     rep = conjugate_report(standard(0.0), (0.3, 0.2), 500)
     assert rep.first_overconjugate is None and rep.first_conjugate is None
     assert kernels.calls == {"_walk_k": 500}
 
 
+DRAWN_POINTS = st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0))
+
+
 def test_conjugate_report_stops_past_a_late_rounding(kernels):
     # The vertical turns about the elliptic fixed point of this map and
-    # crosses at step 68 with wx = -3e-16, but its cumulative rounds to
-    # -1/2 there: the conjugate time is 68 and the over-conjugate time 69,
-    # inside the block after it.  The next crossing is over 60 steps later,
-    # and the walk still stops 50 steps past 69.
+    # crosses at step 68 with wx = -3e-16, where its cumulative rounds to
+    # -1/2; it falls below -1/2 only at step 69.  The crossing is the
+    # over-conjugate time, so the walk stops there with both answers.
     rep = conjugate_report(standard(0.002134050395255111), (0.0, 0.0), 2000)
-    assert (rep.first_overconjugate, rep.first_conjugate) == (69, (68, 1))
+    assert (rep.first_overconjugate, rep.first_conjugate) == (68, (68, 1))
     assert rep.cumulative_at_detection == -0.5
-    assert kernels.calls == {"_walk_k": 119}
+    assert kernels.calls == {"_walk_k": 68}
+
+
+@pytest.mark.parametrize("k, p, walk, scan", [
+    (0.0028346086464761037, (0.0, 0.0), 59, 59),
+    (4.0, (0.25, 0.21995310570091473), 2, 2),
+    # The walk renormalizes by hypot every step and the scan by sqrt once a
+    # period, so at step 68 their wx differ in sign within rounding of 0:
+    # -3.1e-16 on the walk, 7.4e-15 on the scan, which crosses a step later.
+    (0.002134050395255111, (0.0, 0.0), 68, 69),
+])
+def test_overconjugate_at_a_crossing_that_rounds_to_a_half_turn(capsys, k, p, walk, scan):
+    # At each start the vertical crosses with its cumulative rounded to -1/2
+    # exactly; the over-conjugate time is that crossing, not the step at
+    # which the cumulative first falls below -1/2.
+    m = standard(k)
+    tr = torsion_trace(m, p, n=walk + 1)
+    assert tr.cumulative[walk] == -0.5 and abs(tr.directions[walk][0]) < 1e-15
+    assert detect_overconjugate(m, p, 300) == walk
+    assert cocycle_scan(m, [p[0]], [p[1]], 300).overconj_time.tolist() == [scan]
+    argv = ["trace", "--map", m.to_spec(), "--point", f"{p[0]!r},{p[1]!r}", "--n", "300"]
+    assert run(argv) == 0
+    assert f"first_overconjugate = {walk}\n" in capsys.readouterr().out
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(m=CATALOGUE, inverted=st.booleans(), p=DRAWN_POINTS,
+       horizon=st.sampled_from([1, 2, 60, 300]))
+def test_walk_and_scan_read_one_overconjugate_rule(m, inverted, p, horizon):
+    """detect_overconjugate is the one-lane scan's overconj_time: None is -1,
+    and an orbit that leaves the float range or a failed twist is -2.  The
+    lane's scan stops at its over-conjugate time, as the walk does; a full
+    scan also flags a lane whose orbit leaves the float range later."""
+    m = m.inverted() if inverted else m
+    try:
+        walk = detect_overconjugate(m, p, horizon)
+        walk = -1 if walk is None else walk
+    except (NonFiniteOrbitError, TwistViolationError):
+        walk = -2
+    stopped = cocycle_scan(m, [p[0]], [p[1]], horizon, stop_at_overconjugate=True)
+    assert stopped.overconj_time.tolist() == [walk]
+    full = int(cocycle_scan(m, [p[0]], [p[1]], horizon).overconj_time[0])
+    assert full == walk or (full == -2 and walk > 0)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=300,
@@ -381,8 +399,7 @@ def test_conjugate_report_stops_past_a_late_rounding(kernels):
 @example(m=standard(0.002134050395255111), p=(0.0, 0.0), horizon=1100, tol=0.3)
 def test_conjugate_report_walks_until_both_answers_settle(kernels, m, p, horizon, tol):
     """The walk takes the horizon's steps unless both times are known, and
-    then 50 past the over-conjugate time, but no fewer than the conjugate
-    time, within the horizon."""
+    then stops at the later of the two."""
     m = LiftedMap(m.family, m.params)  # counted: CATALOGUE's shear was built at import
     kernels.calls.clear()
     try:
@@ -390,7 +407,7 @@ def test_conjugate_report_walks_until_both_answers_settle(kernels, m, p, horizon
     except NonFiniteOrbitError:
         return
     over, hit = rep.first_overconjugate, rep.first_conjugate
-    want = horizon if over is None or hit is None else max(hit[0], min(over + 50, horizon))
+    want = horizon if over is None or hit is None else max(hit[0], over)
     assert kernels.calls["_walk_k"] == want
 
 
@@ -432,10 +449,10 @@ def test_jacobi_oracle_makes_one_step_per_step(kernels, m, p):
 
 
 def test_conjugate_report_stops_when_settled(kernels):
-    # over-conjugate at 4 plus its 50-step re-check settles both answers
+    # both answers are known at step 4, and the walk stops there
     rep = conjugate_report(standard(1.0), (0.02, 0.0), 1000)
     assert rep.first_overconjugate == 4 and rep.first_conjugate == (4, 1)
-    assert kernels.calls["_walk_k"] == 54
+    assert kernels.calls["_walk_k"] == 4
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -453,9 +470,6 @@ def test_half_turn_crossing_lemma(k, x, y, t):
     half_turns = np.floor(2.0 * (angle_from_vertical(w) + tr.cumulative))
     jumps = np.diff(half_turns)
     assert np.all((jumps == 0.0) | (jumps == -1.0))
-
-
-DRAWN_POINTS = st.tuples(st.floats(-0.5, 0.5), st.floats(-1.0, 1.0))
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=300)
@@ -905,30 +919,11 @@ def test_cocycle_scan_stop_ignores_invalid_lanes(kernels):
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 1.5])
 def test_first_overconjugate_read_off_the_trace(k):
-    # the trace's vertical-start cumulative gives the detector's answer
+    # the trace's vertical-start directions give the detector's answer
     m = standard(k)
     rng = np.random.default_rng(int(k * 10) + 7)
     for _ in range(40):
         p = tuple(rng.uniform([0.0, -0.5], [1.0, 0.5]))
         tr = torsion_trace(m, p, n=120)
-        got = twistlab.torsion._overconjugate(tr.cumulative[1:], 0)
+        got = twistlab.torsion._overconjugate(tr.directions)
         assert got == detect_overconjugate(m, p, 120)
-
-
-def test_first_overconjugate_rechecks_persistence():
-    def first(cumulative):
-        return twistlab.torsion._overconjugate(cumulative[1:], 0)
-
-    assert first(np.array([0.0, -0.3, -0.5, -0.6, -0.9])) == 3
-    assert first(np.array([0.0, -0.3, -0.4])) is None
-    # a climb back above -1/2 at any later step is an engine bug
-    with pytest.raises(RuntimeError, match="persistence violated at step 3"):
-        first(np.array([0.0, -0.6, -0.7, -0.4]))
-    late = np.full(60, -0.6)
-    late[0], late[-1] = 0.0, 0.0
-    with pytest.raises(RuntimeError, match="persistence violated at step 59"):
-        first(late)
-    # a later block: the time found earlier is kept and its steps re-checked
-    assert twistlab.torsion._overconjugate(np.array([-0.7, -0.8]), 10, 4) == 4
-    with pytest.raises(RuntimeError, match="persistence violated at step 12"):
-        twistlab.torsion._overconjugate(np.array([-0.7, -0.2]), 10, 4)

@@ -181,7 +181,9 @@ ENTRY_POINTS = {
     "rotation_number": lambda: rotation_number(HUGE, START, 50),
     "torsion_trace": lambda: torsion_trace(HUGE, START, n=50),
     "asymptotic_torsion": lambda: asymptotic_torsion(HUGE, START, 50, 10),
-    "conjugate_report": lambda: conjugate_report(HUGE, START, 50),
+    # from START both of its answers are known at step 2, before the orbit
+    # leaves the float range; this start leaves it at step 2
+    "conjugate_report": lambda: conjugate_report(HUGE, (0.3, 1.7e308), 50),
     "first_return_torsion": lambda: first_return_torsion(HUGE, (0.0, 1.0, -1.0, 1.0), START, 5, 50),
     "classify_monotonicity": lambda: classify_monotonicity(HUGE, START, 50),
     "linking_number": lambda: linking_number(HUGE, START, (0.4, 0.0), 50),
@@ -217,6 +219,15 @@ ENTRY_POINTS = {
 def test_leaving_the_float_range_is_named(call):
     with pytest.raises(NonFiniteOrbitError, match=r"left the float range by step \d+"):
         call()
+
+
+def test_conjugate_report_settles_before_the_orbit_leaves_the_float_range():
+    # the walk stops once both answers are known, at step 2; the orbit
+    # leaves the float range only at step 13
+    rep = conjugate_report(HUGE, START, 50)
+    assert (rep.first_overconjugate, rep.first_conjugate) == (2, (2, 1))
+    with pytest.raises(NonFiniteOrbitError, match="by step 13"):
+        torsion_trace(HUGE, START, n=50)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
