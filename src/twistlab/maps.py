@@ -28,27 +28,28 @@ reduction, so one step kernel returns the image and the Jacobian of a
 step from it (step_array on arrays); apply_* leave the cos out, and
 jacobian_* read the Jacobian off the step.
 
-One builder, _kernels, makes each family's forward step and its two
-images, forward and back, once at construction, for floats (_kick) and
-for arrays (_kick_arr); a single first harmonic on floats (every standard
-map) gets _single_harmonic's, with _kick's loop body written in.  An
-inverted map swaps the images, and its step is the forward step at the
-preimage, inverted (_inverted): det = 1, so the inverse Jacobian is the
-adjugate.  Floats and arrays agree bit for bit.  The scalar orbit loops
-step block kernels, up to a block of steps a call: a tangent walk and a
-forward orbit, with the step written in for a single harmonic and for
-shear and drift (_drift_blocks), else (genfun with two or more harmonics,
-an inverted map) one loop over the per-step kernels (_walk_block, _orbit_block).
-They record floats in one list per column, which _column moves into
-numpy in one packed copy.  A backward orbit is the inverted map's
-forward orbit.  Each kernel is bound as _observe(name, kernel), the one
-way to watch it.  Every orbit loop names the step at which it left the
+One builder, _kernels, makes a map's kernels once at construction.  On
+floats they come from one source template, compiled once per family,
+harmonic count and direction (_float_kernels): each family's step is
+written once (_step_source), a kick as _kick's loop body unrolled one
+harmonic at a time, into the step, the two images, forward and back, and
+the two block kernels of the scalar orbit loops, a tangent walk and a
+forward orbit, which take up to a block of steps a call.  On arrays the
+step and the image run over _kick_arr.  An inverted map swaps the images,
+and its step is the image at the preimage with the Jacobian's adjugate
+there (det = 1), its kick taken once.  Floats and arrays agree bit for
+bit.  The blocks record floats in one list per column, which _column
+moves into numpy in one packed copy.  A backward orbit is the inverted
+map's forward orbit.  Each kernel is bound as _observe(name, kernel), the
+one way to watch it.  Every orbit loop names the step at which it left the
 float range by one rule, _check_block, and every request that sizes
 memory or a solver sweep is held to ITERATE_CAP by one rule, _check_cap.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -100,6 +101,9 @@ def _kick(x: float, harmonics, sin: bool, cos: bool) -> tuple[float, float]:
     Folding u into [0, 1/4] for sin, and taking cos(2 pi u) as
     sin(2 pi (1/4 - u)), makes both exactly 0 or +-1 at every quarter
     turn, however large |s|.
+
+    The float kernels unroll this loop's body (_step_source); _kick stays
+    as the float reference that the tests hold them to, bit for bit.
     """
     vp = w = 0.0
     for i, p, q in harmonics:
@@ -153,94 +157,38 @@ def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
     return vp, w
 
 
-def _kernels(family: str, params, harmonics, arrays: bool):
-    """(step, image, inverse) kernels of one map going forward.
-
-    step returns (x1, y1, a, b, c, d), image (x1, y1) and inverse the
-    preimage (x0, y0); all take floats, or arrays when arrays is set.
-    Jacobian entries that do not depend on the point are floats.  An
-    inverted map's step is _inverted(step, inverse).  On floats, shear,
-    drift and a single harmonic add their walk and orbit blocks.
-    """
-    if not harmonics:
-        jac = (1.0, 1.0, 0.0, 1.0)
-        # going forward shear is drift with c = -0.0, as y + (-0.0) is y bit
-        # for bit, -0.0 included; back, y - (-0.0) would turn -0.0 into +0.0
-        c = params[0] if family == DRIFT else -0.0
-        inverse = ((lambda x, y: (x - y + c, y - c)) if family == DRIFT
-                   else (lambda x, y: (x - y, +y)))  # +y copies an array y
-        kernels = (lambda x, y: (x + y, y + c, *jac)), (lambda x, y: (x + y, y + c)), inverse
-        return kernels if arrays else (*kernels, *_drift_blocks(c))
-
-    if not arrays and len(harmonics) == 1:
-        return _single_harmonic(*harmonics[0][1:])
-    # kick(x) is (V'(x), V''(x)), slope(x) is V'(x) alone.
-    if arrays:
-        kick = lambda x: _kick_arr(x, harmonics, True, True)
-        slope = lambda x: _kick_arr(x, harmonics, True, False)[0]
-    else:
-        kick = lambda x: _kick(x, harmonics, True, True)
-        slope = lambda x: _kick(x, harmonics, True, False)[0]
-
-    def step(x, y):
-        vp, w = kick(x)
-        y1 = y + vp
-        return x + y1, y1, 1.0 + w, 1.0, w, 1.0
-
-    def image(x, y):
-        y1 = y + slope(x)
-        return x + y1, y1
-
-    def inverse(x, y):  # the kick acts at the preimage's x, x - y
-        kx = x - y
-        return kx, y - slope(kx)
-    return step, image, inverse
-
-
-def _single_harmonic(p: float, q: float):
-    """Float (step, image, inverse) of one first harmonic, _kick's loop body
-    written into each, then the walk and orbit blocks with it written into
-    their loops (b is 1.0: no twist test)."""
+# The float kernels of one map shape, compiled by _float_kernels from the
+# lines of _step_source: {kick} takes a step's kick, and holds every line
+# that can raise; {move} then takes (x, y) to the step's image.  The walk
+# transports (wx, wy) by the step's Jacobian, and an inverted map's walk
+# raises TwistViolationError after its kick.
+_TEMPLATE = '''\
+def kernels(c{params}):
     floor, sin, hypot = math.floor, math.sin, math.hypot
 
     def step(x, y):
-        u, turn = x - floor(x), TWO_PI
-        if u >= 0.5:
-            u, turn = u - 0.5, -TWO_PI
-        w = 0.0 - q * sin(turn * (0.25 - u))
-        y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-        return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+{step}
+        return x, y, {jacobian}
 
     def image(x, y):
-        u, turn = x - floor(x), TWO_PI
-        if u >= 0.5:
-            u, turn = u - 0.5, -TWO_PI
-        y1 = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-        return x + y1, y1
+{image}
+        return x, y
 
     def inverse(x, y):
-        kx = x - y
-        u, turn = kx - floor(kx), TWO_PI
-        if u >= 0.5:
-            u, turn = u - 0.5, -TWO_PI
-        return kx, y - (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
+{inverse}
+        return x, y
 
     def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
         side = -1.0 if wx < 0.0 else 1.0
         xs, ys, norms = trace or (None, None, None)
         try:
             for i in range(r):
-                u, turn = x - floor(x), TWO_PI
-                if u >= 0.5:
-                    u, turn = u - 0.5, -TWO_PI
-                w = 0.0 - q * sin(turn * (0.25 - u))
-                y = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-                x = x + y
-                # the Jacobian (1 + w, 1, w, 1); a product with 1.0 is exact
-                iwx = ix[i] = (1.0 + w) * wx + wy
-                iwy = iy[i] = w * wx + wy
+{kick}
+                iwx = ix[i] = {iwx}
+                iwy = iy[i] = {iwy}
                 norm = hypot(iwx, iwy)
                 wx, wy = iwx / norm, iwy / norm
+{move}
                 if xs is not None:
                     xs[i], ys[i], norms[i] = x, y, norm
                 if side * wx < tol or stop is not None and stop(x, y, wx):
@@ -252,103 +200,114 @@ def _single_harmonic(p: float, q: float):
     def orbit(x, y, r, xs, ys):
         try:
             for i in range(r):
-                u, turn = x - floor(x), TWO_PI
-                if u >= 0.5:
-                    u, turn = u - 0.5, -TWO_PI
-                y = ys[i] = y + (0.0 - p * sin(turn * (0.5 - u if u > 0.25 else u)))
-                x = xs[i] = x + y
-        except (ArithmeticError, ValueError) as exc:
-            return x, y, i, exc
-        return x, y, r, None
-    return step, image, inverse, walk, orbit
-
-
-def _drift_blocks(c: float):
-    """Float walk and orbit blocks of x <- x + y, y <- y + c, the step and its
-    Jacobian (1, 1, 0, 1) written into their loops (b is 1.0: no twist test).
-    Neither block raises: float sums and hypot do not, the image of a unit
-    direction is never 0, and a stop only compares floats."""
-    hypot = math.hypot
-
-    def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
-        side = -1.0 if wx < 0.0 else 1.0
-        xs, ys, norms = trace or (None, None, None)
-        for i in range(r):
-            iwx = ix[i] = wx + wy
-            iwy = iy[i] = 0.0 * wx + wy  # a bare wy keeps -0.0 where this is +0.0
-            norm = hypot(iwx, iwy)
-            wx, wy = iwx / norm, iwy / norm
-            x, y = x + y, y + c
-            if xs is not None:
-                xs[i], ys[i], norms[i] = x, y, norm
-            if side * wx < tol or stop is not None and stop(x, y, wx):
-                return x, y, wx, wy, i + 1, None
-        return x, y, wx, wy, r, None
-
-    def orbit(x, y, r, xs, ys):
-        for i in range(r):
-            x = xs[i] = x + y
-            y = ys[i] = y + c
-        return x, y, r, None
-    return walk, orbit
-
-
-def _walk_block(step):
-    """walk(x, y, wx, wy, r, ix, iy, trace, stop, tol) transports the unit
-    direction (wx, wy) along up to r steps from (x, y): step i's image
-    direction goes to ix[i], iy[i], and with trace, lists (xs, ys, norms),
-    its point and the image's norm to xs[i], ys[i], norms[i].  It ends after
-    a step where stop (or None) is true of (x, y, wx), or where wx changed
-    sign or came within tol of 0, and returns (x, y, wx, wy, taken, exc):
-    the steps taken, and the ArithmeticError or ValueError of the step after
-    them, or None.  b <= 0 raises TwistViolationError."""
-    hypot = math.hypot
-
-    def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
-        side = -1.0 if wx < 0.0 else 1.0
-        xs, ys, norms = trace or (None, None, None)
-        try:
-            for i in range(r):
-                x1, y1, a, b, c, d = step(x, y)
-                if b <= 0.0:
-                    raise TwistViolationError(f"twist entry {b!r} <= 0 at {(x, y)}: "
-                                              "not a positive twist map here")
-                iwx = ix[i] = a * wx + b * wy
-                iwy = iy[i] = c * wx + d * wy
-                norm = hypot(iwx, iwy)
-                x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
-                if xs is not None:
-                    xs[i], ys[i], norms[i] = x, y, norm
-                if side * wx < tol or stop is not None and stop(x, y, wx):
-                    return x, y, wx, wy, i + 1, None
-        except (ArithmeticError, ValueError) as exc:
-            return x, y, wx, wy, i, exc
-        return x, y, wx, wy, r, None
-    return walk
-
-
-def _orbit_block(image):
-    """orbit(x, y, r, xs, ys): up to r steps into xs, ys; returns (x, y, taken, exc)."""
-    def orbit(x, y, r, xs, ys):
-        try:
-            for i in range(r):
-                x, y = image(x, y)
+{orbit}
                 xs[i] = x
                 ys[i] = y
         except (ArithmeticError, ValueError) as exc:
             return x, y, i, exc
         return x, y, r, None
-    return orbit
+    return step, image, inverse, walk, orbit
+'''
 
 
-def _inverted(step, inverse):
-    """The step of the inverse map: the preimage p, and the inverse of the
-    Jacobian at p, which is its adjugate as every map keeps area (det = 1)."""
-    def inverted_step(x, y):
-        x0, y0 = inverse(x, y)
-        a, b, c, d = step(x0, y0)[2:]
-        return x0, y0, d, -b, -c, a
-    return inverted_step
+def _step_source(family: str, count: int, inverted: bool, cos: bool):
+    """(kick, move, jacobian): the source lines of one step of a family with
+    count harmonics, going forward or (inverted) back, and its Jacobian
+    (a, b, c, d) as expressions; the kick takes V'' too if cos is set."""
+    if not count:
+        if not inverted:  # shear is drift with c = -0.0: y + (-0.0) is y, -0.0 included
+            return [], ["x, y = x + y, y + c"], ("1.0", "1.0", "0.0", "1.0")
+        # y - (-0.0) would turn -0.0 into +0.0
+        move = "x, y = x - y + c, y - c" if family == DRIFT else "x = x - y"
+        return [], [move], ("1.0", "-1.0", "-0.0", "1.0")
+    at = "kx" if inverted else "x"  # an inverted map kicks at its preimage's x
+    kick = ["kx = x - y"] if inverted else []
+    for i in range(1, count + 1):  # _kick's loop body, harmonic i
+        s, vp, w = (at, "0.0", "0.0") if i == 1 else ("s", "vp", "w")
+        if i > 1:
+            kick.append(f"s = {i} * {at}")
+        kick += [f"u = {s} - floor({s})", "turn = TWO_PI", "if u >= 0.5:", "    u -= 0.5",
+                 "    turn = -TWO_PI",
+                 f"vp = {vp} - p{i} * sin(turn * (0.5 - u if u > 0.25 else u))"]
+        if cos:
+            kick.append(f"w = {w} - q{i} * sin(turn * (0.25 - u))")
+    if inverted:  # det = 1: the inverse Jacobian is the adjugate
+        return kick, ["y = y - vp", "x = kx"], ("1.0", "-1.0", "-w", "1.0 + w")
+    return kick, ["y = y + vp", "x = x + y"], ("1.0 + w", "1.0", "w", "1.0")
+
+
+def _times(entry: str, v: str) -> str:
+    """The source of entry * v, where a literal 1.0 entry is left out (1.0 * v is v)."""
+    return v if entry == "1.0" else f"({entry}) * {v}" if " " in entry else f"{entry} * {v}"
+
+
+@functools.cache
+def _float_kernels(family: str, count: int, inverted: bool):
+    """The factory kernels(c, p1, q1, ..., pn, qn) -> (step, image, inverse,
+    walk, orbit) on floats for every map of one family, count harmonics and
+    direction, compiled once from _TEMPLATE.  The parameters are its
+    arguments, never literals.  The code's filename names the shape, and
+    linecache holds its source for tracebacks."""
+    kick, move, jacobian = _step_source(family, count, inverted, True)
+    a, b, c, d = jacobian
+    # b is a constant: only an inverted map's -1.0 fails the twist test
+    twist = [] if b == "1.0" else [f'raise TwistViolationError(f"twist entry {b} <= 0 at '
+                                   '{(x, y)}: not a positive twist map here")']
+    image = sum(_step_source(family, count, inverted, False)[:2], [])
+    block = lambda lines, depth: "\n".join(" " * depth + line for line in lines)
+    source = _TEMPLATE.format(
+        params="".join(f", p{i}, q{i}" for i in range(1, count + 1)),
+        step=block(kick + move, 8), jacobian=", ".join(jacobian),
+        image=block(image, 8), orbit=block(image, 16),
+        inverse=block(sum(_step_source(family, count, not inverted, False)[:2], []), 8),
+        kick=block(kick + twist, 16), move=block(move, 16),
+        iwx=f"{_times(a, 'wx')} + {_times(b, 'wy')}", iwy=f"{_times(c, 'wx')} + {_times(d, 'wy')}")
+    direction = "inverted" if inverted else "forward"
+    filename = f"<twistlab kernels: {family}, {count} harmonics, {direction}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope = {"__name__": __name__, "math": math, "TWO_PI": TWO_PI,
+             "TwistViolationError": TwistViolationError}
+    exec(compile(source, filename, "exec"), scope)
+    return scope["kernels"]
+
+
+def _kernels(family: str, params, harmonics, inverted: bool):
+    """The kernels of one map, in _KERNEL_ATTRS order: step, image and inverse,
+    walk and orbit blocks on floats (_float_kernels), then step and image on
+    arrays, over _kick_arr.  step returns (x1, y1, a, b, c, d), image (x1,
+    y1) and inverse the preimage; Jacobian entries that do not depend on the
+    point are floats on arrays.  An inverted map swaps the images, and its
+    step is the image at the preimage with the Jacobian's adjugate there
+    (det = 1), its kick taken once.  Floats and arrays agree bit for bit."""
+    c = params[0] if family == DRIFT else -0.0
+    floats = _float_kernels(family, len(harmonics), inverted)(
+        c, *(v for _, p, q in harmonics for v in (p, q)))
+    if not harmonics:
+        if inverted and family == DRIFT:
+            image = lambda x, y: (x - y + c, y - c)
+        elif inverted:
+            image = lambda x, y: (x - y, +y)  # +y copies an array y
+        else:
+            image = lambda x, y: (x + y, y + c)
+        jacobian = (1.0, -1.0, -0.0, 1.0) if inverted else (1.0, 1.0, 0.0, 1.0)
+        return (*floats, lambda x, y: (*image(x, y), *jacobian), image)
+
+    def step(x, y):
+        kx = x - y if inverted else x
+        vp, w = _kick_arr(kx, harmonics, True, True)
+        if inverted:
+            return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
+        y1 = y + vp
+        return x + y1, y1, 1.0 + w, 1.0, w, 1.0
+
+    def image(x, y):
+        kx = x - y if inverted else x
+        vp = _kick_arr(kx, harmonics, True, False)[0]
+        if inverted:
+            return kx, y - vp
+        y1 = y + vp
+        return x + y1, y1
+    return (*floats, step, image)
 
 
 _KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_walk_k", "_orbit_k",
@@ -417,18 +376,9 @@ class LiftedMap:
         self._bind_kernels()
 
     def _bind_kernels(self) -> None:
-        """Bind the float kernels and blocks (the generic ones where _kernels
-        brings none), then step and apply on arrays."""
-        args = (self.family, self.params, self._harmonics)
-        floats = _kernels(*args, False)
-        step_a, image_a, inverse_a = _kernels(*args, True)
-        if self.twist_sign == -1:  # the inverse map: swap the images, invert the step
-            step, image, inverse = floats[:3]
-            floats = _inverted(step, inverse), inverse, image
-            step_a, image_a = _inverted(step_a, inverse_a), inverse_a
-        if len(floats) == 3:  # the generic blocks over the per-step kernels
-            floats += _walk_block(floats[0]), _orbit_block(floats[1])
-        for name, kernel in zip(_KERNEL_ATTRS, (*floats, step_a, image_a)):
+        """Bind the kernels of _kernels, each as _observe(name, kernel)."""
+        kernels = _kernels(self.family, self.params, self._harmonics, self.twist_sign == -1)
+        for name, kernel in zip(_KERNEL_ATTRS, kernels):
             object.__setattr__(self, name, _observe(name, kernel))
 
     # State leaves out the kernels (closures do not pickle) and the cached inverse.

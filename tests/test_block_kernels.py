@@ -1,14 +1,16 @@
 """The block kernels against the per-step kernels they replace in the loops.
 
 A map's orbit blocks take r steps of its per-step image kernels, its walk
-block the steps of a per-step walk over its step kernel, bit for bit, and
-stop, fail and name the failing step where the per-step loops do.  Forward
-shear and drift write their step into their blocks, which take the steps
-of the generic blocks over their per-step kernels.
+block the steps of a per-step walk over its step kernel, bit for bit and
+from either zero sign, and stop, fail and name the failing step where the
+per-step loops do.  Every map's step is written into its blocks, which
+call no per-step kernel; the kernels of a map shape are compiled once.
 """
 
 import math
 import struct
+import sys
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -20,7 +22,6 @@ from test_walk_blocks import EDGES, directions
 
 import twistlab.maps
 from twistlab import (
-    LiftedMap,
     NonFiniteOrbitError,
     TwistViolationError,
     asymptotic_torsion,
@@ -32,14 +33,19 @@ from twistlab import (
     standard,
     torsion_trace,
 )
-from twistlab.maps import BLOCK, _orbit_block, _walk_block
+from twistlab.maps import BLOCK, _float_kernels
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=200)
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 # an orbit from |y| above 1e305 leaves the float range within 2 BLOCK steps
 HIGH = st.floats(1e305, 1.7e308) | st.floats(-1.7e308, -1e305)
-POINTS = st.tuples(FLOATS | st.floats(-2.0, 2.0), FLOATS | st.floats(-1.0, 1.0) | HIGH)
+ZEROS = st.sampled_from([0.0, -0.0])
+POINTS = st.tuples(ZEROS | FLOATS | st.floats(-2.0, 2.0),
+                   ZEROS | FLOATS | st.floats(-1.0, 1.0) | HIGH)
+UNITS = st.sampled_from([1.0, -1.0])
+# 0.0 * wx + wy, not wy, is shear's image of (1.0, -0.0)
+SIGNED_DIRECTIONS = st.tuples(ZEROS, UNITS) | st.tuples(UNITS, ZEROS) | directions
 
 
 def bits(values):
@@ -76,8 +82,8 @@ def test_orbit_blocks_take_the_per_step_kernels_steps(m, inverted, p, r):
 
 def per_step_walk(step, x, y, wx, wy, r, stop, tol):
     """The walk's rules one step at a time over a step kernel: for each
-    step (image direction, point, unit direction), and the type of the
-    error that stopped the walk, if one did."""
+    step (image direction, point, unit direction, the image's norm), and
+    the type of the error that stopped the walk, if one did."""
     side, rows = -1.0 if wx < 0.0 else 1.0, []
     for _ in range(r):
         try:
@@ -87,7 +93,7 @@ def per_step_walk(step, x, y, wx, wy, r, stop, tol):
             iwx, iwy = a * wx + b * wy, c * wx + d * wy
             norm = math.hypot(iwx, iwy)
             x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
-            rows.append((iwx, iwy, x, y, wx, wy))
+            rows.append((iwx, iwy, x, y, wx, wy, norm))
             if side * wx < tol or stop is not None and stop(x, y, wx):
                 break
         except (ArithmeticError, ValueError) as exc:
@@ -107,8 +113,8 @@ def block_walk(m, x, y, wx, wy, r, stop, tol):
     xs, ys, norms = (column[:taken] for column in trace)
     with np.errstate(all="ignore"):  # rows past the float range hold inf and NaN
         wxs, wys = np.divide(ix[:taken], norms), np.divide(iy[:taken], norms)
-    rows = list(zip(ix[:taken], iy[:taken], xs, ys, wxs.tolist(), wys.tolist()))
-    assert bits(state) == bits(rows[-1][2:] if rows else (x, y, wx, wy))
+    rows = list(zip(ix[:taken], iy[:taken], xs, ys, wxs.tolist(), wys.tolist(), norms))
+    assert bits(state) == bits(rows[-1][2:6] if rows else (x, y, wx, wy))
     return rows, None if exc is None else type(exc)
 
 
@@ -134,7 +140,7 @@ STOPS = {
 # an inverted map fails the twist test at its first step
 @PROPERTY
 @given(m=CATALOGUE, inverted=st.sampled_from([False, False, False, True]), p=POINTS,
-       w=directions, r=st.sampled_from(EDGES), stop=st.sampled_from(sorted(STOPS)),
+       w=SIGNED_DIRECTIONS, r=st.sampled_from(EDGES), stop=st.sampled_from(sorted(STOPS)),
        tol=st.sampled_from([-math.inf, 1e-9, 0.3, 1.5]))
 def test_walk_block_stops_where_a_per_step_walk_stops(m, inverted, p, w, r, stop, tol):
     m = m.inverted() if inverted else m
@@ -176,8 +182,11 @@ def named(call):
     return None
 
 
+# drift with c = +-0.0 keeps y bit for bit, as shear does with its c = -0.0;
+# shear and drift carry inf on, so _check_block walks the block again
 @PROPERTY
-@given(m=st.sampled_from([shear(), drift_shear(0.25), standard(0.0), standard(1.5),
+@given(m=st.sampled_from([shear(), drift_shear(0.25), drift_shear(0.0), drift_shear(-0.0),
+                          drift_shear(-3.5), standard(0.0), standard(1.5),
                           generating_function(0.02, -0.007)]),
        x=st.floats(-1.0, 1.0), y=HIGH, n=st.sampled_from(EDGES))
 def test_an_orbit_failing_mid_block_is_named_at_the_per_step_loops_step(m, x, y, n):
@@ -193,79 +202,58 @@ def test_an_orbit_failing_mid_block_is_named_at_the_per_step_loops_step(m, x, y,
             assert named(call) == want
 
 
-# drift with c = +-0.0 keeps y bit for bit, as shear does with its c = -0.0
-TRANSLATIONS = st.sampled_from([shear(), drift_shear(0.25), drift_shear(0.0), drift_shear(-0.0),
-                                drift_shear(-3.5)])
-ZEROS = st.sampled_from([0.0, -0.0])
-SIGNED_POINTS = st.tuples(ZEROS | FLOATS | st.floats(-2.0, 2.0),
-                          ZEROS | FLOATS | st.floats(-1.0, 1.0) | HIGH)
-UNITS = st.sampled_from([1.0, -1.0])
-# 0.0 * wx + wy, not wy, is the image of (1.0, -0.0)
-SIGNED_DIRECTIONS = st.tuples(ZEROS, UNITS) | st.tuples(UNITS, ZEROS) | directions
-
-
-def generic(m):
-    """A map like m whose blocks are the generic loops over its per-step kernels."""
-    g = LiftedMap(m.family, m.params)
-    object.__setattr__(g, "_walk_k", _walk_block(g._step_k))
-    object.__setattr__(g, "_orbit_k", _orbit_block(g._apply_k))
-    return g
-
-
-def walk_records(walk, p, w, r, stop, tol):
-    """Everything a walk block returns or records, as bytes, and its error's type."""
-    ix, iy, trace = [0.0] * r, [0.0] * r, ([0.0] * r, [0.0] * r, [0.0] * r)
-    *state, taken, exc = walk(*p, *w, r, ix, iy, trace, stop, tol)
-    records = [state, ix[:taken], iy[:taken], *(column[:taken] for column in trace)]
-    return [bits(values) for values in records], taken, None if exc is None else type(exc)
-
-
-@PROPERTY
-@given(m=TRANSLATIONS, p=SIGNED_POINTS, w=SIGNED_DIRECTIONS, r=st.sampled_from(EDGES),
-       stop=st.sampled_from(sorted(STOPS)), tol=st.sampled_from([-math.inf, 1e-9, 0.3, 1.5]))
-def test_shear_and_drift_blocks_take_the_generic_blocks_steps(m, p, w, r, stop, tol):
-    g = generic(m)
-    assert (walk_records(m._walk_k, p, w, r, STOPS[stop](p), tol)
-            == walk_records(g._walk_k, p, w, r, STOPS[stop](p), tol))
-    xs, ys, want_xs, want_ys = [0.0] * r, [0.0] * r, [0.0] * r, [0.0] * r
-    state = m._orbit_k(*p, r, xs, ys)
-    want = g._orbit_k(*p, r, want_xs, want_ys)
-    assert bits(state[:2]) == bits(want[:2]) and state[2:] == want[2:]
-    assert bits(xs + ys) == bits(want_xs + want_ys)
-
-
-@PROPERTY
-@given(m=TRANSLATIONS, x=st.floats(-1.0, 1.0), y=HIGH, n=st.sampled_from(EDGES))
-def test_shear_and_drift_overflow_is_named_at_the_generic_blocks_step(m, x, y, n):
-    # shear and drift carry inf on, so _check_block walks the block again
-    g, p = generic(m), (x, y)
-    for call in [lambda m: iterate(m, p, n), lambda m: rotation_number(m, p, n),
-                 lambda m: torsion_trace(m, p, n=n), lambda m: asymptotic_torsion(m, p, n, n)]:
-        assert named(lambda: call(m)) == named(lambda: call(g))
-
-
-def test_forward_shear_and_drift_blocks_call_no_step_kernel(monkeypatch, kernels):
-    # the generic blocks are built over counted per-step kernels
+def python_calls(f, *args):
+    """The functions of twistlab.maps and of its compiled kernels that f(*args)
+    runs, counted by name."""
     calls = Counter()
 
-    def counted(name, kernel):
-        def call(x, y):
-            calls[name] += 1
-            return kernel(x, y)
-        return call
+    def profile(frame, event, arg):
+        source = frame.f_code.co_filename
+        if event == "call" and (source == twistlab.maps.__file__ or source.startswith("<twistlab")):
+            calls[frame.f_code.co_name] += 1
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
-    walk_block, orbit_block = twistlab.maps._walk_block, twistlab.maps._orbit_block
-    monkeypatch.setattr(twistlab.maps, "_walk_block", lambda step: walk_block(counted("step", step)))
-    monkeypatch.setattr(twistlab.maps, "_orbit_block",
-                        lambda image: orbit_block(counted("image", image)))
+
+def test_no_block_calls_a_per_step_kernel(kernels):
     p, n = (0.3, 0.1), BLOCK + 1
-    for m in (shear(), drift_shear(0.25)):
+    forward = [shear(), drift_shear(0.25), standard(1.0), generating_function(0.02),
+               generating_function(0.02, -0.007), generating_function(0.03, 0.0, 0.001)]
+    for m in forward + [m.inverted() for m in forward]:
+        xs, ys, ix, iy = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+        assert python_calls(m._orbit_k, *p, n, xs, ys) == {"orbit": 1}
+        walk = (m._walk_k, *p, 0.0, 1.0, n, ix, iy, None, None, -math.inf)
+        if m.twist_sign == 1:
+            assert python_calls(*walk) == {"walk": 1}
+        else:
+            with pytest.raises(TwistViolationError):
+                python_calls(*walk)
+    kernels.calls.clear()
+    # the loops call the blocks alone
+    for m in forward:
         torsion_trace(m, p, n=n)
         iterate(m, p, n)
-    assert not calls and kernels.calls == {"_walk_k": 2 * n, "_orbit_k": 2 * n}
-    # genfun with two harmonics and the inverted maps keep the generic blocks
-    torsion_trace(generating_function(0.02, -0.007), p, n=n)
-    iterate(shear(), p, -n)
+        iterate(m, p, -n)
+    assert kernels.calls == {"_walk_k": 6 * n, "_orbit_k": 12 * n}
     with pytest.raises(TwistViolationError):
         torsion_trace(drift_shear(0.25).inverted(), p, n=n)
-    assert calls == {"step": n + 1, "image": n}
+    assert kernels.calls == {"_walk_k": 6 * n, "_orbit_k": 12 * n}
+
+
+def test_kernels_compile_once_per_shape_and_trace_to_their_source():
+    first = generating_function(0.02, -0.007)
+    compiled = _float_kernels.cache_info().misses
+    second = generating_function(0.5, 0.25)
+    assert _float_kernels.cache_info().misses == compiled
+    assert second._walk_k.__code__ is first._walk_k.__code__
+    # 2 x at the second step is inf: floor raises in the second harmonic's fold
+    with pytest.raises(NonFiniteOrbitError, match="by step 2") as info:
+        iterate(second, (0.0, 1e308), 5)
+    assert isinstance(info.value.__cause__, OverflowError)
+    frame = traceback.extract_tb(info.value.__cause__.__traceback__)[-1]
+    assert frame.filename == "<twistlab kernels: genfun, 2 harmonics, forward>"
+    assert frame.line == "u = s - floor(s)"

@@ -39,8 +39,9 @@ POSITIVE = [
     generating_function(0.03, 0.0, 0.001),
 ]
 CATALOGUE = POSITIVE + [m.inverted() for m in POSITIVE]
-# k = 0 and a lone a1 also take the single-harmonic kernels.
-EXTRA = [standard(0.0), generating_function(0.02)]
+# k = 0 and a lone a1 also take the single-harmonic kernels; drift with
+# c = -0.0 keeps the sign of a zero y going forward, as shear does.
+EXTRA = [standard(0.0), generating_function(0.02), drift_shear(-0.0)]
 MAPS = CATALOGUE + EXTRA + [m.inverted() for m in EXTRA]
 
 
@@ -153,8 +154,15 @@ EDGES = QUARTERS + [0.0, -0.0, 2.0**51 + 0.5, -(2.0**51 + 0.5), 2.0**52, -(2.0**
                      5e-324, -5e-324]
 
 
+# genfun with 2 to 4 harmonics, trailing zeros of both signs, and q = inf (a1 = 1e308)
+KICKS = [(0.02, -0.007), (0.03, 0.0, 0.001), (0.01, -0.02, 0.005, 0.0), (0.02, -0.007, -0.0),
+         (1e308,)]
+
+
 @pytest.mark.parametrize("m", [standard(k) for k in (0.0, 0.5, 1.0, 1e300)]
-                         + [standard(k).inverted() for k in (0.0, 0.5, 1.0, 1e300)],
+                         + [standard(k).inverted() for k in (0.0, 0.5, 1.0, 1e300)]
+                         + [generating_function(*a) for a in KICKS]
+                         + [generating_function(*a).inverted() for a in KICKS],
                          ids=lambda m: m.to_spec())
 def test_single_harmonic_kernels_match_kick(m):
     # each direction's step and image, with the kick written in, against

@@ -36,7 +36,7 @@ from twistlab import (
     vertical_step_variation,
 )
 from twistlab.cli import run
-from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, _orbit_block, parse_map_spec
+from twistlab.maps import BLOCK, DRIFT, LiftedMap, _kick, parse_map_spec
 from twistlab.torsion import VERTICAL_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -608,12 +608,17 @@ def test_linking_matches_checked_angle_reference(m):
 
 
 class _ImageMap:
-    """A duck-typed map given by its float image kernel _apply_k; the
-    engine steps the generic orbit block over it, and the per-step
-    references call apply_scalar."""
+    """A duck-typed map given by its float image kernel _apply_k; its orbit
+    block steps that kernel, and the per-step references call apply_scalar."""
 
-    def __init__(self):
-        self._orbit_k = _orbit_block(self._apply_k)
+    def _orbit_k(self, x, y, r, xs, ys):
+        for i in range(r):
+            try:
+                x, y = self._apply_k(x, y)
+            except (ArithmeticError, ValueError) as exc:
+                return x, y, i, exc
+            xs[i], ys[i] = x, y
+        return x, y, r, None
 
     def apply_scalar(self, x, y):
         return self._apply_k(x, y)
