@@ -22,6 +22,7 @@ from test_walk_blocks import EDGES, directions
 
 import twistlab.maps
 from twistlab import (
+    LiftedMap,
     NonFiniteOrbitError,
     TwistViolationError,
     asymptotic_torsion,
@@ -200,6 +201,94 @@ def test_an_orbit_failing_mid_block_is_named_at_the_per_step_loops_step(m, x, y,
         assume(not on_edge)
         for call in calls:
             assert named(call) == want
+
+
+def walk_block(step):
+    """The walk block as a generic loop over a step kernel, in the blocks'
+    signature: walk(x, y, wx, wy, r, ix, iy, trace, stop, tol) returns
+    (x, y, wx, wy, taken, exc)."""
+    def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
+        side = -1.0 if wx < 0.0 else 1.0
+        xs, ys, norms = trace or (None, None, None)
+        try:
+            for i in range(r):
+                x1, y1, a, b, c, d = step(x, y)
+                if b <= 0.0:
+                    raise TwistViolationError(f"twist entry {b!r} <= 0 at {(x, y)}")
+                iwx = ix[i] = a * wx + b * wy
+                iwy = iy[i] = c * wx + d * wy
+                norm = math.hypot(iwx, iwy)
+                x, y, wx, wy = x1, y1, iwx / norm, iwy / norm
+                if xs is not None:
+                    xs[i], ys[i], norms[i] = x, y, norm
+                if side * wx < tol or stop is not None and stop(x, y, wx):
+                    return x, y, wx, wy, i + 1, None
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, wx, wy, i, exc
+        return x, y, wx, wy, r, None
+    return walk
+
+
+def orbit_block(image):
+    """The orbit block as a generic loop over an image kernel:
+    orbit(x, y, r, xs, ys) returns (x, y, taken, exc)."""
+    def orbit(x, y, r, xs, ys):
+        try:
+            for i in range(r):
+                x, y = image(x, y)
+                xs[i] = x
+                ys[i] = y
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, i, exc
+        return x, y, r, None
+    return orbit
+
+
+def generic(m):
+    """A map like m whose blocks are the generic loops over its per-step kernels."""
+    g = LiftedMap(m.family, m.params)
+    object.__setattr__(g, "_walk_k", walk_block(g._step_k))
+    object.__setattr__(g, "_orbit_k", orbit_block(g._apply_k))
+    return g
+
+
+def walk_records(walk, p, w, r, stop, tol):
+    """Everything a walk block returns or records, as bytes, and its error's type."""
+    ix, iy, trace = [0.0] * r, [0.0] * r, ([0.0] * r, [0.0] * r, [0.0] * r)
+    *state, taken, exc = walk(*p, *w, r, ix, iy, trace, stop, tol)
+    records = [state, ix[:taken], iy[:taken], *(column[:taken] for column in trace)]
+    return [bits(values) for values in records], taken, None if exc is None else type(exc)
+
+
+# drift with c = +-0.0 keeps y bit for bit, as shear does with its c = -0.0
+TRANSLATIONS = st.sampled_from([shear(), drift_shear(0.25), drift_shear(0.0), drift_shear(-0.0),
+                                drift_shear(-3.5)])
+
+
+@PROPERTY
+@given(m=TRANSLATIONS, p=POINTS, w=SIGNED_DIRECTIONS, r=st.sampled_from(EDGES),
+       stop=st.sampled_from(sorted(STOPS)), tol=st.sampled_from([-math.inf, 1e-9, 0.3, 1.5]))
+def test_shear_and_drift_blocks_take_the_generic_blocks_steps(m, p, w, r, stop, tol):
+    g = generic(m)
+    assert (walk_records(m._walk_k, p, w, r, STOPS[stop](p), tol)
+            == walk_records(g._walk_k, p, w, r, STOPS[stop](p), tol))
+    xs, ys, want_xs, want_ys = [0.0] * r, [0.0] * r, [0.0] * r, [0.0] * r
+    state = m._orbit_k(*p, r, xs, ys)
+    want = g._orbit_k(*p, r, want_xs, want_ys)
+    assert bits(state[:2]) == bits(want[:2]) and state[2] == want[2]
+    assert (None if state[3] is None else type(state[3])) == (None if want[3] is None
+                                                              else type(want[3]))
+    assert bits(xs + ys) == bits(want_xs + want_ys)
+
+
+@PROPERTY
+@given(m=TRANSLATIONS, x=st.floats(-1.0, 1.0), y=HIGH, n=st.sampled_from(EDGES))
+def test_shear_and_drift_overflow_is_named_at_the_generic_blocks_step(m, x, y, n):
+    # shear and drift carry inf on, so _check_block walks the block again
+    g, p = generic(m), (x, y)
+    for call in [lambda m: iterate(m, p, n), lambda m: rotation_number(m, p, n),
+                 lambda m: torsion_trace(m, p, n=n), lambda m: asymptotic_torsion(m, p, n, n)]:
+        assert named(lambda: call(m)) == named(lambda: call(g))
 
 
 def python_calls(f, *args):
