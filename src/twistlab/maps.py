@@ -28,20 +28,21 @@ reduction, so one step kernel returns the image and the Jacobian of a
 step from it (step_array on arrays); apply_* leave the cos out, and
 jacobian_* read the Jacobian off the step.
 
-One builder, _kernels, makes a map's kernels once at construction.  On
-floats they come from one source template, compiled once per family,
-harmonic count and direction (_float_kernels): each family's step is
-written once (_step_source), a kick as _kick's loop body unrolled one
-harmonic at a time, into the step, the two images, forward and back, and
-the two block kernels of the scalar orbit loops, a tangent walk and a
-forward orbit, which take up to a block of steps a call.  On arrays the
-step and the image run over _kick_arr.  An inverted map swaps the images,
-and its step is the image at the preimage with the Jacobian's adjugate
-there (det = 1), its kick taken once.  Floats and arrays agree bit for
-bit.  The blocks record floats in one list per column, which _column
-moves into numpy in one packed copy.  A backward orbit is the inverted
-map's forward orbit.  Each kernel is bound as _observe(name, kernel), the
-one way to watch it.  Every orbit loop names the step at which it left the
+A map binds its kernels once at construction, and all of them, on floats
+and on arrays, come from one source template, compiled once per family,
+harmonic count and direction (_kernel_factory).  Each family's step is
+written once (_step_source): a kick on floats as _kick's loop body
+unrolled one harmonic at a time, on arrays as one _kick_arr call, and the
+move and the Jacobian in the same lines for both.  It goes into the step
+and the image on floats and arrays, and into the two block kernels of the
+scalar orbit loops, a tangent walk and a forward orbit, which take up to
+a block of steps a call.  An inverted map's step is the image at the
+preimage with the Jacobian's adjugate there (det = 1), its kick taken
+once; the inverse image is the inverted map's image, and a backward orbit
+its forward orbit.  Floats and arrays agree bit for bit.  The blocks
+record floats in one list per column, which _column moves into numpy in
+one packed copy.  Each kernel is bound as _observe(name, kernel), the one
+way to watch it.  Every orbit loop names the step at which it left the
 float range by one rule, _check_block, and every request that sizes
 memory or a solver sweep is held to ITERATE_CAP by one rule, _check_cap.
 """
@@ -135,19 +136,18 @@ def _fold_arr(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, h
 
 
-def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
-    """Elementwise _kick: the same arithmetic, with no branches, written
-    into temporaries it owns (never into x)."""
+def _kick_arr(x: np.ndarray, harmonics, cos: bool):
+    """Elementwise _kick with sin set: the same arithmetic, with no
+    branches, written into temporaries it owns (never into x)."""
     vp = w = 0.0
     for i, p, q in harmonics:
         u, turn = _fold_arr(x if i == 1 else i * x)
-        if sin:
-            v = 0.5 - u
-            np.minimum(u, v, out=v)
-            v *= turn
-            np.sin(v, out=v)
-            v *= p
-            vp = np.subtract(vp, v, out=v)
+        v = 0.5 - u
+        np.minimum(u, v, out=v)
+        v *= turn
+        np.sin(v, out=v)
+        v *= p
+        vp = np.subtract(vp, v, out=v)
         if cos:  # u's last use
             np.subtract(0.25, u, out=u)
             u *= turn
@@ -157,14 +157,16 @@ def _kick_arr(x: np.ndarray, harmonics, sin: bool, cos: bool):
     return vp, w
 
 
-# The float kernels of one map shape, compiled by _float_kernels from the
-# lines of _step_source: {kick} takes a step's kick, and holds every line
-# that can raise; {move} then takes (x, y) to the step's image.  The walk
-# transports (wx, wy) by the step's Jacobian, and an inverted map's walk
-# raises TwistViolationError after its kick.
+# The kernels of one map shape, compiled by _kernel_factory from the lines
+# of _step_source: {kick} takes a step's kick, and holds every line that
+# can raise; {move} then takes (x, y) to the step's image.  The array step
+# and image differ from the float ones only in their kick, one _kick_arr
+# call.  The walk transports (wx, wy) by the step's Jacobian, and an
+# inverted map's walk raises TwistViolationError after its kick.
 _TEMPLATE = '''\
 def kernels(c{params}):
     floor, sin, hypot = math.floor, math.sin, math.hypot
+    harmonics = ({harmonics})
 
     def step(x, y):
 {step}
@@ -172,10 +174,6 @@ def kernels(c{params}):
 
     def image(x, y):
 {image}
-        return x, y
-
-    def inverse(x, y):
-{inverse}
         return x, y
 
     def walk(x, y, wx, wy, r, ix, iy, trace, stop, tol):
@@ -206,31 +204,43 @@ def kernels(c{params}):
         except (ArithmeticError, ValueError) as exc:
             return x, y, i, exc
         return x, y, r, None
-    return step, image, inverse, walk, orbit
+
+    def step_array(x, y):
+{step_array}
+        return x, y, {jacobian}
+
+    def image_array(x, y):
+{image_array}
+        return x, y
+    return step, image, walk, orbit, step_array, image_array
 '''
 
 
-def _step_source(family: str, count: int, inverted: bool, cos: bool):
+def _step_source(family: str, count: int, inverted: bool, cos: bool, array: bool):
     """(kick, move, jacobian): the source lines of one step of a family with
     count harmonics, going forward or (inverted) back, and its Jacobian
-    (a, b, c, d) as expressions; the kick takes V'' too if cos is set."""
+    (a, b, c, d) as expressions; the kick takes V'' too if cos is set, and
+    on arrays it is one call of _kick_arr."""
     if not count:
         if not inverted:  # shear is drift with c = -0.0: y + (-0.0) is y, -0.0 included
             return [], ["x, y = x + y, y + c"], ("1.0", "1.0", "0.0", "1.0")
-        # y - (-0.0) would turn -0.0 into +0.0
-        move = "x, y = x - y + c, y - c" if family == DRIFT else "x = x - y"
+        # y - (-0.0) would turn -0.0 into +0.0; +y is y on floats and copies an array
+        move = "x, y = x - y + c, y - c" if family == DRIFT else "x, y = x - y, +y"
         return [], [move], ("1.0", "-1.0", "-0.0", "1.0")
     at = "kx" if inverted else "x"  # an inverted map kicks at its preimage's x
     kick = ["kx = x - y"] if inverted else []
-    for i in range(1, count + 1):  # _kick's loop body, harmonic i
-        s, vp, w = (at, "0.0", "0.0") if i == 1 else ("s", "vp", "w")
-        if i > 1:
-            kick.append(f"s = {i} * {at}")
-        kick += [f"u = {s} - floor({s})", "turn = TWO_PI", "if u >= 0.5:", "    u -= 0.5",
-                 "    turn = -TWO_PI",
-                 f"vp = {vp} - p{i} * sin(turn * (0.5 - u if u > 0.25 else u))"]
-        if cos:
-            kick.append(f"w = {w} - q{i} * sin(turn * (0.25 - u))")
+    if array:
+        kick.append(f"vp, w = _kick_arr({at}, harmonics, {cos})")
+    else:
+        for i in range(1, count + 1):  # _kick's loop body, harmonic i
+            s, vp, w = (at, "0.0", "0.0") if i == 1 else ("s", "vp", "w")
+            if i > 1:
+                kick.append(f"s = {i} * {at}")
+            kick += [f"u = {s} - floor({s})", "turn = TWO_PI", "if u >= 0.5:", "    u -= 0.5",
+                     "    turn = -TWO_PI",
+                     f"vp = {vp} - p{i} * sin(turn * (0.5 - u if u > 0.25 else u))"]
+            if cos:
+                kick.append(f"w = {w} - q{i} * sin(turn * (0.25 - u))")
     if inverted:  # det = 1: the inverse Jacobian is the adjugate
         return kick, ["y = y - vp", "x = kx"], ("1.0", "-1.0", "-w", "1.0 + w")
     return kick, ["y = y + vp", "x = x + y"], ("1.0 + w", "1.0", "w", "1.0")
@@ -242,76 +252,39 @@ def _times(entry: str, v: str) -> str:
 
 
 @functools.cache
-def _float_kernels(family: str, count: int, inverted: bool):
-    """The factory kernels(c, p1, q1, ..., pn, qn) -> (step, image, inverse,
-    walk, orbit) on floats for every map of one family, count harmonics and
-    direction, compiled once from _TEMPLATE.  The parameters are its
-    arguments, never literals.  The code's filename names the shape, and
-    linecache holds its source for tracebacks."""
-    kick, move, jacobian = _step_source(family, count, inverted, True)
+def _kernel_factory(family: str, count: int, inverted: bool):
+    """The factory kernels(c, p1, q1, ..., pn, qn) -> the kernels in
+    _KERNEL_ATTRS order for every map of one family, count harmonics and
+    direction, compiled once from _TEMPLATE: step (x1, y1, a, b, c, d) and
+    image (x1, y1) on floats, the walk and orbit blocks, and step and image
+    on arrays, where Jacobian entries that do not depend on the point are
+    floats.  The parameters are its arguments, never literals.  The code's
+    filename names the shape, and linecache holds its source for tracebacks."""
+    kick, move, jacobian = _step_source(family, count, inverted, True, False)
     a, b, c, d = jacobian
     # b is a constant: only an inverted map's -1.0 fails the twist test
     twist = [] if b == "1.0" else [f'raise TwistViolationError(f"twist entry {b} <= 0 at '
                                    '{(x, y)}: not a positive twist map here")']
-    image = sum(_step_source(family, count, inverted, False)[:2], [])
+    lines = lambda cos, array: sum(_step_source(family, count, inverted, cos, array)[:2], [])
     block = lambda lines, depth: "\n".join(" " * depth + line for line in lines)
     source = _TEMPLATE.format(
         params="".join(f", p{i}, q{i}" for i in range(1, count + 1)),
+        harmonics=" ".join(f"({i}, p{i}, q{i})," for i in range(1, count + 1)),
         step=block(kick + move, 8), jacobian=", ".join(jacobian),
-        image=block(image, 8), orbit=block(image, 16),
-        inverse=block(sum(_step_source(family, count, not inverted, False)[:2], []), 8),
+        image=block(lines(False, False), 8), orbit=block(lines(False, False), 16),
+        step_array=block(lines(True, True), 8), image_array=block(lines(False, True), 8),
         kick=block(kick + twist, 16), move=block(move, 16),
         iwx=f"{_times(a, 'wx')} + {_times(b, 'wy')}", iwy=f"{_times(c, 'wx')} + {_times(d, 'wy')}")
     direction = "inverted" if inverted else "forward"
     filename = f"<twistlab kernels: {family}, {count} harmonics, {direction}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    scope = {"__name__": __name__, "math": math, "TWO_PI": TWO_PI,
+    scope = {"__name__": __name__, "math": math, "TWO_PI": TWO_PI, "_kick_arr": _kick_arr,
              "TwistViolationError": TwistViolationError}
     exec(compile(source, filename, "exec"), scope)
     return scope["kernels"]
 
 
-def _kernels(family: str, params, harmonics, inverted: bool):
-    """The kernels of one map, in _KERNEL_ATTRS order: step, image and inverse,
-    walk and orbit blocks on floats (_float_kernels), then step and image on
-    arrays, over _kick_arr.  step returns (x1, y1, a, b, c, d), image (x1,
-    y1) and inverse the preimage; Jacobian entries that do not depend on the
-    point are floats on arrays.  An inverted map swaps the images, and its
-    step is the image at the preimage with the Jacobian's adjugate there
-    (det = 1), its kick taken once.  Floats and arrays agree bit for bit."""
-    c = params[0] if family == DRIFT else -0.0
-    floats = _float_kernels(family, len(harmonics), inverted)(
-        c, *(v for _, p, q in harmonics for v in (p, q)))
-    if not harmonics:
-        if inverted and family == DRIFT:
-            image = lambda x, y: (x - y + c, y - c)
-        elif inverted:
-            image = lambda x, y: (x - y, +y)  # +y copies an array y
-        else:
-            image = lambda x, y: (x + y, y + c)
-        jacobian = (1.0, -1.0, -0.0, 1.0) if inverted else (1.0, 1.0, 0.0, 1.0)
-        return (*floats, lambda x, y: (*image(x, y), *jacobian), image)
-
-    def step(x, y):
-        kx = x - y if inverted else x
-        vp, w = _kick_arr(kx, harmonics, True, True)
-        if inverted:
-            return kx, y - vp, 1.0, -1.0, -w, 1.0 + w
-        y1 = y + vp
-        return x + y1, y1, 1.0 + w, 1.0, w, 1.0
-
-    def image(x, y):
-        kx = x - y if inverted else x
-        vp = _kick_arr(kx, harmonics, True, False)[0]
-        if inverted:
-            return kx, y - vp
-        y1 = y + vp
-        return x + y1, y1
-    return (*floats, step, image)
-
-
-_KERNEL_ATTRS = ("_step_k", "_apply_k", "_apply_inverse_k", "_walk_k", "_orbit_k",
-                 "_step_array_k", "_apply_array_k")
+_KERNEL_ATTRS = ("_step_k", "_apply_k", "_walk_k", "_orbit_k", "_step_array_k", "_apply_array_k")
 
 
 def _observe(name: str, kernel):
@@ -376,8 +349,11 @@ class LiftedMap:
         self._bind_kernels()
 
     def _bind_kernels(self) -> None:
-        """Bind the kernels of _kernels, each as _observe(name, kernel)."""
-        kernels = _kernels(self.family, self.params, self._harmonics, self.twist_sign == -1)
+        """Bind the kernels of the map's shape (_kernel_factory) to its
+        parameters, each as _observe(name, kernel)."""
+        c = self.params[0] if self.family == DRIFT else -0.0
+        kernels = _kernel_factory(self.family, len(self._harmonics), self.twist_sign == -1)(
+            c, *(v for _, p, q in self._harmonics for v in (p, q)))
         for name, kernel in zip(_KERNEL_ATTRS, kernels):
             object.__setattr__(self, name, _observe(name, kernel))
 
@@ -407,7 +383,8 @@ class LiftedMap:
         return self._apply_k(x, y)
 
     def apply_inverse_scalar(self, x: float, y: float) -> tuple[float, float]:
-        return self._apply_inverse_k(x, y)
+        """One application of the inverse lift: the inverted map's image."""
+        return self.inverted()._apply_k(x, y)
 
     def jacobian_scalar(self, x: float, y: float) -> tuple[float, float, float, float]:
         """Row-major entries (a, b, c, d) of the derivative at (x, y).

@@ -426,11 +426,16 @@ class CocycleScan:
 
     overconj_time is -1 where no over-conjugate time was found and -2 on
     lanes flagged invalid (a twist violation, or an orbit or direction
-    that left the float range); cumulative is NaN there.  n is
-    the number of steps run: the requested horizon, or fewer when the scan
-    stopped at its first over-conjugate time.  history, when requested,
-    holds the cumulative record of those steps with history[k] =
-    cumulative after k steps.
+    that left the float range); cumulative is NaN there.  A lane whose
+    orbit leaves the float range before the horizon is -2 even if it was
+    over-conjugate before: -2 marks the lane invalid, and the scan CSV and
+    its readers rely on that.  detect_overconjugate, and a scan that stops
+    at its first over-conjugate time, give the earlier time (std:k=1e308
+    from (0, 1/4), horizon 60: -2 here, 3 there).  n is the number of
+    steps run: the requested horizon, or fewer when the scan stopped at
+    its first over-conjugate time.  history, when requested, holds the
+    cumulative record of those steps with history[k] = cumulative after
+    k steps.
     """
 
     cumulative: np.ndarray

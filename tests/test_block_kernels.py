@@ -34,7 +34,7 @@ from twistlab import (
     standard,
     torsion_trace,
 )
-from twistlab.maps import BLOCK, _float_kernels
+from twistlab.maps import BLOCK, _kernel_factory
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=200)
 
@@ -71,7 +71,8 @@ def per_step_orbit(kernel, x, y, r):
 def test_orbit_blocks_take_the_per_step_kernels_steps(m, inverted, p, r):
     m = m.inverted() if inverted else m
     # a backward orbit is the inverted map's forward orbit
-    for block, kernel in ((m._orbit_k, m._apply_k), (m.inverted()._orbit_k, m._apply_inverse_k)):
+    back = m.inverted()
+    for block, kernel in ((m._orbit_k, m._apply_k), (back._orbit_k, back._apply_k)):
         xs, ys = [0.0] * r, [0.0] * r
         x, y, taken, exc = block(*p, r, xs, ys)
         points, error = per_step_orbit(kernel, *p, r)
@@ -194,7 +195,7 @@ def test_an_orbit_failing_mid_block_is_named_at_the_per_step_loops_step(m, x, y,
     p = (x, y)
     for kernel, calls in [
         (m._apply_k, [lambda: iterate(m, p, n), lambda: rotation_number(m, p, n)]),
-        (m._apply_inverse_k, [lambda: iterate(m, p, -n)]),
+        (m.inverted()._apply_k, [lambda: iterate(m, p, -n)]),
         (m._step_k, [lambda: torsion_trace(m, p, n=n), lambda: asymptotic_torsion(m, p, n, n)]),
     ]:
         want, on_edge = first_failure(kernel, *p, n)
@@ -335,9 +336,9 @@ def test_no_block_calls_a_per_step_kernel(kernels):
 
 def test_kernels_compile_once_per_shape_and_trace_to_their_source():
     first = generating_function(0.02, -0.007)
-    compiled = _float_kernels.cache_info().misses
+    compiled = _kernel_factory.cache_info().misses
     second = generating_function(0.5, 0.25)
-    assert _float_kernels.cache_info().misses == compiled
+    assert _kernel_factory.cache_info().misses == compiled
     assert second._walk_k.__code__ is first._walk_k.__code__
     # 2 x at the second step is inf: floor raises in the second harmonic's fold
     with pytest.raises(NonFiniteOrbitError, match="by step 2") as info:

@@ -373,11 +373,13 @@ def test_overconjugate_at_a_crossing_that_rounds_to_a_half_turn(capsys, k, p, wa
 @settings(deadline=None, derandomize=True, database=None, max_examples=300)
 @given(m=CATALOGUE, inverted=st.booleans(), p=DRAWN_POINTS,
        horizon=st.sampled_from([1, 2, 60, 300]))
+@example(m=standard(1e308), inverted=False, p=(0.0, 0.25), horizon=60)
 def test_walk_and_scan_read_one_overconjugate_rule(m, inverted, p, horizon):
     """detect_overconjugate is the one-lane scan's overconj_time: None is -1,
     and an orbit that leaves the float range or a failed twist is -2.  The
     lane's scan stops at its over-conjugate time, as the walk does; a full
-    scan also flags a lane whose orbit leaves the float range later."""
+    scan also flags a lane whose orbit leaves the float range later (the
+    example: over-conjugate at step 3, invalid by the horizon)."""
     m = m.inverted() if inverted else m
     try:
         walk = detect_overconjugate(m, p, horizon)
@@ -441,7 +443,6 @@ def test_jacobi_oracle_makes_one_step_per_step(kernels, m, p):
         return refused
 
     kernels.patch("_apply_k", refuse)
-    kernels.patch("_apply_inverse_k", refuse)
     # jacobian_scalar runs the step: a call to it would count as a step
     got = jacobi_conjugate_oracle(LiftedMap(m.family, m.params), p, 400)
     assert got == want
