@@ -145,20 +145,25 @@ class ProbeReport:
     horizon: int | None = None
 
 
-def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
+def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, rank=None):
     """Roots y_j of increasing functions y -> g(xs[j], y), all nodes at once.
 
     g takes equally shaped arrays of nodes and trial values; a node is
-    whatever g reads, an x or an index into the caller's data.  Each node
-    runs the same steps it would alone: brackets start at [-1, 1] and
-    double outward to +-2^16 before giving up; with monotone_samples > 1
-    the bracket is then sampled that many times and must be strictly
+    whatever g reads, an x or an index into the caller's data, and every
+    array g gets lists its nodes in the order of xs.  Each node runs the
+    same steps it would alone: brackets start at [-1, 1] and double
+    outward to +-2^16 before giving up; with monotone_samples > 1 the
+    bracket is then sampled that many times and must be strictly
     increasing, since bisection could otherwise land on any of several
-    roots (NonMonotoneBracketError); bisection stops once |g| < tol or
-    the bracket has collapsed to 4 ulp, which a bracket of at most 2^17
-    reaches within about 70 halvings.  A node that fails drops out; once
-    every node is done, the error of the lowest-index failing node is
-    raised.
+    roots (NonMonotoneBracketError); g is taken at the interior samples
+    only, the edges' values being the bracket search's last ones
+    (linspace returns the edges exactly).  Bisection stops once |g| < tol
+    or the bracket has collapsed to 4 ulp, which a bracket of at most
+    2^17 reaches within about 70 halvings; no edge exceeds 2^16 in
+    magnitude, so the 4-ulp test is skipped while every bracket is wider
+    than 2^-34 = 4 * spacing(2^16).  A node that fails drops out; once
+    every node is done, the error of the failing node that comes first is
+    raised: the lowest index, or the lowest rank[j] if rank is given.
     """
     # tol = 0 is allowed: no residual beats it, so every bracket collapses
     # and the solver's own error says so.
@@ -167,7 +172,7 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
 
     def fail(j, error: Exception) -> None:
         failed[j] = True
-        errors[int(j)] = error
+        errors[int(j if rank is None else rank[j])] = error
 
     lo = np.full(len(xs), -1.0)
     hi = np.full(len(xs), 1.0)
@@ -181,11 +186,13 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
             for j in act[over]:
                 fail(j, BracketExpansionError(f"no sign change {word} to {float(edge[j])}"))
             act = act[~over]
-            act = act[side * g(xs[act], edge[act]) < 0.0]
+            g_edge[act] = g(xs[act], edge[act])
+            act = act[side * g_edge[act] < 0.0]
     act = np.flatnonzero(~failed)
     if monotone_samples > 1 and act.size:
-        t = np.linspace(lo[act], hi[act], monotone_samples, axis=1)
-        v = g(np.repeat(xs[act], monotone_samples), t.ravel()).reshape(t.shape)
+        inner = np.linspace(lo[act], hi[act], monotone_samples, axis=1)[:, 1:-1]
+        v = g(np.repeat(xs[act], inner.shape[1]), inner.ravel()).reshape(inner.shape)
+        v = np.column_stack((g_lo[act], v, g_hi[act]))
         bad = np.any(v[:, 1:] <= v[:, :-1], axis=1)
         for j in act[bad]:
             fail(j, NonMonotoneBracketError(
@@ -203,12 +210,18 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0):
         below = g_mid < 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        ulp = np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
-        collapsed = hi - lo <= 4.0 * ulp
-        if not (done.any() or collapsed.any()):
-            continue
+        width = hi - lo
+        if width.min() > 2.0**-34:  # no bracket has collapsed
+            if not done.any():
+                continue
+            collapsed = np.zeros_like(done)
+        else:
+            ulp = np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+            collapsed = width <= 4.0 * ulp
+            if not (done.any() or collapsed.any()):
+                continue
+            collapsed &= ~done
         roots[act[done]] = mid[done]
-        collapsed &= ~done
         if collapsed.any():
             last = 0.5 * (lo[collapsed] + hi[collapsed])
             g_abs = np.abs(g(x[collapsed], last))
@@ -230,32 +243,41 @@ def _sections(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots ys of p1(F^q(x, y)) = x + p at every node x, and F^q(xs, ys).
 
-    p is one offset or one per node, and q one count or one per node: the
-    solver's nodes index xs, p and q, and each node steps its own q times.
+    p is one offset or one per node, and q one count (at least 1) or one
+    per node: the solver's nodes index xs, p and q, and each node steps
+    its own q times.  With q per node the solver gets the nodes in falling
+    q (ties by index), so each step past the smallest q maps a prefix of
+    them; it ranks each node by its index, so a failure still raises the
+    error of the lowest failing index.  One q keeps the nodes in order.
     """
     p = np.broadcast_to(np.asarray(p, dtype=float), xs.shape)
     lo, hi = (q, q) if isinstance(q, int) else (int(q.min()), int(q.max()))
 
     def forward_q(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Every node takes the first lo steps; each later step maps only the
-        # nodes whose q is larger, so each node's arithmetic is its own.
+        # prefix of nodes whose q is larger, so each node's arithmetic is its
+        # own.  From the first step (lo >= 1) x and y are the map's arrays.
         for _ in range(lo):
             x, y = map.apply_array(x, y)
         if hi > lo:
-            qj, x, y = q[j], x.copy(), y.copy()
+            qj = q[j]
         for s in range(lo, hi):
-            more = qj > s
-            x[more], y[more] = map.apply_array(x[more], y[more])
+            k = np.count_nonzero(qj > s)
+            x[:k], y[:k] = map.apply_array(x[:k], y[:k])
         return x, y
 
     def g(j: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = xs[j]
         return forward_q(j, x, y)[0] - x - p[j]
 
-    nodes = np.arange(len(xs))
-    ys = _solve_roots(g, nodes, tol, monotone_samples)
-    xq, yq = forward_q(nodes, xs, ys)
-    return ys, xq, yq
+    if isinstance(q, int):
+        nodes = np.arange(len(xs))
+        ys = _solve_roots(g, nodes, tol, monotone_samples)
+        return (ys, *forward_q(nodes, xs, ys))
+    nodes = np.argsort(-q, kind="stable")
+    ys = _solve_roots(g, nodes, tol, monotone_samples, nodes)
+    back = np.argsort(nodes)
+    return tuple(a[back] for a in (ys, *forward_q(nodes, xs[nodes], ys)))
 
 
 def psi1(map: LiftedMap, x: float) -> float:

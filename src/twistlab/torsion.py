@@ -522,9 +522,12 @@ def cocycle_scan(
     as the angle ignores their length.
     A lane gets at most one over-conjugate time (the half-turn index only
     falls, and a lifted scan tests only lanes without one), so the test
-    stops once every lane has one.  From then on a vertical scan without
-    history counts its crossings in one byte per lane, added to the
-    half-turn index within every 127 steps and at the end.
+    stops once every lane has one, and from then on a vertical scan
+    without history counts its crossings in one byte per lane, added to
+    the half-turn index within every 127 steps and at the end.  Until
+    then a vertical scan skips the half-turn update and the test at a
+    step in which no lane crossed; a grid without conjugate points
+    crosses at step 1 only.
     Each output entry depends only on its own lane's start point, so
     chunked and whole-array executions produce bit-identical results.
 
@@ -606,8 +609,12 @@ def cocycle_scan(
                 wy /= norm
             _odd(wx, wy, odd1)
             np.not_equal(odd1, odd, out=flip)
+            # While lanes are pending, a vertical step in which no lane
+            # crossed leaves half and the over-conjugate times as they are.
+            quiet = pending and vertical and not flip.any()
             if pending or lift:
-                half -= flip
+                if not quiet:
+                    half -= flip
             else:
                 count -= flip.view(np.int8)
                 if step % 127 == 0:
@@ -618,7 +625,7 @@ def cocycle_scan(
                 cum = _lifted_angle(wx, wy, half) - th0
                 if keep_history:
                     history[step] = cum
-            if not pending:
+            if not pending or quiet:
                 continue
             if vertical:
                 # the second crossing, when the half-turn index reaches -2

@@ -122,6 +122,27 @@ def test_grouped_family_raises_the_first_failing_rational(m, rhos):
     assert outcome(lambda: psi_family(m, rhos, resolution=16)) == want
 
 
+def lowest_failing_node(m, r, resolution):
+    xs = np.arange(resolution) / resolution
+    for j in range(resolution):
+        node = lambda: _sections(m, xs[j:j + 1], r.numerator, r.denominator, ROOT_TOL, 9)
+        if outcome(node)[0] != "ok":
+            return j
+
+
+def test_family_raises_in_rational_order_not_solve_order():
+    # The one solve takes its nodes in falling q, so 4/3's (q = 3) come
+    # before -1/2's (q = 2), and 4/3 fails at a lower node index (0, its
+    # bracket [-1, 2]) than -1/2 (1, [-1, 1]).  -1/2 is the first rational,
+    # so its error is raised, as one solve per rational raises it.
+    m, rhos = standard(3.0), [Fraction(-1, 2), Fraction(4, 3)]
+    assert lowest_failing_node(m, rhos[1], 16) < lowest_failing_node(m, rhos[0], 16)
+    first, later = (outcome(lambda: ref_psi_family(m, [r], 16)) for r in rhos)
+    assert first[0] != "ok" and later[0] != "ok" and first != later
+    assert outcome(lambda: ref_psi_family(m, rhos, 16)) == first
+    assert outcome(lambda: psi_family(m, rhos, resolution=16)) == first
+
+
 def test_probe_family_matches_per_curve():
     report = integrability_probe(standard(0.0), grid=(4, 4), horizon=50)
     curves = report.family.curves

@@ -188,6 +188,8 @@ def test_periodic_curve_matches_reference(m):
         (standard(1e6), ROOT_TOL, 9),  # no sign change within +-2^16
         (standard(3.0), ROOT_TOL, 17),
         (standard(1.5), ROOT_TOL, 2),
+        (standard(20.0), ROOT_TOL, 9),  # |Psi1| up to 3.2: brackets double before the samples
+        (standard(20.0), ROOT_TOL, 17),
     ],
 )
 def test_solver_errors_match_reference(m, tol, samples):
@@ -304,7 +306,7 @@ def test_solver_tol_zero_ends_by_the_collapse_test(scale):
     # a solve takes under 100 calls of g, bracketing included, and needs no
     # cap on its halvings.
     top = math.nextafter(BRACKET_LIMIT, 0.0)
-    roots = np.array([0.0, 1.0, -1.0, top, -top])
+    roots = np.array([0.0, 1.0, -1.0, top, -top, BRACKET_LIMIT, -BRACKET_LIMIT])
     for nodes in [[j] for j in range(len(roots))] + [list(range(len(roots)))]:
         calls = []
 
