@@ -161,9 +161,13 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, rank=
     or the bracket has collapsed to 4 ulp, which a bracket of at most
     2^17 reaches within about 70 halvings; no edge exceeds 2^16 in
     magnitude, so the 4-ulp test is skipped while every bracket is wider
-    than 2^-34 = 4 * spacing(2^16).  A node that fails drops out; once
-    every node is done, the error of the failing node that comes first is
-    raised: the lowest index, or the lowest rank[j] if rank is given.
+    than 2^-34 = 4 * spacing(2^16).  A collapsed bracket's midpoint is the
+    root if |g| < tol * max(1, |edge|) there, tol at the scale of the
+    bracket's ulp, since a map coordinate at y resolves no finer than y's
+    ulp; else the node fails, and with tol = 0 every collapsed node does.
+    A node that fails drops out; once every node is done, the error of
+    the failing node that comes first is raised: the lowest index, or the
+    lowest rank[j] if rank is given.
     """
     # tol = 0 is allowed: no residual beats it, so every bracket collapses
     # and the solver's own error says so.
@@ -216,8 +220,8 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, rank=
                 continue
             collapsed = np.zeros_like(done)
         else:
-            ulp = np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
-            collapsed = width <= 4.0 * ulp
+            scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+            collapsed = width <= 4.0 * np.spacing(scale)
             if not (done.any() or collapsed.any()):
                 continue
             collapsed &= ~done
@@ -225,7 +229,7 @@ def _solve_roots(g, xs: np.ndarray, tol: float, monotone_samples: int = 0, rank=
         if collapsed.any():
             last = 0.5 * (lo[collapsed] + hi[collapsed])
             g_abs = np.abs(g(x[collapsed], last))
-            bad = g_abs >= tol
+            bad = g_abs >= tol * scale[collapsed]
             for j, r in zip(act[collapsed][bad], g_abs[bad]):
                 fail(j, BracketExpansionError(
                     f"bracket collapsed with residual {float(r):.3e} >= tol {tol:.3e}"

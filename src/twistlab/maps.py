@@ -34,17 +34,18 @@ harmonic count and direction (_kernel_factory).  Each family's step is
 written once (_step_source): a kick on floats as _kick's loop body
 unrolled one harmonic at a time, on arrays as one _kick_arr call, and the
 move and the Jacobian in the same lines for both.  It goes into the step
-and the image on floats and arrays, and into the two block kernels of the
-scalar orbit loops, a tangent walk and a forward orbit, which take up to
-a block of steps a call.  An inverted map's step is the image at the
-preimage with the Jacobian's adjugate there (det = 1), its kick taken
-once; the inverse image is the inverted map's image, and a backward orbit
-its forward orbit.  Floats and arrays agree bit for bit.  The blocks
-record floats in one list per column, which _column moves into numpy in
-one packed copy.  Each kernel is bound as _observe(name, kernel), the one
-way to watch it.  Every orbit loop names the step at which it left the
-float range by one rule, _check_block, and every request that sizes
-memory or a solver sweep is held to ITERATE_CAP by one rule, _check_cap.
+and the image on floats and arrays, and into the three block kernels of
+the scalar loops, a tangent walk, a forward orbit and the vertical's
+Jacobi field, which take up to a block of steps a call.  An inverted
+map's step is the image at the preimage with the Jacobian's adjugate
+there (det = 1), its kick taken once; the inverse image is the inverted
+map's image, and a backward orbit its forward orbit.  Floats and arrays
+agree bit for bit.  The blocks record floats in one list per column,
+which _column moves into numpy in one packed copy.  Each kernel is bound
+as _observe(name, kernel), the one way to watch it.  Every orbit loop
+names the step at which it left the float range by one rule,
+_check_block, whatever BLOCK is, and every request that sizes memory or
+a solver sweep is held to ITERATE_CAP by one rule, _check_cap.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ ITERATE_CAP = 10_000_000
 # twist_check's Halton sample count and the seed of its shift.
 TWIST_SAMPLES, TWIST_SEED = 1000, 0
 
-# Steps per call of a block kernel in the scalar orbit loops.
-BLOCK = 1024
+# Steps per call of a block kernel in the scalar loops; each block of a
+# walk pays about twenty small numpy calls.  No result depends on it.
+BLOCK = 4096
 
 # The most cosine coefficients of a genfun map; every kick loops over all.
 GENFUN_MAX_INDEX = 64
@@ -162,7 +164,11 @@ def _kick_arr(x: np.ndarray, harmonics, cos: bool):
 # can raise; {move} then takes (x, y) to the step's image.  The array step
 # and image differ from the float ones only in their kick, one _kick_arr
 # call.  The walk transports (wx, wy) by the step's Jacobian, and an
-# inverted map's walk raises TwistViolationError after its kick.
+# inverted map's walk raises TwistViolationError after its kick.  The
+# Jacobi block steps the vertical's Jacobi field xi by the recursion
+# xi_next = (2 + c) xi - xi_prev, c the Jacobian's V'' entry, rescaling the
+# pair past 1e100; it returns after the step at which xi changed sign or
+# reached 0, with xi = 0.0 then: a field it carries on is never 0.
 _TEMPLATE = '''\
 def kernels(c{params}):
     floor, sin, hypot = math.floor, math.sin, math.hypot
@@ -205,6 +211,24 @@ def kernels(c{params}):
             return x, y, i, exc
         return x, y, r, None
 
+    def jacobi(x, y, xi_prev, xi, r):
+        try:
+            for i in range(r):
+{jacobi}
+                xi_next = (2.0 + {vsecond}) * xi - xi_prev
+                if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
+                    return x, y, xi, 0.0, i + 1, None
+                scale = abs(xi_next)
+                if scale > 1e100:
+                    if scale == math.inf:
+                        raise OverflowError("the Jacobi field overflowed")
+                    xi_next /= scale
+                    xi = xi / scale
+                xi_prev, xi = xi, xi_next
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, xi_prev, xi, i, exc
+        return x, y, xi_prev, xi, r, None
+
     def step_array(x, y):
 {step_array}
         return x, y, {jacobian}
@@ -212,7 +236,7 @@ def kernels(c{params}):
     def image_array(x, y):
 {image_array}
         return x, y
-    return step, image, walk, orbit, step_array, image_array
+    return step, image, walk, orbit, jacobi, step_array, image_array
 '''
 
 
@@ -256,9 +280,9 @@ def _kernel_factory(family: str, count: int, inverted: bool):
     """The factory kernels(c, p1, q1, ..., pn, qn) -> the kernels in
     _KERNEL_ATTRS order for every map of one family, count harmonics and
     direction, compiled once from _TEMPLATE: step (x1, y1, a, b, c, d) and
-    image (x1, y1) on floats, the walk and orbit blocks, and step and image
-    on arrays, where Jacobian entries that do not depend on the point are
-    floats.  The parameters are its arguments, never literals.  The code's
+    image (x1, y1) on floats, the walk, orbit and Jacobi blocks, and step
+    and image on arrays, where Jacobian entries that do not depend on the
+    point are floats.  The parameters are its arguments, never literals.  The code's
     filename names the shape, and linecache holds its source for tracebacks."""
     kick, move, jacobian = _step_source(family, count, inverted, True, False)
     a, b, c, d = jacobian
@@ -272,6 +296,7 @@ def _kernel_factory(family: str, count: int, inverted: bool):
         harmonics=" ".join(f"({i}, p{i}, q{i})," for i in range(1, count + 1)),
         step=block(kick + move, 8), jacobian=", ".join(jacobian),
         image=block(lines(False, False), 8), orbit=block(lines(False, False), 16),
+        jacobi=block(kick + move, 16), vsecond=c,
         step_array=block(lines(True, True), 8), image_array=block(lines(False, True), 8),
         kick=block(kick + twist, 16), move=block(move, 16),
         iwx=f"{_times(a, 'wx')} + {_times(b, 'wy')}", iwy=f"{_times(c, 'wx')} + {_times(d, 'wy')}")
@@ -284,7 +309,8 @@ def _kernel_factory(family: str, count: int, inverted: bool):
     return scope["kernels"]
 
 
-_KERNEL_ATTRS = ("_step_k", "_apply_k", "_walk_k", "_orbit_k", "_step_array_k", "_apply_array_k")
+_KERNEL_ATTRS = ("_step_k", "_apply_k", "_walk_k", "_orbit_k", "_jacobi_k", "_step_array_k",
+                 "_apply_array_k")
 
 
 def _observe(name: str, kernel):
@@ -514,7 +540,7 @@ def _orbit(map: LiftedMap, start: tuple[float, float], n: int, out=None) -> tupl
     for n0 in range(0, n, BLOCK):
         first = x, y
         x, y, r, exc = map._orbit_k(x, y, min(BLOCK, n - n0), xs, ys)
-        _check_block(map._apply_k, start, n0, first, r, exc, (x, y))
+        _check_block(map._apply_k, start, n0, first, r, exc, (x, y), more=n0 + r < n)
         if out is not None:
             rows = out[n0 + 1 : n0 + 1 + r]
             rows[:, 0], rows[:, 1] = _column(xs, r), _column(ys, r)
@@ -526,23 +552,45 @@ def _column(values: list, r: int) -> np.ndarray:
     return np.frombuffer(pack(f"{r}d", *(values if r == len(values) else values[:r])), float)
 
 
-def _check_block(step, start, n0: int, first, taken: int, exc, last, rows=()) -> None:
+def _check_block(step, start, n0: int, first, taken: int, exc, last, rows=(), more=False,
+                 pending=None):
     """Raise NonFiniteOrbitError if the orbit of start left the float range
     in a block that took taken steps, n0+1 to n0+taken, from the point first
-    to the point last, with rows, two packed columns of a float per step.
-    The block's error comes first: at step n0 + taken + 1, chained from
-    exc, the error that stopped it.  Then the first step whose row is not
-    finite; then, as shear and drift carry an inf on past the rows, the
-    first non-finite point, found by walking the block again with step."""
+    to the point last (the points of both orbits for linking), with rows,
+    two packed columns of a float per step.  The block's error comes first:
+    at step n0 + taken + 1, chained from exc, the error that stopped it.
+    Then the first step whose row is not finite; then, as shear and drift
+    carry an inf on past the rows, the first non-finite point, found by
+    walking the block again with step.
+
+    The name is the one a single block of the loop's steps gives, whatever
+    BLOCK is.  A loop that goes on past a block that BLOCK alone ended
+    passes more: if a last point is not finite, its next step is taken
+    with step, and its error, if it raises (a kick does the step after a
+    non-finite point), is the block's; if none does, the map carries inf
+    on and raises nothing later.  A non-finite row at finite points is
+    returned, pending, for the loop to pass on and raise at its end,
+    unless an error comes first.  Returns pending, None if none."""
+    finite_last = all(map(math.isfinite, last))
+    if exc is None and more and not finite_last:
+        try:
+            for i in range(0, len(last), 2):
+                step(*last[i : i + 2])
+            more = False
+        except (ArithmeticError, ValueError) as error:
+            exc = error
     if exc is not None:
         raise NonFiniteOrbitError.at(start, n0 + taken + 1) from exc
-    if rows:
+    if rows and pending is None:
         finite = np.isfinite(rows[0]) & np.isfinite(rows[1])
         if not finite.all():
-            raise NonFiniteOrbitError.at(start, n0 + 1 + int(np.argmin(finite)))
-    x, y = last
-    if math.isfinite(x) and math.isfinite(y):
-        return
+            pending = n0 + 1 + int(np.argmin(finite))
+    if pending is not None:
+        if more:
+            return pending
+        raise NonFiniteOrbitError.at(start, pending)
+    if finite_last:
+        return None
     x, y = first
     for i in range(1, taken):
         x, y = step(x, y)[:2]

@@ -15,7 +15,8 @@ lists, moved into numpy in one packed copy per column (maps._column), and
 lifts a block at once in numpy, with the running sums (torsion) and their
 sign structure (conjugate points); a block ends early where a consumer
 must decide, so no walk steps past its stop.  linking_number subtracts
-the two orbits' blocks in numpy.  The vectorized ensemble kernel,
+the two orbits' blocks in numpy, and jacobi_conjugate_oracle steps the
+map's Jacobi block.  The vectorized ensemble kernel,
 cocycle_scan, lifts the same way per lane, taking an angle only where
 one is read.  Both read one over-conjugate rule: the vertical start is
 over-conjugate at its second crossing, where its lifted angle passes
@@ -107,44 +108,59 @@ class _Walk:
     plus the change of j, kept apart so that it does not lose bits to a
     large lifted angle.  The first image's th is the scalar _angle's, so
     step 1 does not depend on numpy's arctan2.  The walk keeps its last
-    point and direction, its step count n and its cumulative cum.
+    point and direction, its step count n and its cumulative cum, and one
+    set of record lists, sized at its first run and grown only for a
+    longer block, so blocks that end early allocate nothing.
     """
 
     def __init__(self, map: LiftedMap, x: float, y: float, wx: float, wy: float) -> None:
         self.block, self.step, self.start = map._walk_k, map._step_k, (x, y)
         self.x, self.y, self.wx, self.wy, self.n, self.cum = x, y, wx, wy, 0, 0.0
+        self.ix, self.iy, self.trace, self.pending = [], [], ([],), None
         # the lift's state: the parity and middle of the half turn, th and j
         self.odd = wx > 0.0 if wx else wy < 0.0
         self.mid = -0.25 if self.odd else 0.25
         self.th = _angle(wx, wy)
         self.j = round(self.mid - self.th)
 
-    def run(self, k: int, stop=None, tol: float = -math.inf, table=None) -> np.ndarray:
+    def run(self, k: int, stop=None, tol: float = -math.inf, table=None) -> np.ndarray | None:
         """Take min(k, BLOCK) steps and return the cumulative after each.
 
         The block ends early after a step at which stop(x, y, wx) is true,
         or at which wx changed sign or came within tol of 0.  With table,
         the rows go to it too: x, y, wx, wy, the step and the cumulative.
-        An orbit that leaves the float range raises NonFiniteOrbitError.
+        An orbit that leaves the float range raises NonFiniteOrbitError,
+        at the step one block of the k steps names: a direction that is
+        not finite at a finite point after a block that BLOCK alone ended
+        is pending, carried unlifted (run returns None) to the next end.
         """
         r = min(k, BLOCK)
-        ix, iy = [0.0] * r, [0.0] * r
-        trace = None if table is None else ([0.0] * r, [0.0] * r, [0.0] * r)
-        x, y, wx, wy, r, exc = self.block(self.x, self.y, self.wx, self.wy, r, ix, iy, trace,
-                                          stop, tol)
-        iwx, iwy = _column(ix, r), _column(iy, r)
+        if len(self.ix) < r:
+            self.ix, self.iy = [0.0] * r, [0.0] * r
+        if table is not None and len(self.trace[0]) < r:
+            self.trace = [0.0] * r, [0.0] * r, [0.0] * r
+        trace = None if table is None else self.trace
+        side = -1.0 if self.wx < 0.0 else 1.0
+        x, y, wx, wy, taken, exc = self.block(self.x, self.y, self.wx, self.wy, r, self.ix,
+                                              self.iy, trace, stop, tol)
+        more = taken == r < k and not (side * wx < tol or stop is not None and stop(x, y, wx))
+        iwx, iwy = _column(self.ix, taken), _column(self.iy, taken)
         # a direction is finite where its image is
-        _check_block(self.step, self.start, self.n, (self.x, self.y), r, exc, (x, y), (iwx, iwy))
+        self.pending = _check_block(self.step, self.start, self.n, (self.x, self.y), taken, exc,
+                                    (x, y), (iwx, iwy), more, self.pending)
+        if self.pending is not None:
+            self.x, self.y, self.wx, self.wy, self.n = x, y, wx, wy, self.n + taken
+            return None
         steps = self._steps(iwx, iwy)
         if table is not None:  # the walk's own division, iwx / norm, bit for bit
-            xs, ys, norms = (_column(c, r) for c in trace)
-            table[:r, 0], table[:r, 1], table[:r, 4] = xs, ys, steps
-            table[:r, 2], table[:r, 3] = iwx / norms, iwy / norms
+            xs, ys, norms = (_column(c, taken) for c in trace)
+            table[:taken, 0], table[:taken, 1], table[:taken, 4] = xs, ys, steps
+            table[:taken, 2], table[:taken, 3] = iwx / norms, iwy / norms
         # a sequential sum from the walk's cumulative, bit for bit the running sum
         steps[0] += self.cum
-        cum = np.add.accumulate(steps, out=steps if table is None else table[:r, 5])
+        cum = np.add.accumulate(steps, out=steps if table is None else table[:taken, 5])
         self.x, self.y, self.wx, self.wy = x, y, wx, wy
-        self.n, self.cum = self.n + r, float(cum[-1])
+        self.n, self.cum = self.n + taken, float(cum[-1])
         return cum
 
     def _steps(self, iwx: np.ndarray, iwy: np.ndarray) -> np.ndarray:
@@ -328,35 +344,28 @@ def jacobi_conjugate_oracle(map: LiftedMap, p, horizon: int) -> int | None:
     one-index bracketing slack.
 
     Only families with a generating function qualify (shear, standard,
-    genfun, not inverted); the drift map is not exact and has none.  An
+    genfun, not inverted); the drift map is not exact and has none.  One
+    step gives xi_1; the map's Jacobi block then steps the orbit and the
+    recursion a block at a time, rescaling (xi_{n-1}, xi_n) past 1e100.  An
     orbit or Jacobi field that leaves the float range raises
-    NonFiniteOrbitError.
+    NonFiniteOrbitError, at the step maps._check_block names for the whole
+    horizon as one block.
     """
     horizon = _check_count("horizon", horizon, 2)
     if map.twist_sign != 1 or map.family == DRIFT:
         raise ValueError(f"map {map.to_spec()!r} has no generating function")
     start = x, y = _as_point(p)
-    step, xi_prev, taken, error = map._step_k, 0.0, horizon, None
-    x, y, _, xi, _, _ = step(x, y)
-    try:
-        for n in range(2, horizon + 1):
-            # (x, y) holds the point n-1; the step to xi_n reads V'' there,
-            # the c entry of the Jacobian.
-            x, y, _, _, vsecond, _ = step(x, y)
-            xi_next = (2.0 + vsecond) * xi - xi_prev
-            if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
-                return n
-            scale = abs(xi_next)
-            if scale > 1e100:
-                if scale == math.inf:
-                    raise OverflowError("the Jacobi field overflowed")
-                xi_next /= scale
-                xi = xi / scale
-            xi_prev, xi = xi, xi_next
-    except (ArithmeticError, ValueError) as exc:
-        taken, error = n - 1, exc
+    x, y, _, xi, _, _ = map._step_k(x, y)
+    xi_prev, n = 0.0, 1
+    while n < horizon:
+        x, y, xi_prev, xi, r, exc = map._jacobi_k(x, y, xi_prev, xi, min(BLOCK, horizon - n))
+        if exc is not None:
+            _check_block(None, start, n, None, r, exc, (x, y))
+        n += r
+        if xi == 0.0:  # the block's sign test fired
+            return n
     # shear carries inf on, and its V'' is 0
-    _check_block(step, start, 0, start, taken, error, (x, y))
+    _check_block(map._step_k, start, 0, start, horizon, None, (x, y))
     return None
 
 
@@ -387,7 +396,7 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
     qx, qy = _as_point(q, "q")
     if px == qx and py == qy:
         raise CoincidentPointsError("linking needs two distinct points")
-    start, orbit, total, flagged = ((px, py), (qx, qy)), map._orbit_k, 0.0, False
+    start, orbit, total, flagged, pending = ((px, py), (qx, qy)), map._orbit_k, 0.0, False, None
     dx, dy = qx - px, qy - py
     if not (math.isfinite(dx) and math.isfinite(dy)):
         raise NonFiniteOrbitError.at(start, 0)
@@ -403,11 +412,14 @@ def linking_number(map: LiftedMap, p, q, n: int) -> LinkingEstimate:
             dy = _column(qys, r) - _column(pys, r)
         # a collision precedes any step _check_block names: a difference that
         # left the float range is never 0 again; rows hold every point, so
-        # step and first go unread
+        # first goes unread
         if ((dx == 0.0) & (dy == 0.0)).any():
             raise CoincidentPointsError("orbits collided to machine precision")
-        _check_block(None, start, n0, None, r, error if q_error is None else q_error,
-                     (qx - px, qy - py), (dx, dy))
+        pending = _check_block(map._apply_k, start, n0, None, r,
+                               error if q_error is None else q_error, (px, py, qx, qy), (dx, dy),
+                               n0 + r < n, pending)
+        if pending is not None:  # a difference that overflowed at finite points
+            continue
         # -dx as _angle negates it: -(+0.0) is -0.0
         th = np.fromiter(builtins.map(math.atan2, (-dx).tolist(), dy.tolist()), float, r)
         th *= _INV_TWO_PI

@@ -15,7 +15,7 @@ import twistlab.maps
 
 
 # The block kernels return (..., steps taken, exception).
-BLOCKS = ("_walk_k", "_orbit_k")
+BLOCKS = ("_walk_k", "_orbit_k", "_jacobi_k")
 
 
 class Kernels:

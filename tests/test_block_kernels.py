@@ -15,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_maps import CATALOGUE
 from test_walk_blocks import EDGES, directions
@@ -134,7 +134,7 @@ def stop_at_call(n):
 STOPS = {
     "none": lambda p: None,
     "call 3": lambda p: stop_at_call(3),
-    "call 1025": lambda p: stop_at_call(BLOCK + 1),
+    "call BLOCK + 1": lambda p: stop_at_call(BLOCK + 1),
     "x moved": lambda p: (lambda x, y, wx: abs(x - p[0]) > 2.5),
 }
 
@@ -152,26 +152,60 @@ def test_walk_block_stops_where_a_per_step_walk_stops(m, inverted, p, w, r, stop
     assert bits([v for row in rows for v in row]) == bits([v for row in want[0] for v in row])
 
 
+def per_step_jacobi(step, x, y, xi_prev, xi, r):
+    """r steps of the Jacobi recursion over a step kernel, in the Jacobi
+    block's return form: (x, y, xi_prev, xi, taken, the error's type),
+    xi = 0.0 after the step at which it changed sign or reached 0."""
+    for i in range(r):
+        try:
+            x, y, _, _, w, _ = step(x, y)
+            xi_next = (2.0 + w) * xi - xi_prev
+            if xi_next == 0.0 or (xi_next < 0.0) != (xi < 0.0):
+                return x, y, xi, 0.0, i + 1, None
+            scale = abs(xi_next)
+            if scale > 1e100:
+                if scale == math.inf:
+                    raise OverflowError("the Jacobi field overflowed")
+                xi_next /= scale
+                xi = xi / scale
+            xi_prev, xi = xi, xi_next
+        except (ArithmeticError, ValueError) as exc:
+            return x, y, xi_prev, xi, i, type(exc)
+    return x, y, xi_prev, xi, r, None
+
+
+@PROPERTY
+@given(m=CATALOGUE, inverted=st.booleans(), p=POINTS,
+       xi=st.tuples(ZEROS | FLOATS, FLOATS), r=st.sampled_from([1, 2, 7, 60, 1025]))
+def test_jacobi_block_takes_the_per_step_recursion(m, inverted, p, xi, r):
+    m = m.inverted() if inverted else m
+    *state, taken, exc = m._jacobi_k(*p, *xi, r)
+    want = per_step_jacobi(m._step_k, *p, *xi, r)
+    assert (taken, None if exc is None else type(exc)) == want[4:]
+    # a NaN's sign follows how often CPython has run a kernel's code
+    assert bits([math.nan if v != v else v for v in state]) == bits(
+        [math.nan if v != v else v for v in want[:4]])
+
+
 def first_failure(kernel, x, y, n):
     """The step a per-step loop of n steps names, and the type of its
     cause: the step that raised, or the first non-finite point.  A kicked
-    map raises one step after its orbit turns non-finite; shear and drift
-    carry inf on.  None if the orbit stays finite; on_edge is true when
-    the point turns non-finite at the last step of a block, where the
-    loops check their blocks' ends."""
+    map raises one step after its orbit turns non-finite, at a block's
+    last step too; shear and drift carry inf on.  None if the orbit stays
+    finite."""
     for i in range(1, n + 1):
         try:
             x, y = kernel(x, y)[:2]
         except (ArithmeticError, ValueError) as exc:
-            return (i, type(exc)), False
+            return i, type(exc)
         if not (math.isfinite(x) and math.isfinite(y)):
             if i < n:
                 try:
                     kernel(x, y)
                 except (ArithmeticError, ValueError) as exc:
-                    return (i + 1, type(exc)), i % BLOCK == 0
-            return (i, None), False
-    return None, False
+                    return i + 1, type(exc)
+            return i, None
+    return None
 
 
 def named(call):
@@ -198,8 +232,7 @@ def test_an_orbit_failing_mid_block_is_named_at_the_per_step_loops_step(m, x, y,
         (m.inverted()._apply_k, [lambda: iterate(m, p, -n)]),
         (m._step_k, [lambda: torsion_trace(m, p, n=n), lambda: asymptotic_torsion(m, p, n, n)]),
     ]:
-        want, on_edge = first_failure(kernel, *p, n)
-        assume(not on_edge)
+        want = first_failure(kernel, *p, n)
         for call in calls:
             assert named(call) == want
 
@@ -316,6 +349,7 @@ def test_no_block_calls_a_per_step_kernel(kernels):
     for m in forward + [m.inverted() for m in forward]:
         xs, ys, ix, iy = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
         assert python_calls(m._orbit_k, *p, n, xs, ys) == {"orbit": 1}
+        assert python_calls(m._jacobi_k, *p, 0.0, 1.0, n) == {"jacobi": 1}
         walk = (m._walk_k, *p, 0.0, 1.0, n, ix, iy, None, None, -math.inf)
         if m.twist_sign == 1:
             assert python_calls(*walk) == {"walk": 1}

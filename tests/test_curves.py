@@ -354,6 +354,19 @@ def test_probe_conjugate_points():
     assert detect_overconjugate(standard(1.5), report.witness, 100) == report.witness_time
 
 
+@pytest.mark.parametrize("k", [1e5, 4e5])
+def test_flux_of_a_strong_kick_is_zero(k):
+    # |Psi1| reaches k / 2 pi, where p1(F(x, y)) - x resolves no finer than
+    # y's ulp: a collapsed bracket passes with a residual below tol * |edge|
+    assert abs(flux(standard(k))) < 1e-10
+
+
+def test_probe_of_a_strong_kick_finds_conjugate_points():
+    report = integrability_probe(standard(4e5), grid=(8, 8), horizon=50)
+    assert report.verdict == VERDICT_CONJUGATE
+    assert report.witness_time == 2
+
+
 def test_probe_not_applicable_for_nonexact():
     report = integrability_probe(drift_shear(0.25), grid=(8, 8), horizon=50)
     assert report.verdict == VERDICT_NOT_APPLICABLE

@@ -56,10 +56,11 @@ def ref_bisect_root(g, tol, monotone_samples=0):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
+        scale = max(abs(lo), abs(hi), 1.0)
+        if hi - lo <= 4.0 * math.ulp(scale):
             mid = 0.5 * (lo + hi)
             g_mid = abs(g(mid))
-            if g_mid >= tol:
+            if g_mid >= tol * scale:
                 raise BracketExpansionError(
                     f"bracket collapsed with residual {g_mid:.3e} >= tol {tol:.3e}"
                 )
@@ -190,6 +191,7 @@ def test_periodic_curve_matches_reference(m):
         (standard(1.5), ROOT_TOL, 2),
         (standard(20.0), ROOT_TOL, 9),  # |Psi1| up to 3.2: brackets double before the samples
         (standard(20.0), ROOT_TOL, 17),
+        (standard(1e5), 1e-12, 0),  # |Psi1| up to 1.6e4: brackets collapse above tol
     ],
 )
 def test_solver_errors_match_reference(m, tol, samples):
@@ -297,6 +299,21 @@ def test_solver_tol_zero_collapses_every_bracket():
         _sections(standard(0.5), np.array([0.25]), 0, 1, 0.0)
     with pytest.raises(BracketExpansionError, match="bracket collapsed"):
         _solve_roots(lambda x, y: y - x, np.array([0.1, 0.3]), 0.0)
+
+
+def jump(x, y):
+    """y - x, stepped 3e-12 away from 0 on both sides of its root x."""
+    return np.where(y < x, y - x - 3e-12, y - x + 3e-12)
+
+
+def test_solver_takes_a_collapsed_bracket_at_tol_times_its_edge():
+    # no residual is below about 3e-12, so every bracket collapses: one at
+    # |edge| ~ 1000 passes under tol * 1000, one within [-1, 1] fails, as
+    # in the reference
+    for x in (1000.0, -1000.0, 0.5):
+        want = outcome(lambda: ref_bisect_root(lambda y: float(jump(x, y)), 1e-14)[0])
+        assert want[0] == ("raised" if x == 0.5 else "ok")
+        assert same(outcome(lambda: float(_solve_roots(jump, np.array([x]), 1e-14)[0])), want)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300])

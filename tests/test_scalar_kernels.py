@@ -212,7 +212,11 @@ def ref_trace(m, p, w, n):
     return [np.array(a) for a in (steps, cumulative, points, directions)]
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+# lengths at and across the edges of a BLOCK-step block and of a 1024-step one
+LENGTHS = sorted({1, 1023, 1024, 1025, 2051, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3})
+
+
+@pytest.mark.parametrize("n", [2] + LENGTHS)
 @pytest.mark.parametrize("m", [standard(1.5), generating_function(0.03, 0.0, 0.001), shear()],
                          ids=lambda m: m.to_spec())
 def test_trace_blocks_match_per_step_reference(m, n):
@@ -224,7 +228,7 @@ def test_trace_blocks_match_per_step_reference(m, n):
         assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("n", [0] + LENGTHS)
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("m", [standard(1.5), drift_shear(0.25).inverted()], ids=lambda m: m.to_spec())
 def test_iterate_blocks_match_per_step_reference(m, n, sign):

@@ -443,10 +443,11 @@ def test_jacobi_oracle_makes_one_step_per_step(kernels, m, p):
         return refused
 
     kernels.patch("_apply_k", refuse)
-    # jacobian_scalar runs the step: a call to it would count as a step
+    # jacobian_scalar runs the step: a call to it would count as a step;
+    # one step gives xi_1, the Jacobi block takes the rest
     got = jacobi_conjugate_oracle(LiftedMap(m.family, m.params), p, 400)
     assert got == want
-    assert kernels.calls == {"_step_k": 400 if got is None else got}
+    assert kernels.calls == {"_step_k": 1, "_jacobi_k": (400 if got is None else got) - 1}
 
 
 def test_conjugate_report_stops_when_settled(kernels):
@@ -642,9 +643,9 @@ def linking_per_step(map, p, q, n):
     maps._check_block: an overflowing q - p is named at step 0; a step
     whose kernel raises (p's before q's) is named, chained from its error;
     else a step is checked for a collision, then for a non-finite
-    difference, which yields to a kernel that raises later in its block,
-    as test_block_kernels.first_failure names a raise one step past a
-    non-finite point."""
+    difference, which yields to a kernel that raises, or a collision, later
+    in the loop, whatever its blocks, as test_block_kernels.first_failure
+    names a raise one step past a non-finite point."""
     start = ((p[0], p[1]), (q[0], q[1]))
     px, py = p
     qx, qy = q
@@ -662,12 +663,14 @@ def linking_per_step(map, p, q, n):
         if dx == 0.0 and dy == 0.0:
             raise CoincidentPointsError("orbits collided to machine precision")
         if not (math.isfinite(dx) and math.isfinite(dy)):
-            for j in range(i + 1, min(n, (i - 1) // BLOCK * BLOCK + BLOCK) + 1):
+            for j in range(i + 1, n + 1):
                 try:
                     px, py = map.apply_scalar(px, py)
                     qx, qy = map.apply_scalar(qx, qy)
                 except (ArithmeticError, ValueError) as exc:
                     raise NonFiniteOrbitError.at(start, j) from exc
+                if qx - px == 0.0 and qy - py == 0.0:
+                    raise CoincidentPointsError("orbits collided to machine precision")
             raise NonFiniteOrbitError.at(start, i)
         th = twistlab.torsion._angle(dx, dy)
         rep = (th - th_prev) - round(th - th_prev)
@@ -692,7 +695,8 @@ def linking_pair(m, p, q, n):
     return est.value, est.near_half_turn
 
 
-LINKING_NS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+# step counts at and across the edges of a BLOCK-step block and of a 1024-step one
+LINKING_NS = sorted({1, 1023, 1024, 1025, 2049, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1})
 
 
 @pytest.mark.parametrize("n", LINKING_NS)
@@ -714,32 +718,44 @@ def test_linking_blocks_match_reference(n, m, p, d):
         assert linking_outcome(linking_reference, m, p, q, n) == want
 
 
+# Four steps scale x by 2^-1 (_Halving) or 2 (_Doubling), so the orbits of
+# 2^e and 2^(e+1) meet at the smallest subnormal, or leave the float range,
+# about 4 (e + 1075) or 4 (1024 - e) steps in: 3/2 BLOCK, in the second
+# block, from EDGE_EXPONENT.
+QUARTER = 2.0**0.25
+EDGE_EXPONENT = 3 * BLOCK // 8
+
+
 class _Halving(_ImageMap):
-    # halves both coordinates: the orbits of (1, 0) and (2, 0) meet at 0
-    # at step 1076, in the second block
+    # halves both coordinates every four steps
     def _apply_k(self, x, y):
-        return 0.5 * x, 0.5 * y
+        return x / QUARTER, y / QUARTER
 
 
 class _Doubling(_ImageMap):
-    # doubles x: the orbit of 2e-300 leaves the float range in the second block
+    # doubles x every four steps
     def _apply_k(self, x, y):
-        return 2.0 * x, y
+        return x * QUARTER, y
 
+
+# x grows by about y a step, so from this height it leaves the float range
+# about 3/2 BLOCK steps in; a second harmonic raises once 2x does, from
+# half the height
+EDGE_HEIGHT = 1.7976931348623157e308 / (1.5 * BLOCK)
 
 # (map, p, q): errors inside a later block, from a duck-typed map, a map
 # that carries inf on (shear) and maps that raise one step past it.
 LINKING_EDGES = [
-    (_Halving(), (1.0, 0.0), (2.0, 0.0)),
-    (_Doubling(), (1e-300, 0.0), (2e-300, 0.0)),
+    (_Halving(), (2.0 ** (EDGE_EXPONENT - 1075), 0.0), (2.0 ** (EDGE_EXPONENT - 1074), 0.0)),
+    (_Doubling(), (2.0 ** (1023 - EDGE_EXPONENT), 0.0), (2.0 ** (1024 - EDGE_EXPONENT), 0.0)),
     (_Blowup(), (1.0, 0.0), (2.0, 0.0)),
-    (shear(), (0.0, 1e305), (0.0, 1.0001e305)),
-    (standard(0.5), (0.0, 1e305), (0.25, 1.0001e305)),
-    (generating_function(0.02, 0.001), (0.0, 5e304), (0.0, 5.0001e304)),
+    (shear(), (0.0, EDGE_HEIGHT), (0.0, 1.0001 * EDGE_HEIGHT)),
+    (standard(0.5), (0.0, EDGE_HEIGHT), (0.25, 1.0001 * EDGE_HEIGHT)),
+    (generating_function(0.02, 0.001), (0.0, EDGE_HEIGHT / 2), (0.0, 1.0001 * EDGE_HEIGHT / 2)),
 ]
 
 
-@pytest.mark.parametrize("n", LINKING_NS + [3 * BLOCK])
+@pytest.mark.parametrize("n", LINKING_NS + [3072, 3 * BLOCK])
 @pytest.mark.parametrize("case", LINKING_EDGES, ids=lambda c: type(c[0]).__name__)
 def test_linking_errors_match_per_step_loop(case, n):
     m, p, q = case
@@ -762,8 +778,8 @@ def test_linking_edge_cases_fail_in_a_later_block():
 LINKING_ITERATE_STEPS = [
     ("std:k=1", (0.1, 0.2), (0.3, 1e307), 50, 19),
     ("genfun:a1=0.02,a2=-0.007", (0.1, 0.2), (0.3, 1e307), 10, 10),
-    ("std:k=0.5", (0.0, 1e305), (0.25, 1.0001e305), 3 * BLOCK, 1799),
-    ("genfun:a1=0.02,a2=0.001", (0.0, 5e304), (0.0, 5.0001e304), 3 * BLOCK, 1799),
+    ("std:k=0.5", (0.0, 1e305), (0.25, 1.0001e305), 3072, 1799),
+    ("genfun:a1=0.02,a2=0.001", (0.0, 5e304), (0.0, 5.0001e304), 3072, 1799),
     ("genfun:a1=0.02,a2=-0.007", (1e308, 0.0), (0.0, 0.0), 5, 1),
     ("genfun:a1=0.02,a2=-0.007", (0.0, 0.0), (1e308, 0.0), 5, 1),
 ]

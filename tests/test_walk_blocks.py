@@ -1,15 +1,21 @@
 """The block walk cut at block edges: every walk takes the steps it would
 take in one piece, and stops on the step it would stop on.  Every scalar
 orbit loop steps a block kernel, which takes one orbit step per step asked
-for (the kernels fixture counts the steps a block takes)."""
+for (the kernels fixture counts the steps a block takes), and gives the
+same bytes and names the same failing step whatever BLOCK is."""
 
+import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_maps import CATALOGUE
 
+import twistlab.maps
+import twistlab.torsion
 from twistlab import (
     NonFiniteOrbitError,
     asymptotic_torsion,
@@ -30,7 +36,9 @@ from twistlab.maps import BLOCK, TWO_PI
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=25)
 
-EDGES = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+# step counts at and across the edges of a BLOCK-step block, and of a
+# 1024-step one, a block size the block-size property runs too
+EDGES = sorted({1, 2, 1023, 1024, 1025, 2049, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1})
 
 maps = st.one_of(
     st.sampled_from([shear(), drift_shear(0.25), generating_function(0.02, -0.007)]),
@@ -116,17 +124,19 @@ def test_classify_walks_the_segment_once(kernels, n):
 ])
 def test_overflow_is_named_by_a_kernel_walk(kernels, loop, kernel):
     # shear carries inf on: five steps (the orbit block's, or the oracle's
-    # own), then two more by the per-step kernel to name step 2
+    # first step and four of its Jacobi block), then two more by the
+    # per-step kernel to name step 2
     with pytest.raises(NonFiniteOrbitError, match="by step 2"):
         loop(shear())
-    first = "_orbit_k" if kernel == "_apply_k" else kernel
-    assert kernels.calls == Counter({first: 5}) + Counter({kernel: 2})
+    blocks = {"_orbit_k": 5} if kernel == "_apply_k" else {"_step_k": 1, "_jacobi_k": 4}
+    assert kernels.calls == Counter(blocks) + Counter({kernel: 2})
 
 
 @pytest.mark.parametrize("k, tol, hit, over", [
     (1e-5, 1e-9, 994, 994),
     (1.040625e-05, 1e-9, 974, 974),
-    (9.421875e-06, 1e-9, BLOCK, BLOCK),  # both times are a block edge
+    (9.421875e-06, 1e-9, 1024, 1024),
+    (5.883630365133286e-07, 1e-9, 4096, 4096),  # both times are a block edge
     (2.4e-6, 1e-9, 2028, 2028),
     # a wide tol finds the conjugate time before the over-conjugate time
     (1e-5, 0.99, 987, 994),
@@ -136,6 +146,70 @@ def test_conjugate_report_stops_across_block_edges(kernels, k, tol, hit, over):
     # near the elliptic origin of a weak kick the vertical turns slowly:
     # its times land near or past a block edge, and the walk stops at the
     # later one
-    rep = conjugate_report(standard(k), (0.0, 0.0), 3000, tol)
+    rep = conjugate_report(standard(k), (0.0, 0.0), 2 * BLOCK, tol)
     assert rep.first_conjugate == (hit, 1) and rep.first_overconjugate == over
     assert kernels.calls == {"_walk_k": max(hit, over)}
+
+
+def canonical(value):
+    """An outcome as comparable parts: floats as bytes, every NaN as one
+    NaN, since a kernel's NaN sign follows CPython's quickening of its
+    code, not its input."""
+    if dataclasses.is_dataclass(value):
+        return [canonical(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [canonical(v) for v in value]
+    if isinstance(value, (float, np.ndarray)):
+        a = np.array(value, dtype=float)
+        a[np.isnan(a)] = np.nan
+        return a.shape, a.tobytes()
+    return value
+
+
+def outcome(call):
+    """call()'s value, canonical, or the type and message of what it raised."""
+    try:
+        return canonical(call())
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+# Every scalar loop, as a call on a map, a start and a step count.
+SCALAR_LOOPS = {
+    "torsion_trace": lambda m, p, n: torsion_trace(m, p, n=n),
+    "asymptotic_torsion": lambda m, p, n: asymptotic_torsion(m, p, n + 7, 7),
+    "conjugate_report": lambda m, p, n: conjugate_report(m, p, n),
+    "first_return_torsion": lambda m, p, n: first_return_torsion(
+        m, (0.0, 0.5, -0.5, 0.5), p, returns=3, cap=n),
+    "linking_number": lambda m, p, n: linking_number(m, p, (p[0] + 0.25, -p[1]), n),
+    "iterate": lambda m, p, n: (iterate(m, p, n), iterate(m, p, -n)),
+    "rotation_number": lambda m, p, n: rotation_number(m, p, n),
+    "jacobi_conjugate_oracle": lambda m, p, n: jacobi_conjugate_oracle(m, p, n + 1),
+}
+
+# signed zeros, the smallest subnormal and starts near the top of the float range
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e305, -1e305, 1e308, -1e308])
+# kicks whose V'' overflows where their V' does not (q = inf, p < 1e308):
+# their directions leave the float range steps before their orbits do
+INFINITE_CURVATURE = st.sampled_from([generating_function(1e307),
+                                      generating_function(0.0, 3e306)])
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(m=st.tuples(CATALOGUE | INFINITE_CURVATURE, st.booleans()).map(
+           lambda t: t[0].inverted() if t[1] else t[0]),
+       p=st.tuples(EXTREMES | st.floats(-2.0, 2.0), EXTREMES | st.floats(-1.0, 1.0)),
+       n=st.sampled_from([1, 6, 7, 8, 15, 60, 1025]))
+def test_scalar_loops_do_not_depend_on_the_block_size(m, p, n):
+    # 4096 takes every n in one block: the others are held to it
+    outcomes = []
+    for size in (1, 7, 1024, 4096):
+        blocks = twistlab.maps.BLOCK, twistlab.torsion.BLOCK
+        twistlab.maps.BLOCK = twistlab.torsion.BLOCK = size
+        try:
+            outcomes.append({name: outcome(lambda: loop(m, p, n))
+                             for name, loop in SCALAR_LOOPS.items()})
+        finally:
+            twistlab.maps.BLOCK, twistlab.torsion.BLOCK = blocks
+    for got in outcomes[:-1]:
+        assert got == outcomes[-1]

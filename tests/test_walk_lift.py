@@ -30,7 +30,7 @@ from twistlab import (
     torsion_trace,
 )
 from twistlab.cli import run
-from twistlab.maps import TWO_PI
+from twistlab.maps import BLOCK, TWO_PI
 from twistlab.torsion import _INV_TWO_PI, _Walk
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=60)
@@ -232,23 +232,24 @@ def test_conjugate_report_settles_before_the_orbit_leaves_the_float_range():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_block_check_names_the_first_non_finite_step(sign):
-    # x grows like c n^2 / 2: it overflows in the second block of rows
-    m = drift_shear(3.4e302)
+    # x grows like c n^2 / 2: it overflows about 3/2 BLOCK steps in, in the
+    # second block of rows
+    m = drift_shear(1.7976931348623157e308 / (1.5 * BLOCK) ** 2 * 2.0)
     step = m.apply_scalar if sign > 0 else m.apply_inverse_scalar
-    x, y, first = 0.0, 0.0, None
-    for n in range(1, 3000):
+    x, y, first, n = 0.0, 0.0, None, 3 * BLOCK
+    for i in range(1, n):
         x, y = step(x, y)
         if not math.isfinite(x):
-            first = n
+            first = i
             break
-    assert 1024 < first < 2048
+    assert BLOCK < first < 2 * BLOCK
     with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
-        iterate(m, (0.0, 0.0), sign * 3000)
+        iterate(m, (0.0, 0.0), sign * n)
     if sign > 0:
         for call in (
-            lambda: torsion_trace(m, (0.0, 0.0), n=3000),
-            lambda: asymptotic_torsion(m, (0.0, 0.0), 3000, 10),
-            lambda: conjugate_report(m, (0.0, 0.0), 3000),
+            lambda: torsion_trace(m, (0.0, 0.0), n=n),
+            lambda: asymptotic_torsion(m, (0.0, 0.0), n, 10),
+            lambda: conjugate_report(m, (0.0, 0.0), n),
         ):
             with pytest.raises(NonFiniteOrbitError, match=f"by step {first}:"):
                 call()
